@@ -1,23 +1,28 @@
 // BENCH_scale: the macro-bench that pins the simulator's scale trajectory
 // (ROADMAP item 1). Sweeps peer counts over the multi-ISP popular channel
 // and records, per sweep point, the whole-run wall clock, peak RSS, events
-// executed, and events per wall second — written in the shared
+// executed, and peak scheduler queue depth — written in the shared
 // ppsim-bench-v1 schema (with the macro-only rss_peak_bytes / wall_s
 // fields) so the committed bench/BENCH_scale.json diffs cleanly and CI can
 // guard its coverage like BENCH_micro.json.
 //
-// Wall time and throughput come from an attached obs::RunProfiler — the
-// sanctioned steady_clock island — so the measured configuration is the
-// same observer-armed setup a profiled production run uses. Peak RSS is
-// process-wide and monotone, which is why the sweep always runs in
-// ascending peer order: each point's reading is attributable to the
+// Wall time is one steady_clock read on each side of a bare run_experiment
+// call with no observer attached, so ns/event is the simulator's own cost,
+// not an instrument's. Events and peak queue depth come from the run's
+// SwarmStats. The peak is the scheduler's high-water mark of pending events
+// (Simulator::peak_pending_events), which excludes cancelled events whose
+// heap keys are still queued; RunProfiler::max_queue_depth counts those.
+// Peak RSS is process-wide and monotone, which is why the sweep always runs
+// in ascending peer order: each point's reading is attributable to the
 // largest run so far, i.e. its own.
 //
 //   bench_scale [--peers N]... [--minutes M] [--seed S] [--bench-json F]
 //
-// Defaults: --peers 1000 5000 20000, 4 simulated minutes, seed 20081012.
+// Defaults: --peers 1000 5000 20000, --minutes 4, --seed 20081012. N and M
+// must be positive.
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -28,7 +33,6 @@
 #include "core/experiment.h"
 #include "figures_common.h"
 #include "obs/bench_json.h"
-#include "obs/profiler.h"
 #include "obs/resource_probe.h"
 #include "workload/scenario.h"
 
@@ -61,6 +65,10 @@ ScaleFlags parse_scale_flags(int argc, char** argv) {
       f.peers.push_back(n);
     } else if (arg == "--minutes") {
       f.minutes = std::atoi(value());
+      if (f.minutes <= 0) {
+        std::fprintf(stderr, "--minutes must be positive\n");
+        std::exit(2);
+      }
     } else if (arg == "--seed") {
       f.seed = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--bench-json") {
@@ -104,33 +112,32 @@ int main(int argc, char** argv) {
     config.scenario.duration = ppsim::sim::Time::minutes(flags.minutes);
     config.scenario.seed = flags.seed;
 
-    ppsim::obs::RunProfiler profiler;
-    config.observability.profiler = &profiler;
-
-    ppsim::core::ExperimentResult result =
+    const auto start = std::chrono::steady_clock::now();
+    const ppsim::core::ExperimentResult result =
         ppsim::core::run_experiment(config);
-    (void)result;
-
-    const double wall = profiler.wall_seconds_total();
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
     const std::uint64_t rss_peak =
         ppsim::obs::ResourceProbe::peak_rss_bytes();
+    const std::uint64_t events = result.swarm.events_executed;
 
     ppsim::obs::BenchEntry e;
     e.name = row_name(peers);
-    e.iterations = profiler.events_total();
-    e.ns_per_op = profiler.events_total() == 0
-                      ? 0.0
-                      : wall / static_cast<double>(profiler.events_total()) *
-                            1e9;
-    e.peak_queue_depth = profiler.max_queue_depth();
+    e.iterations = events;
+    e.ns_per_op =
+        events == 0 ? 0.0 : wall / static_cast<double>(events) * 1e9;
+    e.peak_queue_depth = result.swarm.peak_queue_depth;
     e.rss_peak_bytes = rss_peak;
     e.wall_s = wall;
     entries.push_back(e);
 
     std::printf("%8d %14" PRIu64 " %9.2f %12.0f %8.1fMB %10" PRIu64 "\n",
-                peers, e.iterations, wall, profiler.events_per_second(),
+                peers, events, wall,
+                wall > 0 ? static_cast<double>(events) / wall : 0.0,
                 static_cast<double>(rss_peak) / (1024.0 * 1024.0),
                 e.peak_queue_depth);
+    std::fflush(stdout);
   }
 
   std::printf("\n");

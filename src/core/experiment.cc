@@ -721,6 +721,7 @@ ExperimentResult Runner::run() {
       network_.stats().blackout_drops + network_.stats().brownout_drops +
       network_.stats().degrade_drops;
   result.swarm.events_executed = simulator_.events_executed();
+  result.swarm.peak_queue_depth = simulator_.peak_pending_events();
 
   if (fault_driver_ != nullptr) {
     result.fault_windows_applied = fault_driver_->windows_applied();

@@ -211,6 +211,9 @@ struct SwarmStats {
   std::uint64_t packets_delivered = 0;
   std::uint64_t packets_dropped = 0;
   std::uint64_t events_executed = 0;
+  /// Peak number of simultaneously pending events
+  /// (sim::Simulator::peak_pending_events; cancelled events excluded).
+  std::uint64_t peak_queue_depth = 0;
 };
 
 /// One viewer's session, for churn/workload characterization (the paper

@@ -513,14 +513,6 @@ void Peer::sweep_timeouts() {
   }
 }
 
-void Peer::update_live_edge() {
-  ChunkSeq edge = store_.highest();
-  for (const auto& [ip, nb] : neighbors_) {
-    edge = std::max(edge, nb.map.highest());
-  }
-  live_edge_ = std::max(live_edge_, edge);
-}
-
 void Peer::maybe_start_playback() {
   if (playback_started_ || live_edge_ == 0) return;
   if (channel_.mode == StreamMode::kVod) {
@@ -570,7 +562,6 @@ void Peer::playback_tick() {
 }
 
 void Peer::request_tick() {
-  update_live_edge();
   maybe_start_playback();
   if (!playback_started_) return;
 
@@ -874,7 +865,7 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
       n.intro_via = pcs.origin.via;
       n.introducer = pcs.origin.introducer;
     }
-    update_live_edge();
+    live_edge_ = std::max(live_edge_, cr->map.highest());
     // Paper: upon establishing a connection, first ask the new neighbor for
     // its peer list, then request data (data flows on the next tick).
     if (policy_->use_neighbor_referral()) {
@@ -937,7 +928,7 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
     if (it == neighbors_.end()) return;
     it->second.map = ann->map;
     it->second.last_seen = simulator_.now();
-    update_live_edge();
+    live_edge_ = std::max(live_edge_, ann->map.highest());
     return;
   }
 

@@ -186,7 +186,6 @@ class Peer {
   void request_tick();
   void playback_tick();
   void announce_buffer_maps();
-  void update_live_edge();
   void maybe_start_playback();
 
   // --- plumbing ---
@@ -268,6 +267,9 @@ class Peer {
   std::uint64_t emergency_reacquires_ = 0;
 
   ChunkStore store_;
+  // Highest chunk ever stored or advertised by a neighbor (handshake or
+  // buffer-map announcement): a monotone max, folded in where those inputs
+  // arrive. A neighbor leaving never lowers it.
   ChunkSeq live_edge_ = 0;
   ChunkSeq playback_next_ = 0;
   bool playback_started_ = false;

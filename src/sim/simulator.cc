@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "sim/observer.h"
 #include "sim/time.h"
@@ -15,10 +16,28 @@ TimerHandle Simulator::schedule_at(Time when, Callback cb,
   assert(cb);
   if (when < now_) when = now_;
   if (when > latest_scheduled_) latest_scheduled_ = when;
-  std::uint64_t seq = next_seq_++;
-  queue_.push(Event{when, seq, category, std::move(cb)});
-  pending_.insert(seq);
-  return TimerHandle{seq};
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::uint64_t seq = next_seq_++;
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  s.category = category;
+  s.seq = seq;
+  queue_.push(Key{when, seq, slot});
+  return TimerHandle{slot, seq};
+}
+
+Simulator::Callback Simulator::take(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.seq = 0;
+  free_slots_.push_back(slot);
+  return std::exchange(s.cb, nullptr);
 }
 
 void Simulator::add_observer(SimObserver* observer) {
@@ -33,11 +52,12 @@ void Simulator::remove_observer(SimObserver* observer) {
 }
 
 bool Simulator::cancel(TimerHandle h) {
-  if (!h.valid()) return false;
-  // Only still-pending events can be cancelled: a handle whose event
-  // already fired (or was already cancelled) reports false.
-  if (pending_.erase(h.seq_) == 0) return false;
-  cancelled_.insert(h.seq_);
+  // Once the handle's event fired or was cancelled, its slot is free
+  // (seq 0) or holds a later event, so the sequence no longer matches.
+  if (!h.valid() || h.slot_ >= slots_.size() ||
+      slots_[h.slot_].seq != h.seq_)
+    return false;
+  take(h.slot_);
   return true;
 }
 
@@ -45,36 +65,33 @@ std::uint64_t Simulator::run_until(Time until) {
   std::uint64_t ran = 0;
   stop_requested_ = false;
   while (!queue_.empty() && !stop_requested_) {
-    const Event& top = queue_.top();
-    if (top.when > until) break;
-    // Move the event out before popping so the callback may schedule/cancel.
-    Event ev{top.when, top.seq, top.category,
-             std::move(const_cast<Event&>(top).cb)};
+    const Key key = queue_.top();
+    if (key.when > until) break;
     queue_.pop();
-    if (!cancelled_.empty() && cancelled_.erase(ev.seq) > 0) continue;
-    pending_.erase(ev.seq);
-    now_ = ev.when;
+    if (slots_[key.slot].seq != key.seq) continue;  // cancelled
+    const char* category = slots_[key.slot].category;
+    // Free the slot before running so the callback may schedule and cancel.
+    const Callback cb = take(key.slot);
+    now_ = key.when;
     if (observers_.empty()) {
-      ev.cb();
+      cb();
     } else {
-      const char* category = ev.category == nullptr ? "" : ev.category;
+      const char* label = category == nullptr ? "" : category;
       const std::size_t depth = queue_.size();
       for (SimObserver* obs : observers_)
-        obs->on_event_begin(now_, ev.seq, category, depth);
-      ev.cb();
-      for (SimObserver* obs : observers_) obs->on_event_end(now_, category);
+        obs->on_event_begin(now_, key.seq, label, depth);
+      cb();
+      for (SimObserver* obs : observers_) obs->on_event_end(now_, label);
     }
     ++ran;
     ++events_executed_;
   }
-  if (queue_.empty()) {
-    // Advance the clock to the horizon so repeated run_until calls observe
-    // monotonically increasing time even across idle stretches. The
-    // drain-everything sentinel used by run() is excluded: after run() the
-    // clock rests at the last event's time.
-    if (until > now_ && until < Time::micros(INT64_MAX)) now_ = until;
-    cancelled_.clear();
-  }
+  // Advance the clock to the horizon so repeated run_until calls observe
+  // monotonically increasing time even across idle stretches. The
+  // drain-everything sentinel used by run() is excluded: after run() the
+  // clock rests at the last event's time.
+  if (queue_.empty() && until > now_ && until < Time::micros(INT64_MAX))
+    now_ = until;
   return ran;
 }
 

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.h"
@@ -13,6 +12,9 @@ namespace ppsim::sim {
 class SimObserver;
 
 /// Opaque handle to a scheduled event; lets callers cancel pending timers.
+/// Carries the event's arena slot and its unique sequence number: the slot
+/// says where the event lives, the sequence says whether the slot still
+/// holds it (a fired or cancelled event's slot is freed and may be reused).
 class TimerHandle {
  public:
   TimerHandle() = default;
@@ -20,7 +22,9 @@ class TimerHandle {
 
  private:
   friend class Simulator;
-  explicit TimerHandle(std::uint64_t seq) : seq_(seq) {}
+  TimerHandle(std::uint32_t slot, std::uint64_t seq)
+      : slot_(slot), seq_(seq) {}
+  std::uint32_t slot_ = 0;
   std::uint64_t seq_ = 0;
 };
 
@@ -30,6 +34,12 @@ class TimerHandle {
 /// deterministic order: two events at the same instant fire in the order they
 /// were scheduled. The simulator owns no domain state; protocol entities
 /// capture what they need in their callbacks.
+///
+/// Pending events live in a slot arena: each callback and its category sit
+/// in a slot reused through a free list, and a binary heap orders small
+/// {when, seq, slot} keys. A slot is freed when its event fires or is
+/// cancelled; a popped key whose sequence no longer matches its slot is
+/// skipped. No per-event hashing, no tombstone sets.
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -56,7 +66,13 @@ class Simulator {
                           const char* category = nullptr);
 
   /// Cancels a pending event. Returns true if the event had not yet fired.
-  /// Cancellation is O(1): the event is tombstoned and skipped on pop.
+  /// O(1): the handle's slot must still carry the handle's sequence, so a
+  /// handle whose event already fired or was cancelled — including one
+  /// whose slot a later event now occupies — reports false. An event
+  /// cancelling itself from inside its own callback reports false too: its
+  /// slot is freed before the callback runs. A successful cancel releases
+  /// the callback (and what it captured) immediately; the event's heap key
+  /// stays queued until popped, and is then skipped.
   bool cancel(TimerHandle h);
 
   /// Runs events until the queue is empty or `until` is reached; events
@@ -70,7 +86,16 @@ class Simulator {
   void request_stop() { stop_requested_ = true; }
 
   std::uint64_t events_executed() const { return events_executed_; }
-  std::size_t pending_events() const { return pending_.size(); }
+  std::size_t pending_events() const {
+    return slots_.size() - free_slots_.size();
+  }
+
+  /// Peak of pending_events() over the simulator's lifetime. The arena only
+  /// grows when no freed slot is available, so its size is this high-water
+  /// mark at no extra cost. Excludes cancelled events whose keys still wait
+  /// in the heap, which RunProfiler::max_queue_depth (the heap size the
+  /// observers see) counts.
+  std::size_t peak_pending_events() const { return slots_.size(); }
 
   /// Latest firing time ever scheduled (clamp-adjusted), even if that event
   /// has since fired or been cancelled. `latest_scheduled() - now()` is the
@@ -79,13 +104,12 @@ class Simulator {
   /// schedule_at, so the accounting costs nothing measurable per event.
   Time latest_scheduled() const { return latest_scheduled_; }
 
-  /// Approximate heap footprint of the pending-event queue (containers'
-  /// element storage only — std::function captures are not visible from
-  /// here). For the resource-probe gauges, not for exact accounting.
+  /// Approximate heap footprint of the scheduler: queued heap keys
+  /// (cancelled ones included until popped) plus arena slots, counted by
+  /// size(), not capacity(). std::function captures are not visible from
+  /// here. For the resource-probe gauges, not for exact accounting.
   std::size_t approx_queue_bytes() const {
-    return pending_events() * sizeof(Event) +
-           (pending_.size() + cancelled_.size()) *
-               (sizeof(std::uint64_t) * 2);
+    return queue_.size() * sizeof(Key) + slots_.size() * sizeof(Slot);
   }
 
   /// Allocates the next causal-tracing span id: a plain monotonic counter,
@@ -104,16 +128,27 @@ class Simulator {
   void remove_observer(SimObserver* observer);
 
  private:
-  struct Event {
+  /// Heap entry: the ordering fields plus where the callback lives.
+  struct Key {
     Time when;
     std::uint64_t seq;
-    const char* category;  // observer label; nullptr = untagged
-    Callback cb;
-    bool operator>(const Event& o) const {
+    std::uint32_t slot;
+    bool operator>(const Key& o) const {
       if (when != o.when) return when > o.when;
       return seq > o.seq;
     }
   };
+
+  /// One pending event's payload; seq == 0 marks a free slot.
+  struct Slot {
+    Callback cb;
+    const char* category = nullptr;  // observer label; nullptr = untagged
+    std::uint64_t seq = 0;
+  };
+
+  /// Frees `slot` and hands back its callback. The arena is consistent
+  /// before the caller destroys (or runs) what is returned.
+  Callback take(std::uint32_t slot);
 
   Time now_;
   Time latest_scheduled_;
@@ -121,12 +156,9 @@ class Simulator {
   std::uint64_t last_span_id_ = 0;
   std::uint64_t events_executed_ = 0;
   bool stop_requested_ = false;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  // Seqs scheduled but not yet fired or cancelled. Distinguishes "still
-  // pending" from "already fired" so cancel() after the fact reports false
-  // instead of planting a stale tombstone.
-  std::unordered_set<std::uint64_t> pending_;
-  std::unordered_set<std::uint64_t> cancelled_;  // tombstones, consumed on pop
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> queue_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<SimObserver*> observers_;
 };
 

@@ -207,6 +207,79 @@ TEST(PeerTest, PlaybackLagsLiveEdge) {
   EXPECT_GT(world.source().chunks_produced(), a.playback_position());
 }
 
+TEST(PeerTest, LiveEdgeIsMonotoneMaxOfAdvertisedAndStored) {
+  MiniWorld world;
+  Peer& a = world.add_peer(net::IspCategory::kTele);
+  // A scripted neighbor: a bare host whose messages the test sends by hand.
+  const HostIdentity fake = world.identity(net::IspCategory::kTele);
+  world.network().attach(fake.ip, fake.isp, fake.category, fake.profile,
+                         [](const PeerNetwork::Delivery&) {});
+  const auto is_neighbor = [&a](net::IpAddress ip) {
+    const auto ips = a.neighbor_ips();
+    return std::find(ips.begin(), ips.end(), ip) != ips.end();
+  };
+  // Highest chunk of every map `a` takes in: accepted handshakes and
+  // announcements from current neighbors. The tap runs just before the
+  // delivery handler.
+  ChunkSeq advertised = 0;
+  world.network().set_global_tap(
+      [&](const net::Endpoint& from, const net::Endpoint& to,
+          const Message& m, std::uint64_t) {
+        if (to.ip != a.ip()) return;
+        if (const auto* ann = std::get_if<BufferMapAnnounce>(&m);
+            ann != nullptr && is_neighbor(from.ip))
+          advertised = std::max(advertised, ann->map.highest());
+        if (const auto* cr = std::get_if<ConnectReply>(&m);
+            cr != nullptr && cr->accepted)
+          advertised = std::max(advertised, cr->map.highest());
+      });
+  ChunkSeq last_edge = 0;
+  bool monotone = true;
+  bool exact = true;
+  sim::schedule_periodic(world.simulator(), sim::Time::millis(100), [&] {
+    const ChunkSeq edge = a.live_edge_estimate();
+    monotone = monotone && edge >= last_edge;
+    exact = exact && edge == std::max(advertised, a.store().highest());
+    last_edge = edge;
+    return true;
+  });
+  a.join();
+  world.simulator().run_until(sim::Time::seconds(60));
+  ASSERT_GT(a.live_edge_estimate(), 0u);
+
+  const ChannelId channel = world.channel().id;
+  const auto from_fake = [&](Message m) {
+    const std::uint64_t bytes = wire_size(m);
+    world.network().send(fake.ip, a.ip(), std::move(m), bytes);
+  };
+  const auto window = [](ChunkSeq base) {
+    BufferMap map;
+    map.base = base;
+    map.have.assign(8, true);
+    return map;
+  };
+  from_fake(ConnectQuery{channel});
+  world.simulator().run_until(sim::Time::seconds(61));
+  ASSERT_TRUE(is_neighbor(fake.ip));
+
+  // Far ahead of the stream: the edge jumps to the advertised chunk...
+  const ChunkSeq high = a.live_edge_estimate() + 1000;
+  from_fake(BufferMapAnnounce{channel, window(high - 7)});
+  world.simulator().run_until(sim::Time::seconds(62));
+  EXPECT_EQ(a.live_edge_estimate(), high);
+  // ...and neither a lower map nor the neighbor's departure lowers it.
+  from_fake(BufferMapAnnounce{channel, window(1)});
+  world.simulator().run_until(sim::Time::seconds(63));
+  EXPECT_EQ(a.live_edge_estimate(), high);
+  from_fake(Goodbye{channel});
+  world.simulator().run_until(sim::Time::seconds(64));
+  EXPECT_FALSE(is_neighbor(fake.ip));
+  EXPECT_EQ(a.live_edge_estimate(), high);
+
+  EXPECT_TRUE(monotone);
+  EXPECT_TRUE(exact);
+}
+
 TEST(PeerTest, WindowNeverRequestsBeyondLiveEdge) {
   MiniWorld world;
   Peer& a = world.add_peer(net::IspCategory::kTele);

@@ -157,6 +157,76 @@ TEST(SimulatorTest, CancelInvalidHandle) {
   EXPECT_FALSE(simulator.cancel(h));
 }
 
+TEST(SimulatorTest, StaleHandleOnReusedSlotCannotCancel) {
+  Simulator simulator;
+  const TimerHandle first = simulator.schedule(Time::seconds(1), [] {});
+  simulator.run();
+  // The fired event freed its slot and the next event takes it over: the
+  // arena never holds more than one slot.
+  bool second_ran = false;
+  simulator.schedule(Time::seconds(1), [&] { second_ran = true; });
+  EXPECT_EQ(simulator.peak_pending_events(), 1u);
+  EXPECT_FALSE(simulator.cancel(first));
+  EXPECT_EQ(simulator.pending_events(), 1u);
+  simulator.run();
+  EXPECT_TRUE(second_ran);
+}
+
+TEST(SimulatorTest, CancelOwnEventFromItsCallbackReturnsFalse) {
+  Simulator simulator;
+  TimerHandle self;
+  bool cancelled = true;
+  self = simulator.schedule(Time::seconds(1),
+                            [&] { cancelled = simulator.cancel(self); });
+  EXPECT_EQ(simulator.run(), 1u);
+  EXPECT_FALSE(cancelled);
+}
+
+TEST(SimulatorTest, ScheduleCancelChurnKeepsArenaBounded) {
+  // 10^5 operations (one cancel and one schedule per step) with at most 64
+  // events live at once: freed slots are recycled, so memory stays bounded.
+  Simulator simulator;
+  std::vector<TimerHandle> live(64);
+  int fired = 0;
+  int cancelled = 0;
+  for (int i = 0; i < 50000; ++i) {
+    TimerHandle& h = live[static_cast<std::size_t>(i % 64)];
+    if (simulator.cancel(h)) ++cancelled;
+    h = simulator.schedule(Time::micros(1 + i % 50), [&fired] { ++fired; });
+    if (i % 16 == 0) simulator.run_until(simulator.now() + Time::micros(5));
+  }
+  simulator.run();
+  EXPECT_LE(simulator.peak_pending_events(), 64u);
+  EXPECT_EQ(simulator.pending_events(), 0u);
+  EXPECT_GT(cancelled, 0);
+  EXPECT_GT(fired, 0);
+  EXPECT_EQ(fired + cancelled, 50000);
+}
+
+TEST(SimulatorTest, QueueBytesCountKeysAndSlotsBySize) {
+  Simulator simulator;
+  EXPECT_EQ(simulator.approx_queue_bytes(), 0u);
+  simulator.schedule(Time::seconds(1), [] {});
+  const std::size_t per_event = simulator.approx_queue_bytes();
+  ASSERT_GT(per_event, 0u);
+  simulator.schedule(Time::seconds(2), [] {});
+  const TimerHandle third = simulator.schedule(Time::seconds(3), [] {});
+  // Three events, not the four a capacity-based count would see once the
+  // containers grew past two.
+  EXPECT_EQ(simulator.approx_queue_bytes(), 3 * per_event);
+  // A cancelled event's key stays queued until it is popped.
+  EXPECT_TRUE(simulator.cancel(third));
+  EXPECT_EQ(simulator.approx_queue_bytes(), 3 * per_event);
+  simulator.run();
+  // Drained: no keys are left, but the arena keeps its three slots...
+  const std::size_t drained = simulator.approx_queue_bytes();
+  EXPECT_GT(drained, 0u);
+  EXPECT_LT(drained, 3 * per_event);
+  // ...which the next three events reuse.
+  for (int i = 0; i < 3; ++i) simulator.schedule(Time::seconds(1), [] {});
+  EXPECT_EQ(simulator.approx_queue_bytes(), 3 * per_event);
+}
+
 TEST(SimulatorTest, CancelledEventsNotCounted) {
   Simulator simulator;
   auto h = simulator.schedule(Time::seconds(1), [] {});
