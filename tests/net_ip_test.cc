@@ -24,6 +24,12 @@ struct RoundTripCase {
   std::string text;
 };
 
+// Print a case as its quoted text: without this gtest dumps the raw bytes,
+// string pointer included, and the discovered ctest names change per run.
+void PrintTo(const RoundTripCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.text);
+}
+
 class IpParseRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(IpParseRoundTrip, ParseThenFormat) {
