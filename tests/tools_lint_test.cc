@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -16,6 +17,7 @@
 #include "lint/allowlist.h"
 #include "lint/lint.h"
 #include "lint/ndjson.h"
+#include "lint/text.h"
 
 namespace ppsim::lint {
 namespace {
@@ -172,6 +174,85 @@ TEST(LintBadTree, ExactFindingCountAndSorted) {
            std::tie(b.pass, b.file, b.line, b.check, b.token);
   }));
 }
+
+TEST(LintBadTree, NoDocsRootSkipsDocChecks) {
+  Tree tree;
+  std::string error;
+  ASSERT_TRUE(load_tree(fixture("badtree/src"), "", &tree, &error)) << error;
+  const std::vector<Finding> f = run_passes(tree, {"completeness"}, &error);
+  EXPECT_TRUE(error.empty()) << error;
+  EXPECT_EQ(f.size(), 21u);
+  for (const Finding& x : f) {
+    EXPECT_FALSE(x.file.starts_with("docs/")) << x.file << " " << x.check;
+    for (const char* doc_check : {"span-doc", "wire-doc", "resource-gauge-doc",
+                                  "rx-error-doc", "telemetry-record-doc"})
+      EXPECT_NE(x.check, doc_check) << x.token;
+  }
+}
+
+// A file that exists but lacks the anchor a cross-check reads its list from
+// is one finding at line 1, with the anchor as token — not a silent skip.
+struct MissingAnchorCase {
+  const char* name;    // test-name suffix
+  const char* file;    // "docs/X.md" or a src-relative path
+  const char* erase;   // text deleted from that file
+  const char* check;
+  const char* anchor;  // the expected token
+};
+
+void PrintTo(const MissingAnchorCase& c, std::ostream* os) { *os << c.name; }
+
+class LintMissingAnchor : public ::testing::TestWithParam<MissingAnchorCase> {
+};
+
+TEST_P(LintMissingAnchor, IsOneFindingAtLineOne) {
+  const MissingAnchorCase& c = GetParam();
+  Tree tree = load("goodtree");
+  const std::string file = c.file;
+  const std::string erase = c.erase;
+  if (file.starts_with("docs/")) {
+    std::string& doc = tree.docs.at(file.substr(5));
+    ASSERT_NE(doc.find(erase), std::string::npos);
+    doc.erase(doc.find(erase), erase.size());
+  } else {
+    const auto it = std::find_if(
+        tree.files.begin(), tree.files.end(),
+        [&](const SourceFile& f) { return f.rel == file; });
+    ASSERT_NE(it, tree.files.end());
+    ASSERT_NE(it->raw.find(erase), std::string::npos);
+    it->raw.erase(it->raw.find(erase), erase.size());
+    it->stripped = strip_comments_and_strings(it->raw);
+  }
+  std::string error;
+  const std::vector<Finding> f = run_passes(tree, {"completeness"}, &error);
+  EXPECT_TRUE(error.empty()) << error;
+  ASSERT_EQ(f.size(), 1u) << (f.empty() ? "" : f[0].check + " " + f[0].token);
+  EXPECT_EQ(f[0].file, file);
+  EXPECT_EQ(f[0].line, 1);
+  EXPECT_EQ(f[0].check, c.check);
+  EXPECT_EQ(f[0].token, c.anchor);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LintCompleteness, LintMissingAnchor,
+    ::testing::Values(
+        MissingAnchorCase{"PacketFormats", "docs/WIRE.md", "## Packet formats",
+                          "wire-doc", "## Packet formats"},
+        MissingAnchorCase{"RxErrorCounters", "docs/WIRE.md",
+                          "### Rx error counters", "rx-error-doc",
+                          "### Rx error counters"},
+        MissingAnchorCase{"ResourceGauges", "docs/OBSERVABILITY.md",
+                          "### Resource and scheduler gauges",
+                          "resource-gauge-doc",
+                          "### Resource and scheduler gauges"},
+        MissingAnchorCase{"TelemetryRecords", "docs/OBSERVABILITY.md",
+                          "### Telemetry record types", "telemetry-record-doc",
+                          "### Telemetry record types"},
+        MissingAnchorCase{"TagEnum", "wire/codec.h", "enum class Tag",
+                          "wire-tag", "Tag"}),
+    [](const ::testing::TestParamInfo<MissingAnchorCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(LintBadTree, SinglePassSelection) {
   const Tree tree = load("badtree");

@@ -31,8 +31,8 @@ const std::vector<PassInfo>& passes() {
        "(order-dependent under parallel reduction)",
        &pass_float_order},
       {"completeness",
-       "proto/message.h variant vs wire_size/name/trace-io/span/drop-counter "
-       "tables: no message type may silently skip one",
+       "Message variant vs codec/capture/visitor/docs tables, name "
+       "inventories vs docs tables, drop counters vs their increments",
        &pass_completeness},
   };
   return kPasses;

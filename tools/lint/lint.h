@@ -70,8 +70,8 @@ struct PassInfo {
 const std::vector<PassInfo>& passes();
 
 /// Loads .h/.hpp/.cc/.cpp files under `root` (sorted by relative path) and
-/// PROTOCOL.md under `docs_root` when given. Returns false and sets *error
-/// on an unreadable root.
+/// every *.md file directly in `docs_root` when given. Returns false and
+/// sets *error on an unreadable root.
 bool load_tree(const std::string& root, const std::string& docs_root,
                Tree* tree, std::string* error);
 

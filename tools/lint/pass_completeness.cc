@@ -1,46 +1,40 @@
-// Pass `completeness` — cross-checks every per-message-type table against
-// the `Message` variant in proto/message.h, extending the in-file
-// static_assert counter audit (proto/counters.h) to checks no compiler
-// sees. A new message type must not be able to silently skip:
+// Pass `completeness` — cross-checks the tables that must move together,
+// extending the in-file static_assert counter audit (proto/counters.h) to
+// checks no compiler sees: every per-message-type table against the
+// `Message` variant in proto/message.h, and every published name inventory
+// against its docs table. Most checks are one row of two tables:
 //
-//   wire-size-visitor   SizeVisitor in proto/message.cc (wire_size)
-//   name-visitor        NameVisitor in proto/message.cc (message_name),
-//                       including the returned "TypeName" string literal
-//   trace-io-write      the per-type serializer in capture/trace_io.cc
-//   trace-io-parse      the per-type `type == "X"` parser branch there
-//   span-member         the trailing SpanContext member (uniform layout)
+//   kMirrors   two name lists that must hold the same names, both
+//              directions. A list is the Message variant, an enum's `kX`
+//              enumerators (read as `X`), a struct's data members, the
+//              string literals of a constexpr array, or the first
+//              backticked cell of each table row under a docs/ heading.
+//   kBranches  every variant member needs a per-type pattern (an overload,
+//              a `case`, a parser branch) in one source file.
+//
+// A row is skipped when a source file it reads is missing (fixture trees
+// lack whole layers), and a doc row when the tree has no docs root. A file
+// that exists but lacks a row's anchor (the variant, enum, struct, array or
+// heading), or a doc missing under the docs root, is one finding at line 1
+// with the anchor as written in the row as token.
+//
+// The checks that need inference stay bespoke:
+//
+//   variant-membership  structs with a SpanContext member vs the variant
+//   span-member         every variant member carries a SpanContext
+//   wire-size-visitor   an overload per member in SizeVisitor (wire_size)
+//   name-visitor        an overload per member in NameVisitor
+//                       (message_name), returning the "TypeName" literal
 //   span-doc            the span-propagation section of docs/PROTOCOL.md
-//   span-stamp          a `<msg>.span = SpanContext{...}` stamping site in
-//                       proto/*.cc for every type the doc table lists
-//   variant-membership  struct list == variant list, both directions
-//
-// Plus the transport drop-counter audit ("every packet lands in exactly
-// one bucket", PR 3): every `*_drops` field of net::Transport's Stats must
-// have an increment site in net/ and appear in the total-drops
-// reconciliation in core/experiment.cc.
-//
-// Plus the wire-codec audit (real-wire mode, docs/WIRE.md): every Message
-// variant must have a Tag entry in wire/codec.h (wire-tag), an encode
-// branch and a decode branch in wire/codec.cc (wire-encode / wire-decode),
-// and a packet-table row in docs/WIRE.md (wire-doc) — and each of those
-// four tables must name only variant members, both directions.
-//
-// Plus the resource-gauge audit (scale observatory): the gauge names
-// obs::ResourceProbe publishes (kResourceGaugeNames in
-// obs/resource_probe.h) and the "Resource and scheduler gauges" table in
-// docs/OBSERVABILITY.md must list exactly the same set, both directions —
-// an undocumented gauge or a documented phantom gauge is a finding.
-//
-// Plus the rx-error audit (fleet telemetry plane): every counter field of
-// wire::UdpTransport::RxErrors must appear in kRxErrorBucketNames (the
-// for_each_rx_error export table that feeds --metrics-out and telemetry
-// snapshots) and in the "Rx error counters" table of docs/WIRE.md, both
-// directions — a codec rejection bucket the fleet cannot see is a finding.
-//
-// Plus the telemetry-record audit: the kTelemetryRecordNames inventory in
-// wire/telemetry.h and the "Telemetry record types" table in
-// docs/OBSERVABILITY.md must list exactly the same record types.
+//                       lists every member, and every stamped one
+//   span-stamp          a `<msg>.span = SpanContext{...}` site in proto/*.cc
+//                       for every type that section's table lists
+//   drop-counter        every `*_drops` field of net::Transport's Stats is
+//                       incremented in net/ and appears in the total-drops
+//                       reconciliation in core/experiment.cc ("every packet
+//                       lands in exactly one bucket")
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <set>
@@ -61,6 +55,13 @@ const SourceFile* find_file(const Tree& tree, std::string_view rel) {
   for (const SourceFile& f : tree.files)
     if (f.rel == rel) return &f;
   return nullptr;
+}
+
+void add(std::vector<Finding>* findings, std::string file, int line,
+         std::string check, std::string token, std::string detail) {
+  findings->push_back(Finding{std::string(kPass), std::move(file), line,
+                              std::move(check), std::move(token),
+                              std::move(detail)});
 }
 
 struct StructDecl {
@@ -96,46 +97,48 @@ std::vector<StructDecl> parse_structs(const std::string& stripped) {
   return out;
 }
 
-/// Type names inside `using Message = std::variant<...>;`.
-std::vector<std::string> parse_variant(const std::string& stripped) {
-  std::vector<std::string> out;
-  const std::size_t at = stripped.find("using Message");
-  if (at == std::string::npos) return out;
-  const std::size_t open = stripped.find('<', at);
-  const std::size_t close = stripped.find(';', at);
-  if (open == std::string::npos || close == std::string::npos) return out;
-  std::size_t i = open;
-  while (i < close) {
-    if (!is_ident_char(stripped[i])) {
-      ++i;
-      continue;
-    }
-    std::size_t end = i;
-    while (end < close && is_ident_char(stripped[end])) ++end;
-    const std::string ident = stripped.substr(i, end - i);
-    // Skip the std::variant scaffolding and qualification.
-    if (ident != "std" && ident != "variant") out.push_back(ident);
-    i = end;
+/// Data members of a struct body: the declarator of each top-level
+/// `Type name = ...;`, `Type name{...};` or `Type name;`. Member functions
+/// (a `(` before any initializer) and everything nested are skipped.
+std::set<std::string> data_members(const std::string& body) {
+  std::set<std::string> out;
+  std::size_t begin = 0;
+  int depth = 0;
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    if (body[i] == '{') ++depth;
+    if (body[i] == '}') --depth;
+    if (depth > 0 || (body[i] != ';' && body[i] != '}')) continue;
+    const std::string stmt = body.substr(begin, i - begin);
+    begin = i + 1;
+    std::size_t end = stmt.find_first_of("=({");
+    if (end != std::string::npos && stmt[end] == '(') continue;
+    end = std::min(end, stmt.size());
+    while (end > 0 && !is_ident_char(stmt[end - 1])) --end;
+    std::size_t start = end;
+    while (start > 0 && is_ident_char(stmt[start - 1])) --start;
+    if (start < end) out.insert(stmt.substr(start, end - start));
   }
   return out;
 }
 
-/// The "## Causal span propagation" section of PROTOCOL.md, or empty.
-std::string span_section(const Tree& tree) {
-  const auto it = tree.docs.find("PROTOCOL.md");
-  if (it == tree.docs.end()) return {};
-  const std::size_t at = it->second.find("## Causal span propagation");
+/// The part of `doc` from `heading` (e.g. "### Rx error counters") to the
+/// next heading of the same or higher level, or empty when the heading is
+/// absent. Level-1 lines do not end a section: in code blocks `# ` starts
+/// a shell comment.
+std::string doc_section(const std::string& doc, std::string_view heading,
+                        int* line) {
+  const std::size_t at = doc.find(heading);
   if (at == std::string::npos) return {};
-  std::size_t end = it->second.find("\n## ", at);
-  if (end == std::string::npos) end = it->second.size();
-  return it->second.substr(at, end - at);
-}
-
-int span_section_line(const Tree& tree) {
-  const auto it = tree.docs.find("PROTOCOL.md");
-  if (it == tree.docs.end()) return 0;
-  const std::size_t at = it->second.find("## Causal span propagation");
-  return at == std::string::npos ? 0 : line_of(it->second, at);
+  *line = line_of(doc, at);
+  const std::size_t level = heading.find_first_not_of('#');
+  std::size_t end = at;
+  while ((end = doc.find("\n##", end + 1)) != std::string::npos) {
+    const std::size_t text = doc.find_first_not_of('#', end + 1);
+    if (text != std::string::npos && doc[text] == ' ' &&
+        text - end - 1 <= level)
+      break;
+  }
+  return doc.substr(at, end - at);  // npos - at runs to the end
 }
 
 /// First backticked name of each `| `X` | ... |` table row in `section`.
@@ -152,29 +155,227 @@ std::set<std::string> table_entries(const std::string& section) {
   return out;
 }
 
-void add(std::vector<Finding>* findings, std::string file, int line,
-         std::string check, std::string token, std::string detail) {
-  findings->push_back(Finding{std::string(kPass), std::move(file), line,
-                              std::move(check), std::move(token),
-                              std::move(detail)});
+/// The kinds of name list a cross-check can read.
+enum class Kind {
+  kVariant,  // `using <anchor> = std::variant<...>;` member types
+  kEnum,     // `enum class <anchor> { kX, ... }`, read as `X`
+  kStruct,   // data members of `struct <anchor> { ... }`
+  kArray,    // string literals of `<anchor> = { "...", ... }`
+  kDoc,      // first backticked cell of each table row under <anchor>
+};
+
+/// One name list: `file` is relative to the scan root, or to the docs
+/// root for kDoc; `anchor` names the declaration or is the doc heading.
+struct List {
+  Kind kind;
+  std::string_view file;
+  std::string_view anchor;
+};
+
+enum class Read { kOk, kSkipped, kNoAnchor };
+
+/// A list as read from the tree: where findings about it point, and its
+/// names.
+struct Names {
+  Read read = Read::kOk;
+  std::string file;
+  int line = 1;
+  std::set<std::string> names;
+};
+
+Names read_list(const Tree& tree, const List& list) {
+  Names out;
+  out.read = Read::kSkipped;  // no docs root, or the tree lacks the layer
+  if (list.kind == Kind::kDoc) {
+    if (tree.docs_root.empty()) return out;
+    out.file = "docs/" + std::string(list.file);
+    const auto doc = tree.docs.find(std::string(list.file));
+    const std::string section =
+        doc == tree.docs.end() ? ""
+                               : doc_section(doc->second, list.anchor,
+                                             &out.line);
+    out.read = section.empty() ? Read::kNoAnchor : Read::kOk;
+    out.names = table_entries(section);
+    return out;
+  }
+  const SourceFile* f = find_file(tree, list.file);
+  if (f == nullptr) return out;
+  out.file = f->rel;
+  out.read = Read::kNoAnchor;
+  const std::string& s = f->stripped;
+  if (list.kind == Kind::kStruct) {
+    for (const StructDecl& d : parse_structs(s))
+      if (d.name == list.anchor)
+        return {Read::kOk, f->rel, d.line, data_members(d.body)};
+    return out;
+  }
+  std::string decl(list.anchor);
+  if (list.kind == Kind::kVariant) decl.insert(0, "using ");
+  if (list.kind == Kind::kEnum) decl.insert(0, "enum class ");
+  const std::size_t at = s.find(decl);
+  if (at == std::string::npos) return out;
+  out.read = Read::kOk;
+  out.line = line_of(s, at);
+  // The variant's list runs `<...;`, an enum's or array's `{...}`.
+  const bool variant = list.kind == Kind::kVariant;
+  const std::size_t open = s.find(variant ? '<' : '{', at);
+  const std::size_t close = open == std::string::npos
+                                ? open
+                                : s.find(variant ? ';' : '}', open);
+  if (close == std::string::npos) return out;
+  if (list.kind == Kind::kArray) {
+    // The literals come from the raw text: stripping preserves offsets.
+    for (std::size_t q = f->raw.find('"', open); q < close;) {
+      const std::size_t q2 = f->raw.find('"', q + 1);
+      if (q2 > close) break;
+      out.names.insert(f->raw.substr(q + 1, q2 - q - 1));
+      q = f->raw.find('"', q2 + 1);
+    }
+    return out;
+  }
+  for (std::size_t i = open; i < close;) {
+    std::size_t end = i;
+    while (end < close && is_ident_char(s[end])) ++end;
+    const std::string ident = s.substr(i, end - i);
+    i = std::max(end, i + 1);
+    if (ident.empty()) continue;
+    if (variant && ident != "std" && ident != "variant")
+      out.names.insert(ident);
+    if (!variant && ident.size() > 1 && ident[0] == 'k' &&
+        std::isupper(static_cast<unsigned char>(ident[1])) != 0)
+      out.names.insert(ident.substr(1));  // kJoinQuery -> JoinQuery
+  }
+  return out;
+}
+
+constexpr List kMessageVariant{Kind::kVariant, "proto/message.h", "Message"};
+
+/// `left` and `right` must hold the same names. A name only in `left` is
+/// reported at the right list's anchor and a name only in `right` at the
+/// left's — unless `left_rules`: the left list is the source of truth, so
+/// both kinds of drift are fixed (and reported) on the right.
+struct Mirror {
+  std::string_view check;
+  List left;
+  List right;
+  bool left_rules;
+};
+
+constexpr Mirror kMirrors[] = {
+    {"wire-tag", kMessageVariant, {Kind::kEnum, "wire/codec.h", "Tag"}, true},
+    {"wire-doc", kMessageVariant,
+     {Kind::kDoc, "WIRE.md", "## Packet formats"}, true},
+    {"resource-gauge-doc",
+     {Kind::kArray, "obs/resource_probe.h", "kResourceGaugeNames"},
+     {Kind::kDoc, "OBSERVABILITY.md", "### Resource and scheduler gauges"},
+     false},
+    {"rx-error-export", {Kind::kStruct, "wire/udp.h", "RxErrors"},
+     {Kind::kArray, "wire/udp.h", "kRxErrorBucketNames"}, true},
+    {"rx-error-doc", {Kind::kArray, "wire/udp.h", "kRxErrorBucketNames"},
+     {Kind::kDoc, "WIRE.md", "### Rx error counters"}, false},
+    {"telemetry-record-doc",
+     {Kind::kArray, "wire/telemetry.h", "kTelemetryRecordNames"},
+     {Kind::kDoc, "OBSERVABILITY.md", "### Telemetry record types"}, false},
+};
+
+/// Every Message variant member needs one of `patterns`, with `$` standing
+/// for the type name, in `file`. Patterns match the whitespace-collapsed
+/// stripped text, or the raw text when `raw` (the pattern quotes a literal).
+struct Branch {
+  std::string_view check;
+  std::string_view file;
+  bool raw;
+  std::string_view patterns[2];
+};
+
+constexpr Branch kBranches[] = {
+    {"trace-io-write", "capture/trace_io.cc", false,
+     {"(const proto::$&", "(const $&"}},
+    {"trace-io-parse", "capture/trace_io.cc", true, {"type == \"$\""}},
+    {"wire-encode", "wire/codec.cc", false,
+     {"(const proto::$&", "(const $&"}},
+    {"wire-decode", "wire/codec.cc", false, {"case Tag::k$:"}},
+};
+
+std::string describe(const List& list, const Names& names) {
+  std::string out = "`";
+  out += list.anchor;
+  out += "` in ";
+  out += names.file;
+  return out;
+}
+
+/// True when `names` was read; otherwise reports its missing anchor.
+bool anchored(const Mirror& m, const List& list, const Names& names,
+              std::vector<Finding>* findings) {
+  if (names.read == Read::kOk) return true;
+  std::string detail = describe(list, names);
+  detail += " not found; the cross-check reads its list from there";
+  add(findings, names.file, 1, std::string(m.check), std::string(list.anchor),
+      std::move(detail));
+  return false;
+}
+
+void check_mirror(const Tree& tree, const Mirror& m,
+                  std::vector<Finding>* findings) {
+  const Names left = read_list(tree, m.left);
+  const Names right = read_list(tree, m.right);
+  if (left.read == Read::kSkipped || right.read == Read::kSkipped) return;
+  const bool left_ok = anchored(m, m.left, left, findings);
+  const bool right_ok = anchored(m, m.right, right, findings);
+  if (!left_ok || !right_ok) return;
+  const auto diff = [&](const List& from, const Names& have, const List& to,
+                        const Names& lacks, const Names& at) {
+    for (const std::string& name : have.names) {
+      if (lacks.names.contains(name)) continue;
+      std::string detail = "listed in ";
+      detail += describe(from, have);
+      detail += " but missing from " + describe(to, lacks);
+      detail += "; both must name the same set";
+      add(findings, at.file, at.line, std::string(m.check), name,
+          std::move(detail));
+    }
+  };
+  diff(m.left, left, m.right, right, right);
+  diff(m.right, right, m.left, left, m.left_rules ? right : left);
+}
+
+void check_branches(const Tree& tree, const std::set<std::string>& variant,
+                    std::vector<Finding>* findings) {
+  for (const Branch& b : kBranches) {
+    const SourceFile* f = find_file(tree, b.file);
+    if (f == nullptr) continue;
+    const std::string flat = collapse_ws(b.raw ? f->raw : f->stripped);
+    for (const std::string& name : variant) {
+      std::string want;
+      bool found = false;
+      for (const std::string_view p : b.patterns) {
+        if (p.empty()) continue;
+        std::string pat(p);
+        pat.replace(pat.find('$'), 1, name);
+        found = found || flat.find(pat) != std::string::npos;
+        if (want.empty()) want = pat;
+      }
+      if (found) continue;
+      std::string detail = "Message variant member has no `" + want;
+      detail += "` branch in ";
+      detail += b.file;
+      add(findings, f->rel, 1, std::string(b.check), name, std::move(detail));
+    }
+  }
 }
 
 int line_or_1(const std::string& text, std::size_t pos) {
   return pos == std::string::npos ? 1 : line_of(text, pos);
 }
 
-void check_message_tables(const Tree& tree, std::vector<Finding>* findings) {
-  const SourceFile* msg_h = find_file(tree, "proto/message.h");
-  if (msg_h == nullptr) return;  // tree without a protocol layer (fixtures)
-  if (msg_h->stripped.find("using Message") == std::string::npos)
-    return;  // no variant to audit against
+void check_message_tables(const Tree& tree, const Names& variant,
+                          std::vector<Finding>* findings) {
+  const SourceFile* msg_h = find_file(tree, kMessageVariant.file);
   const std::vector<StructDecl> structs = parse_structs(msg_h->stripped);
-  const std::vector<std::string> variant = parse_variant(msg_h->stripped);
-  const int variant_line =
-      line_of(msg_h->stripped, msg_h->stripped.find("using Message"));
   std::map<std::string, const StructDecl*> by_name;
   for (const StructDecl& s : structs) by_name[s.name] = &s;
-  const std::set<std::string> in_variant(variant.begin(), variant.end());
+  const std::set<std::string>& in_variant = variant.names;
 
   // variant-membership, both directions; span-member for every member.
   for (const StructDecl& s : structs) {
@@ -184,10 +385,10 @@ void check_message_tables(const Tree& tree, std::vector<Finding>* findings) {
           "message struct (has a SpanContext member) missing from the "
           "Message variant");
   }
-  for (const std::string& name : variant) {
+  for (const std::string& name : in_variant) {
     const auto it = by_name.find(name);
     if (it == by_name.end()) {
-      add(findings, msg_h->rel, variant_line, "variant-membership", name,
+      add(findings, msg_h->rel, variant.line, "variant-membership", name,
           "Message variant names a type not declared as a struct in "
           "proto/message.h");
       continue;
@@ -208,7 +409,7 @@ void check_message_tables(const Tree& tree, std::vector<Finding>* findings) {
         line_or_1(msg_cc->stripped, msg_cc->stripped.find("SizeVisitor"));
     const int name_line =
         line_or_1(msg_cc->stripped, msg_cc->stripped.find("NameVisitor"));
-    for (const std::string& name : variant) {
+    for (const std::string& name : in_variant) {
       const std::string pat = "(const " + name + "&";
       const std::size_t in_size = flat.find(pat);
       if (size_at == std::string::npos || in_size == std::string::npos ||
@@ -229,133 +430,91 @@ void check_message_tables(const Tree& tree, std::vector<Finding>* findings) {
     }
   }
 
-  // Per-type serializer + parser in capture/trace_io.cc.
-  if (const SourceFile* tio = find_file(tree, "capture/trace_io.cc")) {
-    const std::string flat = collapse_ws(tio->stripped);
-    const std::string flat_raw = collapse_ws(tio->raw);
-    for (const std::string& name : variant) {
-      if (flat.find("(const proto::" + name + "&") == std::string::npos &&
-          flat.find("(const " + name + "&") == std::string::npos)
-        add(findings, tio->rel, 1, "trace-io-write", name,
-            "capture/trace_io.cc has no payload serializer for this "
-            "message type; captured traces would drop it");
-      if (flat_raw.find("type == \"" + name + "\"") == std::string::npos)
-        add(findings, tio->rel, 1, "trace-io-parse", name,
-            "capture/trace_io.cc has no parser branch (type == \"" + name +
-                "\") for this message type; captured traces would not "
-                "round-trip");
+  // Span documentation + stamping sites.
+  const auto protocol = tree.docs.find("PROTOCOL.md");
+  if (protocol == tree.docs.end()) return;
+  int doc_line = 1;
+  const std::string section = doc_section(
+      protocol->second, "## Causal span propagation", &doc_line);
+  if (section.empty()) return;
+  for (const std::string& name : in_variant) {
+    if (section.find("`" + name + "`") == std::string::npos)
+      add(findings, "docs/PROTOCOL.md", doc_line, "span-doc", name,
+          "message type missing from the span-propagation section: list "
+          "it in the parentage table or the explicit not-stamped note");
+  }
+  const std::set<std::string> stamped_per_doc = table_entries(section);
+  // Stamping evidence: `X ident ...; ... ident.span =` in one proto/*.cc.
+  std::set<std::string> stamped;          // any binding
+  std::set<std::string> stamped_unique;   // ident bound to exactly one type
+  for (const SourceFile& f : tree.files) {
+    if (f.module != "proto" || !f.rel.ends_with(".cc")) continue;
+    std::map<std::string, std::set<std::string>> ident_types;
+    for (const std::string& name : in_variant) {
+      std::size_t pos = 0;
+      while ((pos = f.stripped.find(name, pos)) != std::string::npos) {
+        const std::size_t at = pos;
+        pos += name.size();
+        if (!word_match(f.stripped, at, name)) continue;
+        std::size_t i = skip_ws(f.stripped, at + name.size());
+        std::size_t end = i;
+        while (end < f.stripped.size() && is_ident_char(f.stripped[end]))
+          ++end;
+        if (end == i) continue;
+        const std::size_t after = skip_ws(f.stripped, end);
+        if (after < f.stripped.size() &&
+            (f.stripped[after] == ';' || f.stripped[after] == '{' ||
+             f.stripped[after] == '='))
+          ident_types[f.stripped.substr(i, end - i)].insert(name);
+      }
+    }
+    for (const auto& [ident, types] : ident_types) {
+      if (f.stripped.find(ident + ".span") == std::string::npos &&
+          collapse_ws(f.stripped).find(ident + ".span") ==
+              std::string::npos)
+        continue;
+      for (const std::string& t : types) {
+        stamped.insert(t);
+        if (types.size() == 1) stamped_unique.insert(t);
+      }
     }
   }
-
-  // Span documentation + stamping sites.
-  const std::string section = span_section(tree);
-  if (!section.empty()) {
-    const int doc_line = span_section_line(tree);
-    for (const std::string& name : variant) {
-      if (section.find("`" + name + "`") == std::string::npos)
-        add(findings, "docs/PROTOCOL.md", doc_line, "span-doc", name,
-            "message type missing from the span-propagation section: list "
-            "it in the parentage table or the explicit not-stamped note");
-    }
-    const std::set<std::string> stamped_per_doc = table_entries(section);
-    // Stamping evidence: `X ident ...; ... ident.span =` in one proto/*.cc.
-    std::set<std::string> stamped;          // any binding
-    std::set<std::string> stamped_unique;   // ident bound to exactly one type
-    for (const SourceFile& f : tree.files) {
-      if (f.module != "proto" || !f.rel.ends_with(".cc")) continue;
-      std::map<std::string, std::set<std::string>> ident_types;
-      for (const std::string& name : in_variant) {
-        std::size_t pos = 0;
-        while ((pos = f.stripped.find(name, pos)) != std::string::npos) {
-          const std::size_t at = pos;
-          pos += name.size();
-          if (!word_match(f.stripped, at, name)) continue;
-          std::size_t i = skip_ws(f.stripped, at + name.size());
-          std::size_t end = i;
-          while (end < f.stripped.size() && is_ident_char(f.stripped[end]))
-            ++end;
-          if (end == i) continue;
-          const std::size_t after = skip_ws(f.stripped, end);
-          if (after < f.stripped.size() &&
-              (f.stripped[after] == ';' || f.stripped[after] == '{' ||
-               f.stripped[after] == '='))
-            ident_types[f.stripped.substr(i, end - i)].insert(name);
-        }
-      }
-      for (const auto& [ident, types] : ident_types) {
-        if (f.stripped.find(ident + ".span") == std::string::npos &&
-            collapse_ws(f.stripped).find(ident + ".span") ==
-                std::string::npos)
-          continue;
-        for (const std::string& t : types) {
-          stamped.insert(t);
-          if (types.size() == 1) stamped_unique.insert(t);
-        }
-      }
-    }
-    for (const std::string& name : stamped_per_doc) {
-      if (!in_variant.contains(name)) continue;  // doc rows for non-messages
-      if (!stamped.contains(name))
-        add(findings, msg_h->rel, by_name.contains(name) ? by_name.at(name)->line : 1,
-            "span-stamp", name,
-            "the span-propagation table says this message is stamped, but "
-            "no `<var>.span = ...` site exists in proto/*.cc; stamp it or "
-            "move it to the not-stamped note");
-    }
-    for (const std::string& name : stamped_unique) {
-      if (!stamped_per_doc.contains(name))
-        add(findings, "docs/PROTOCOL.md", doc_line, "span-doc", name,
-            "message is span-stamped in proto/*.cc but missing from the "
-            "span-propagation table; document its parent");
-    }
+  for (const std::string& name : stamped_per_doc) {
+    if (!in_variant.contains(name)) continue;  // doc rows for non-messages
+    if (!stamped.contains(name))
+      add(findings, msg_h->rel, by_name.contains(name) ? by_name.at(name)->line : 1,
+          "span-stamp", name,
+          "the span-propagation table says this message is stamped, but "
+          "no `<var>.span = ...` site exists in proto/*.cc; stamp it or "
+          "move it to the not-stamped note");
+  }
+  for (const std::string& name : stamped_unique) {
+    if (!stamped_per_doc.contains(name))
+      add(findings, "docs/PROTOCOL.md", doc_line, "span-doc", name,
+          "message is span-stamped in proto/*.cc but missing from the "
+          "span-propagation table; document its parent");
   }
 }
 
 void check_drop_counters(const Tree& tree, std::vector<Finding>* findings) {
-  const SourceFile* th = find_file(tree, "net/transport.h");
-  if (th == nullptr) return;
-  std::vector<std::pair<std::string, int>> drop_fields;
-  for (const StructDecl& s : parse_structs(th->stripped)) {
-    if (s.name != "Stats") continue;
-    std::size_t pos = 0;
-    while (true) {
-      pos = s.body.find("_drops", pos);
-      if (pos == std::string::npos) break;
-      std::size_t begin = pos;
-      while (begin > 0 && is_ident_char(s.body[begin - 1])) --begin;
-      const std::size_t end = pos + 6;
-      if (end < s.body.size() && is_ident_char(s.body[end])) {
-        pos = end;
-        continue;
-      }
-      const std::string field = s.body.substr(begin, end - begin);
-      // Only declarations count (`std::uint64_t x_drops = 0;`); member
-      // accesses (`x.uplink_drops`, `p->core_drops`) inside body methods
-      // are uses, not buckets.
-      if (begin == 0 ||
-          (s.body[begin - 1] != '.' && s.body[begin - 1] != '>'))
-        drop_fields.push_back({field, s.line});
-      pos = end;
-    }
-  }
-  // Dedupe while keeping declaration order.
-  std::set<std::string> seen;
-  for (const auto& [field, line] : drop_fields) {
-    if (!seen.insert(field).second) continue;
-    bool incremented = false;
-    for (const SourceFile& f : tree.files) {
-      if (f.module != "net") continue;
-      if (collapse_ws(f.stripped).find("++stats_." + field) !=
-          std::string::npos) {
-        incremented = true;
-        break;
-      }
-    }
+  const Names stats =
+      read_list(tree, {Kind::kStruct, "net/transport.h", "Stats"});
+  if (stats.read != Read::kOk) return;
+  const SourceFile* exp = find_file(tree, "core/experiment.cc");
+  for (const std::string& field : stats.names) {
+    if (!field.ends_with("_drops")) continue;
+    const bool incremented =
+        std::any_of(tree.files.begin(), tree.files.end(),
+                    [&](const SourceFile& f) {
+                      return f.module == "net" &&
+                             collapse_ws(f.stripped)
+                                     .find("++stats_." + field) !=
+                                 std::string::npos;
+                    });
     if (!incremented)
-      add(findings, th->rel, line, "drop-counter", field,
+      add(findings, stats.file, stats.line, "drop-counter", field,
           "drop counter declared in Transport::Stats but never "
           "incremented in net/ — a drop bucket no packet can land in");
-    const SourceFile* exp = find_file(tree, "core/experiment.cc");
     if (exp != nullptr && !contains_word(exp->stripped, field))
       add(findings, "core/experiment.cc", 1, "drop-counter", field,
           "drop counter missing from the total-drops reconciliation in "
@@ -364,351 +523,16 @@ void check_drop_counters(const Tree& tree, std::vector<Finding>* findings) {
   }
 }
 
-/// Wire-codec coverage: proto/message.h's variant vs the four per-message
-/// tables of the real-wire mode — the Tag enum (wire/codec.h), the encode
-/// visitor and the decode switch (wire/codec.cc), and the packet-format
-/// table in docs/WIRE.md. A message type silently missing from any of them
-/// would be unsendable (encode falls through), undecodable (decode rejects
-/// its tag), or undocumented on the wire.
-void check_wire_codec(const Tree& tree, std::vector<Finding>* findings) {
-  const SourceFile* codec_h = find_file(tree, "wire/codec.h");
-  if (codec_h == nullptr) return;  // tree without the wire layer (fixtures)
-  const SourceFile* msg_h = find_file(tree, "proto/message.h");
-  if (msg_h == nullptr) return;
-  const std::vector<std::string> variant = parse_variant(msg_h->stripped);
-  if (variant.empty()) return;
-  const std::set<std::string> in_variant(variant.begin(), variant.end());
-
-  // Tag entries: `kX` enumerators inside `enum class Tag { ... }`.
-  const std::size_t tag_at = codec_h->stripped.find("enum class Tag");
-  if (tag_at == std::string::npos) {
-    add(findings, codec_h->rel, 1, "wire-tag", "Tag",
-        "wire/codec.h no longer declares `enum class Tag`; the codec "
-        "coverage audit needs the per-message tag list");
-    return;
-  }
-  const int tag_line = line_of(codec_h->stripped, tag_at);
-  const std::size_t tag_open = codec_h->stripped.find('{', tag_at);
-  const std::size_t tag_close = tag_open == std::string::npos
-                                    ? std::string::npos
-                                    : codec_h->stripped.find('}', tag_open);
-  if (tag_close == std::string::npos) return;
-  std::set<std::string> tags;
-  for (std::size_t i = tag_open; i < tag_close;) {
-    if (!is_ident_char(codec_h->stripped[i])) {
-      ++i;
-      continue;
-    }
-    std::size_t end = i;
-    while (end < tag_close && is_ident_char(codec_h->stripped[end])) ++end;
-    const std::string ident = codec_h->stripped.substr(i, end - i);
-    if (ident.size() > 1 && ident[0] == 'k' &&
-        (std::isupper(static_cast<unsigned char>(ident[1])) != 0))
-      tags.insert(ident.substr(1));  // kJoinQuery -> JoinQuery
-    i = end;
-  }
-
-  for (const std::string& name : variant)
-    if (!tags.contains(name))
-      add(findings, codec_h->rel, tag_line, "wire-tag", name,
-          "message type has no enumerator in wire::Tag; the wire cannot "
-          "carry it (add `k" + name + "` with the variant's index)");
-  for (const std::string& name : tags)
-    if (!in_variant.contains(name))
-      add(findings, codec_h->rel, tag_line, "wire-tag", name,
-          "wire::Tag names a type that is not a Message variant member; "
-          "remove the stale enumerator");
-
-  // Encode visitor + decode switch branches in wire/codec.cc.
-  if (const SourceFile* codec_cc = find_file(tree, "wire/codec.cc")) {
-    const std::string flat = collapse_ws(codec_cc->stripped);
-    for (const std::string& name : variant) {
-      if (flat.find("(const proto::" + name + "&") == std::string::npos &&
-          flat.find("(const " + name + "&") == std::string::npos)
-        add(findings, codec_cc->rel, 1, "wire-encode", name,
-            "wire/codec.cc has no encode branch (operator() overload) for "
-            "this message type; encode_message would not compile-break, "
-            "it would visit the wrong overload set");
-      if (flat.find("case Tag::k" + name + ":") == std::string::npos)
-        add(findings, codec_cc->rel, 1, "wire-decode", name,
-            "wire/codec.cc has no `case Tag::k" + name +
-                ":` decode branch; datagrams carrying this tag would be "
-                "rejected as undecodable");
-    }
-  }
-
-  // Packet-format table in docs/WIRE.md, both directions.
-  const auto doc = tree.docs.find("WIRE.md");
-  if (doc == tree.docs.end()) {
-    add(findings, "docs/WIRE.md", 1, "wire-doc", "WIRE.md",
-        "the wire layer exists but docs/WIRE.md is missing; the packet "
-        "format table is the format's only human-readable spec");
-    return;
-  }
-  const std::size_t sec_at = doc->second.find("## Packet formats");
-  if (sec_at == std::string::npos) {
-    add(findings, "docs/WIRE.md", 1, "wire-doc", "Packet formats",
-        "docs/WIRE.md has no \"## Packet formats\" section; the audit "
-        "cross-checks its table against the Message variant");
-    return;
-  }
-  std::size_t sec_end = doc->second.find("\n## ", sec_at);
-  if (sec_end == std::string::npos) sec_end = doc->second.size();
-  const std::string section = doc->second.substr(sec_at, sec_end - sec_at);
-  const int doc_line = line_of(doc->second, sec_at);
-  const std::set<std::string> documented = table_entries(section);
-  for (const std::string& name : variant)
-    if (!documented.contains(name))
-      add(findings, "docs/WIRE.md", doc_line, "wire-doc", name,
-          "message type missing from the packet-formats table; every "
-          "variant's body layout must be documented");
-  for (const std::string& name : documented)
-    if (!in_variant.contains(name))
-      add(findings, "docs/WIRE.md", doc_line, "wire-doc", name,
-          "packet-formats table documents a type that is not a Message "
-          "variant member; drop the stale row");
-}
-
-void check_resource_gauges(const Tree& tree, std::vector<Finding>* findings) {
-  const SourceFile* probe = find_file(tree, "obs/resource_probe.h");
-  if (probe == nullptr) return;  // tree without the probe (fixtures)
-  // Locate the kResourceGaugeNames declaration in the stripped text (so a
-  // comment mentioning the name cannot match), then read the array's string
-  // literals from the raw text — stripping is offset-preserving, so the
-  // brace positions line up.
-  const std::size_t at = probe->stripped.find("kResourceGaugeNames");
-  if (at == std::string::npos) {
-    add(findings, probe->rel, 1, "resource-gauge-doc", "kResourceGaugeNames",
-        "obs/resource_probe.h no longer declares kResourceGaugeNames; the "
-        "docs cross-check needs the published gauge list");
-    return;
-  }
-  const std::size_t open = probe->stripped.find('{', at);
-  const std::size_t close = open == std::string::npos
-                                ? std::string::npos
-                                : probe->stripped.find('}', open);
-  if (close == std::string::npos) return;
-  std::vector<std::string> gauges;
-  std::size_t pos = open;
-  while (true) {
-    const std::size_t q = probe->raw.find('"', pos);
-    if (q == std::string::npos || q > close) break;
-    const std::size_t q2 = probe->raw.find('"', q + 1);
-    if (q2 == std::string::npos || q2 > close) break;
-    gauges.push_back(probe->raw.substr(q + 1, q2 - q - 1));
-    pos = q2 + 1;
-  }
-  const int decl_line = line_of(probe->raw, at);
-
-  const auto it = tree.docs.find("OBSERVABILITY.md");
-  if (it == tree.docs.end()) return;
-  const std::size_t sec_at =
-      it->second.find("### Resource and scheduler gauges");
-  if (sec_at == std::string::npos) {
-    add(findings, "docs/OBSERVABILITY.md", 1, "resource-gauge-doc",
-        "kResourceGaugeNames",
-        "obs/resource_probe.h publishes resource gauges but "
-        "docs/OBSERVABILITY.md has no \"### Resource and scheduler "
-        "gauges\" table documenting them");
-    return;
-  }
-  std::size_t sec_end = it->second.find("\n## ", sec_at);
-  const std::size_t sub_end = it->second.find("\n### ", sec_at + 1);
-  if (sub_end != std::string::npos &&
-      (sec_end == std::string::npos || sub_end < sec_end))
-    sec_end = sub_end;
-  if (sec_end == std::string::npos) sec_end = it->second.size();
-  const std::string section = it->second.substr(sec_at, sec_end - sec_at);
-  const int doc_line = line_of(it->second, sec_at);
-
-  const std::set<std::string> documented = table_entries(section);
-  const std::set<std::string> published(gauges.begin(), gauges.end());
-  for (const std::string& g : gauges)
-    if (!documented.contains(g))
-      add(findings, "docs/OBSERVABILITY.md", doc_line, "resource-gauge-doc", g,
-          "gauge published by obs::ResourceProbe (kResourceGaugeNames) "
-          "missing from the resource-and-scheduler-gauges table");
-  for (const std::string& d : documented)
-    if (!published.contains(d))
-      add(findings, probe->rel, decl_line, "resource-gauge-doc", d,
-          "the resource-and-scheduler-gauges table documents a gauge "
-          "kResourceGaugeNames does not declare; probe and docs must list "
-          "the same names");
-}
-
-/// Reads the string literals of an `inline constexpr std::array<...> name
-/// = { "...", ... };` declaration. The declaration is located in the
-/// stripped text (so a comment mentioning the name cannot match) and the
-/// literals come from the raw text — stripping is offset-preserving, so
-/// the brace positions line up. Returns false when `name` is absent.
-bool parse_string_array(const SourceFile& f, std::string_view name,
-                        std::vector<std::string>* out, int* decl_line) {
-  const std::size_t at = f.stripped.find(name);
-  if (at == std::string::npos) return false;
-  *decl_line = line_of(f.raw, at);
-  const std::size_t open = f.stripped.find('{', at);
-  const std::size_t close =
-      open == std::string::npos ? std::string::npos
-                                : f.stripped.find('}', open);
-  if (close == std::string::npos) return true;
-  std::size_t pos = open;
-  while (true) {
-    const std::size_t q = f.raw.find('"', pos);
-    if (q == std::string::npos || q > close) break;
-    const std::size_t q2 = f.raw.find('"', q + 1);
-    if (q2 == std::string::npos || q2 > close) break;
-    out->push_back(f.raw.substr(q + 1, q2 - q - 1));
-    pos = q2 + 1;
-  }
-  return true;
-}
-
-/// One `### heading` (or `## heading`) doc section, ending at the next
-/// heading of either level. Returns false when the doc or heading is
-/// missing.
-bool doc_section_of(const Tree& tree, const std::string& doc_name,
-                    std::string_view heading, std::string* section,
-                    int* line) {
-  const auto it = tree.docs.find(doc_name);
-  if (it == tree.docs.end()) return false;
-  const std::size_t at = it->second.find(heading);
-  if (at == std::string::npos) return false;
-  std::size_t end = it->second.find("\n## ", at);
-  const std::size_t sub = it->second.find("\n### ", at + 1);
-  if (sub != std::string::npos && (end == std::string::npos || sub < end))
-    end = sub;
-  if (end == std::string::npos) end = it->second.size();
-  *section = it->second.substr(at, end - at);
-  *line = line_of(it->second, at);
-  return true;
-}
-
-void check_rx_errors(const Tree& tree, std::vector<Finding>* findings) {
-  const SourceFile* udp = find_file(tree, "wire/udp.h");
-  if (udp == nullptr) return;  // tree without the wire layer (fixtures)
-
-  // Counter fields declared inside `struct RxErrors { ... }` — an
-  // identifier directly followed by `=` (skipping the total() helper and
-  // its field uses, which are followed by `+`, `;` or `(`).
-  std::vector<std::string> fields;
-  int struct_line = 1;
-  for (const StructDecl& s : parse_structs(udp->stripped)) {
-    if (s.name != "RxErrors") continue;
-    struct_line = s.line;
-    std::size_t i = 0;
-    while ((i = s.body.find("uint64_t", i)) != std::string::npos) {
-      if (!word_match(s.body, i, "uint64_t")) {
-        i += 8;
-        continue;
-      }
-      std::size_t b = skip_ws(s.body, i + 8);
-      std::size_t end = b;
-      while (end < s.body.size() && is_ident_char(s.body[end])) ++end;
-      const std::size_t after = skip_ws(s.body, end);
-      if (end > b && after < s.body.size() && s.body[after] == '=')
-        fields.push_back(s.body.substr(b, end - b));
-      i = end;
-    }
-  }
-  if (fields.empty()) return;  // no RxErrors struct to audit
-
-  std::vector<std::string> buckets;
-  int array_line = 1;
-  if (!parse_string_array(*udp, "kRxErrorBucketNames", &buckets,
-                          &array_line)) {
-    add(findings, udp->rel, struct_line, "rx-error-export",
-        "kRxErrorBucketNames",
-        "wire/udp.h declares RxErrors but no kRxErrorBucketNames export "
-        "table; nodes cannot publish the rejection buckets as labeled "
-        "counters");
-    return;
-  }
-  const std::set<std::string> exported(buckets.begin(), buckets.end());
-  const std::set<std::string> declared(fields.begin(), fields.end());
-  for (const std::string& f : fields)
-    if (!exported.contains(f))
-      add(findings, udp->rel, array_line, "rx-error-export", f,
-          "RxErrors counter missing from kRxErrorBucketNames — codec "
-          "rejections landing in this bucket never reach --metrics-out or "
-          "telemetry snapshots");
-  for (const std::string& b : buckets)
-    if (!declared.contains(b))
-      add(findings, udp->rel, array_line, "rx-error-export", b,
-          "kRxErrorBucketNames exports a bucket RxErrors does not declare; "
-          "for_each_rx_error and the struct must list the same fields");
-
-  std::string section;
-  int doc_line = 1;
-  if (!doc_section_of(tree, "WIRE.md", "### Rx error counters", &section,
-                      &doc_line)) {
-    add(findings, "docs/WIRE.md", 1, "rx-error-doc", "Rx error counters",
-        "wire/udp.h exports rx-error buckets but docs/WIRE.md has no "
-        "\"### Rx error counters\" table documenting them");
-    return;
-  }
-  const std::set<std::string> documented = table_entries(section);
-  for (const std::string& b : buckets)
-    if (!documented.contains(b))
-      add(findings, "docs/WIRE.md", doc_line, "rx-error-doc", b,
-          "exported rx-error bucket missing from the rx-error-counters "
-          "table");
-  for (const std::string& d : documented)
-    if (!exported.contains(d))
-      add(findings, udp->rel, array_line, "rx-error-doc", d,
-          "the rx-error-counters table documents a bucket "
-          "kRxErrorBucketNames does not export; table and export list "
-          "must match");
-}
-
-void check_telemetry_records(const Tree& tree,
-                             std::vector<Finding>* findings) {
-  const SourceFile* th = find_file(tree, "wire/telemetry.h");
-  if (th == nullptr) return;  // tree without the telemetry plane (fixtures)
-  std::vector<std::string> records;
-  int array_line = 1;
-  if (!parse_string_array(*th, "kTelemetryRecordNames", &records,
-                          &array_line)) {
-    add(findings, th->rel, 1, "telemetry-record-doc", "kTelemetryRecordNames",
-        "wire/telemetry.h no longer declares kTelemetryRecordNames; the "
-        "docs cross-check needs the record-type inventory");
-    return;
-  }
-  std::string section;
-  int doc_line = 1;
-  if (!doc_section_of(tree, "OBSERVABILITY.md", "### Telemetry record types",
-                      &section, &doc_line)) {
-    add(findings, "docs/OBSERVABILITY.md", 1, "telemetry-record-doc",
-        "kTelemetryRecordNames",
-        "wire/telemetry.h declares telemetry record types but "
-        "docs/OBSERVABILITY.md has no \"### Telemetry record types\" "
-        "table documenting the datagram layout");
-    return;
-  }
-  const std::set<std::string> documented = table_entries(section);
-  const std::set<std::string> declared(records.begin(), records.end());
-  for (const std::string& r : records)
-    if (!documented.contains(r))
-      add(findings, "docs/OBSERVABILITY.md", doc_line,
-          "telemetry-record-doc", r,
-          "telemetry record type (kTelemetryRecordNames) missing from the "
-          "telemetry-record-types table");
-  for (const std::string& d : documented)
-    if (!declared.contains(d))
-      add(findings, th->rel, array_line, "telemetry-record-doc", d,
-          "the telemetry-record-types table documents a record type "
-          "kTelemetryRecordNames does not declare; inventory and docs "
-          "must list the same names");
-}
-
 }  // namespace
 
 void pass_completeness(const Tree& tree, std::vector<Finding>* findings) {
-  check_message_tables(tree, findings);
+  for (const Mirror& m : kMirrors) check_mirror(tree, m, findings);
+  const Names variant = read_list(tree, kMessageVariant);
+  if (variant.read == Read::kOk) {
+    check_message_tables(tree, variant, findings);
+    check_branches(tree, variant.names, findings);
+  }
   check_drop_counters(tree, findings);
-  check_wire_codec(tree, findings);
-  check_resource_gauges(tree, findings);
-  check_rx_errors(tree, findings);
-  check_telemetry_records(tree, findings);
 }
 
 }  // namespace ppsim::lint

@@ -32,13 +32,12 @@ void pass_layering(const Tree& tree, std::vector<Finding>* findings);
 /// reordering that parallel reduction will introduce.
 void pass_float_order(const Tree& tree, std::vector<Finding>* findings);
 
-/// variant-membership / span-member / wire-size-visitor / name-visitor /
-/// trace-io-write / trace-io-parse / span-doc / span-stamp / drop-counter /
-/// wire-tag / wire-encode / wire-decode / wire-doc / resource-gauge-doc:
-/// cross-checks the proto/message.h variant against every per-message-type
-/// table so a new message type cannot silently skip one — including the
-/// wire codec's Tag enum, encode/decode branches and docs/WIRE.md packet
-/// table — and the ResourceProbe gauge list against its docs table.
+/// Lists that must move together. kMirrors rows (wire-tag, wire-doc,
+/// resource-gauge-doc, rx-error-export, rx-error-doc, telemetry-record-doc)
+/// match two name lists both ways; kBranches rows (trace-io-write,
+/// trace-io-parse, wire-encode, wire-decode) need a per-type branch for
+/// every Message variant member. Bespoke: variant-membership, span-member,
+/// wire-size-visitor, name-visitor, span-doc, span-stamp, drop-counter.
 void pass_completeness(const Tree& tree, std::vector<Finding>* findings);
 
 }  // namespace ppsim::lint
