@@ -1,13 +1,14 @@
 #include "baseline/policies.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace ppsim::baseline {
 
 std::vector<net::IpAddress> TrackerOnlyPolicy::choose(
     std::span<const net::IpAddress> fresh,
     std::span<const net::IpAddress> pool,
-    const std::unordered_set<net::IpAddress>& excluded, std::size_t want,
+    std::span<const net::IpAddress> excluded, std::size_t want,
     sim::Rng& rng) {
   std::vector<net::IpAddress> out;
   proto::sample_eligible(fresh, excluded, want, rng, out);
@@ -18,13 +19,14 @@ std::vector<net::IpAddress> TrackerOnlyPolicy::choose(
 std::vector<net::IpAddress> IspBiasedPolicy::choose(
     std::span<const net::IpAddress> fresh,
     std::span<const net::IpAddress> pool,
-    const std::unordered_set<net::IpAddress>& excluded, std::size_t want,
+    std::span<const net::IpAddress> excluded, std::size_t want,
     sim::Rng& rng) {
+  assert(std::is_sorted(excluded.begin(), excluded.end()));
   // Partition the union of fresh+pool into same-ISP and other.
   std::vector<net::IpAddress> same, other;
   auto consider = [&](std::span<const net::IpAddress> span) {
     for (const auto& ip : span) {
-      if (excluded.contains(ip)) continue;
+      if (std::binary_search(excluded.begin(), excluded.end(), ip)) continue;
       if (db_.category_or_foreign(ip) == own_category_)
         same.push_back(ip);
       else
@@ -35,7 +37,6 @@ std::vector<net::IpAddress> IspBiasedPolicy::choose(
   consider(pool);
 
   std::vector<net::IpAddress> out;
-  const std::unordered_set<net::IpAddress> none;
   while (out.size() < want && (!same.empty() || !other.empty())) {
     const bool pick_same =
         !same.empty() && (other.empty() || rng.chance(bias_));
@@ -54,7 +55,7 @@ std::vector<net::IpAddress> IspBiasedPolicy::choose(
 std::vector<net::IpAddress> NoRushPolicy::choose(
     std::span<const net::IpAddress> fresh,
     std::span<const net::IpAddress> pool,
-    const std::unordered_set<net::IpAddress>& excluded, std::size_t want,
+    std::span<const net::IpAddress> excluded, std::size_t want,
     sim::Rng& rng) {
   (void)fresh;  // arrival-time information is deliberately ignored
   std::vector<net::IpAddress> out;

@@ -19,7 +19,7 @@ class TrackerOnlyPolicy final : public proto::SelectionPolicy {
   std::vector<net::IpAddress> choose(
       std::span<const net::IpAddress> fresh,
       std::span<const net::IpAddress> pool,
-      const std::unordered_set<net::IpAddress>& excluded, std::size_t want,
+      std::span<const net::IpAddress> excluded, std::size_t want,
       sim::Rng& rng) override;
 };
 
@@ -37,7 +37,7 @@ class IspBiasedPolicy final : public proto::SelectionPolicy {
   std::vector<net::IpAddress> choose(
       std::span<const net::IpAddress> fresh,
       std::span<const net::IpAddress> pool,
-      const std::unordered_set<net::IpAddress>& excluded, std::size_t want,
+      std::span<const net::IpAddress> excluded, std::size_t want,
       sim::Rng& rng) override;
 
  private:
@@ -58,7 +58,7 @@ class NoRushPolicy final : public proto::SelectionPolicy {
   std::vector<net::IpAddress> choose(
       std::span<const net::IpAddress> fresh,
       std::span<const net::IpAddress> pool,
-      const std::unordered_set<net::IpAddress>& excluded, std::size_t want,
+      std::span<const net::IpAddress> excluded, std::size_t want,
       sim::Rng& rng) override;
 };
 

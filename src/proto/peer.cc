@@ -288,20 +288,29 @@ void Peer::query_trackers(bool all) {
 
 void Peer::learn_candidates(const std::vector<net::IpAddress>& ips,
                             bool from_tracker) {
+  const auto limit = static_cast<std::size_t>(config_.candidate_pool_limit);
   for (const auto& ip : ips) {
     if (ip == identity_.ip || ip.is_unspecified()) continue;
     if (from_tracker)
       ++counters_.ips_learned_from_trackers;
     else
       ++counters_.ips_learned_from_peers;
-    if (pool_set_.insert(ip).second) {
-      pool_fifo_.push_back(ip);
-      while (pool_fifo_.size() >
-             static_cast<std::size_t>(config_.candidate_pool_limit)) {
-        if (causal_) origins_.erase(pool_fifo_.front());
-        pool_set_.erase(pool_fifo_.front());
-        pool_fifo_.pop_front();
-      }
+    const auto at =
+        std::lower_bound(pool_sorted_.begin(), pool_sorted_.end(), ip);
+    if (at != pool_sorted_.end() && *at == ip) continue;
+    pool_sorted_.insert(at, ip);
+    pool_fifo_.push_back(ip);
+    while (candidate_pool_size() > limit) {
+      const net::IpAddress evicted = pool_fifo_[pool_head_++];
+      if (causal_) origins_.erase(evicted);
+      pool_sorted_.erase(
+          std::lower_bound(pool_sorted_.begin(), pool_sorted_.end(), evicted));
+    }
+    if (pool_head_ >= limit) {
+      pool_fifo_.erase(pool_fifo_.begin(),
+                       pool_fifo_.begin() +
+                           static_cast<std::ptrdiff_t>(pool_head_));
+      pool_head_ = 0;
     }
   }
 }
@@ -316,14 +325,15 @@ void Peer::note_origins(const std::vector<net::IpAddress>& ips,
   }
 }
 
-std::unordered_set<net::IpAddress> Peer::excluded_targets() const {
-  std::unordered_set<net::IpAddress> excluded;
-  excluded.insert(identity_.ip);
-  excluded.insert(bootstrap_);
-  for (const auto& t : trackers_) excluded.insert(t);
-  for (const auto& [ip, nb] : neighbors_) excluded.insert(ip);
-  for (const auto& [ip, t] : pending_connects_) excluded.insert(ip);
-  return excluded;
+std::span<const net::IpAddress> Peer::excluded_targets() {
+  excluded_.clear();
+  excluded_.push_back(identity_.ip);
+  excluded_.push_back(bootstrap_);
+  excluded_.insert(excluded_.end(), trackers_.begin(), trackers_.end());
+  for (const auto& [ip, nb] : neighbors_) excluded_.push_back(ip);
+  for (const auto& [ip, t] : pending_connects_) excluded_.push_back(ip);
+  std::sort(excluded_.begin(), excluded_.end());
+  return excluded_;
 }
 
 void Peer::attempt_connections(const std::vector<net::IpAddress>& fresh) {
@@ -339,9 +349,8 @@ void Peer::attempt_connections(const std::vector<net::IpAddress>& fresh) {
   // surplus handshakes ARE the race, and the late completions are turned
   // away (connects_lost_race) once the fastest responders took the slots.
   const std::size_t want = static_cast<std::size_t>(config_.connect_batch);
-  std::vector<net::IpAddress> pool(pool_fifo_.begin(), pool_fifo_.end());
-  try_connect(
-      policy_->choose(fresh, pool, excluded_targets(), want, rng_));
+  try_connect(policy_->choose(fresh, candidate_pool(), excluded_targets(),
+                              want, rng_));
 }
 
 void Peer::topup_connections() {
@@ -349,8 +358,7 @@ void Peer::topup_connections() {
   if (have >= static_cast<std::size_t>(config_.min_neighbors)) return;
   const std::size_t want =
       static_cast<std::size_t>(config_.min_neighbors) - have;
-  std::vector<net::IpAddress> pool(pool_fifo_.begin(), pool_fifo_.end());
-  try_connect(policy_->choose({}, pool, excluded_targets(),
+  try_connect(policy_->choose({}, candidate_pool(), excluded_targets(),
                               std::min<std::size_t>(want, 4), rng_));
 }
 
@@ -407,7 +415,8 @@ void Peer::gossip_round() {
   ips.reserve(neighbors_.size());
   for (const auto& [ip, nb] : neighbors_) ips.push_back(ip);
   auto picked = rng_.sample(
-      ips, static_cast<std::size_t>(std::max(config_.gossip_fanout, 1)));
+      std::move(ips),
+      static_cast<std::size_t>(std::max(config_.gossip_fanout, 1)));
   PeerListQuery q{channel_.id, my_peer_list()};
   if (causal_)
     q.span = SpanContext{simulator_.allocate_span_id(), join_span_};
@@ -499,13 +508,12 @@ void Peer::sweep_timeouts() {
         sim::TraceEvent ev(now, "peer_reacquire");
         ev.field("peer", identity_.ip.to_string())
             .field("isolated_s", (now - isolated_since_).as_seconds())
-            .field("pool", static_cast<std::uint64_t>(pool_set_.size()));
+            .field("pool", static_cast<std::uint64_t>(candidate_pool_size()));
         trace_->write(ev);
       }
       query_trackers(/*all=*/true);
-      std::vector<net::IpAddress> pool(pool_fifo_.begin(), pool_fifo_.end());
       try_connect(policy_->choose(
-          {}, pool, excluded_targets(),
+          {}, candidate_pool(), excluded_targets(),
           static_cast<std::size_t>(config_.connect_batch), rng_));
     }
   } else {
@@ -682,9 +690,8 @@ void Peer::drop_neighbor(net::IpAddress ip, bool notify) {
   }
   // Outstanding requests to a dropped neighbor will never be answered.
   pending_list_.erase(ip);
-  std::erase_if(pending_data_, [ip](const auto& kv) {
-    return kv.second.target == ip;
-  });
+  pending_data_.erase_if(
+      [ip](const auto& kv) { return kv.second.target == ip; });
 }
 
 std::vector<net::IpAddress> Peer::neighbor_ips() const {
@@ -714,31 +721,20 @@ double Peer::neighbor_latency_estimate(net::IpAddress ip) const {
 }
 
 std::size_t Peer::approx_live_bytes() const {
-  // Flat allowance for the node bookkeeping (rb-tree / hash-bucket links)
-  // that element sizes alone would under-count.
-  constexpr std::size_t kNodeOverhead = 48;
+  // Every container here but the deque is one contiguous buffer.
+  const auto buffer = [](const auto& c) {
+    return c.capacity() * sizeof(*c.begin());
+  };
   std::size_t total_bytes = 0;
-  total_bytes += origins_.size() *
-           (sizeof(net::IpAddress) + sizeof(CandidateOrigin) + kNodeOverhead);
-  total_bytes += pending_connect_spans_.size() *
-           (sizeof(net::IpAddress) + sizeof(PendingConnectSpan) +
-            kNodeOverhead);
-  total_bytes += trackers_.capacity() * sizeof(net::IpAddress);
-  total_bytes += pool_set_.size() * (sizeof(net::IpAddress) + kNodeOverhead);
-  total_bytes += pool_fifo_.size() * sizeof(net::IpAddress);
-  total_bytes += neighbors_.size() *
-           (sizeof(net::IpAddress) + sizeof(Neighbor) + kNodeOverhead);
+  total_bytes += buffer(origins_) + buffer(pending_connect_spans_);
+  total_bytes += buffer(trackers_);
+  total_bytes += buffer(pool_fifo_) + buffer(pool_sorted_) + buffer(excluded_);
+  total_bytes += buffer(neighbors_);
   for (const auto& [ip, n] : neighbors_)
     total_bytes += n.map.have.capacity() / 8;  // vector<bool> packs 8 per byte
-  total_bytes += pending_connects_.size() *
-           (sizeof(net::IpAddress) + sizeof(sim::Time) + kNodeOverhead);
-  total_bytes += pending_data_.size() *
-           (sizeof(ChunkSeq) + sizeof(PendingData) + kNodeOverhead);
-  total_bytes += pending_list_.size() *
-           (sizeof(net::IpAddress) + sizeof(sim::Time) + kNodeOverhead);
+  total_bytes += buffer(pending_connects_) + buffer(pending_data_) +
+                 buffer(pending_list_) + buffer(recent_rtt_);
   total_bytes += recent_neighbors_.size() * sizeof(net::IpAddress);
-  total_bytes += recent_rtt_.size() *
-           (sizeof(net::IpAddress) + sizeof(double) + kNodeOverhead);
   total_bytes += store_.approx_bytes();
   return total_bytes;
 }

@@ -2,9 +2,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "net/ip.h"
@@ -17,6 +16,7 @@
 #include "proto/peer_config.h"
 #include "proto/selection.h"
 #include "proto/tracker.h"
+#include "sim/flat_map.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -103,7 +103,9 @@ class Peer {
   int tracker_silent_rounds() const { return tracker_silent_rounds_; }
   /// Emergency neighbor re-acquisitions mounted after total isolation.
   std::uint64_t emergency_reacquires() const { return emergency_reacquires_; }
-  std::size_t candidate_pool_size() const { return pool_set_.size(); }
+  std::size_t candidate_pool_size() const {
+    return pool_fifo_.size() - pool_head_;
+  }
   bool playback_started() const { return playback_started_; }
   ChunkSeq playback_position() const { return playback_next_; }
   ChunkSeq live_edge_estimate() const { return live_edge_; }
@@ -115,10 +117,10 @@ class Peer {
 
   /// Approximate heap footprint of this peer's dynamic state (neighbor
   /// table, candidate pool, pending-request maps, chunk store) for the
-  /// resource probe's live-byte gauges. An element-size estimate with a
-  /// flat per-node allowance, not allocator-exact accounting — good enough
-  /// to watch growth across peer counts, cheap enough to sum every
-  /// sampling tick.
+  /// resource probe's live-byte gauges: each vector-backed container counts
+  /// its capacity times its element size. Not allocator-exact accounting —
+  /// good enough to watch growth across peer counts, cheap enough to sum
+  /// every sampling tick.
   std::size_t approx_live_bytes() const;
 
   /// Introspection snapshot of one neighbor's client-side state.
@@ -178,7 +180,14 @@ class Peer {
   void try_connect(const std::vector<net::IpAddress>& targets);
   void gossip_round();
   std::vector<net::IpAddress> my_peer_list() const;
-  std::unordered_set<net::IpAddress> excluded_targets() const;
+  /// Sorted addresses choose() must skip: self, bootstrap, trackers,
+  /// neighbors and pending handshakes. A view of `excluded_`, valid until
+  /// the next call.
+  std::span<const net::IpAddress> excluded_targets();
+  /// The candidate pool, oldest first.
+  std::span<const net::IpAddress> candidate_pool() const {
+    return std::span<const net::IpAddress>(pool_fifo_).subspan(pool_head_);
+  }
   void sweep_timeouts();
   void optimize_neighborhood();
 
@@ -223,8 +232,8 @@ class Peer {
     std::uint64_t span = 0;  // the ConnectQuery's span
     CandidateOrigin origin;
   };
-  std::map<net::IpAddress, CandidateOrigin> origins_;
-  std::map<net::IpAddress, PendingConnectSpan> pending_connect_spans_;
+  sim::FlatMap<net::IpAddress, CandidateOrigin> origins_;
+  sim::FlatMap<net::IpAddress, PendingConnectSpan> pending_connect_spans_;
   std::uint64_t join_span_ = 0;        // root span of this session
   std::uint64_t join_reply_span_ = 0;  // span of the accepted JoinReply
 
@@ -234,19 +243,30 @@ class Peer {
   net::IpAddress source_;
   std::vector<net::IpAddress> trackers_;
 
-  // Candidate pool with FIFO eviction (set for dedupe, deque for order).
-  std::unordered_set<net::IpAddress> pool_set_;
-  std::deque<net::IpAddress> pool_fifo_;
+  // Candidate pool with FIFO eviction. pool_fifo_[pool_head_..] holds the
+  // pool in arrival order: eviction advances the head, and the dead prefix
+  // is compacted away once it reaches the pool limit. pool_sorted_ holds the
+  // same addresses sorted, for the duplicate test.
+  std::vector<net::IpAddress> pool_fifo_;
+  std::size_t pool_head_ = 0;
+  std::vector<net::IpAddress> pool_sorted_;
+  // Scratch for excluded_targets(), reused so a connect decision does not
+  // allocate.
+  std::vector<net::IpAddress> excluded_;
 
-  // Ordered maps, not unordered: every traversal below feeds either message
-  // emission order or candidate/victim selection, and the simulator's
-  // determinism contract requires those to be independent of hash order
-  // (the ppsim-audit determinism pass enforces this; see tools/lint/).
-  std::map<net::IpAddress, Neighbor> neighbors_;
-  std::map<net::IpAddress, sim::Time> pending_connects_;
-  std::map<ChunkSeq, PendingData> pending_data_;
+  // Sorted flat maps, not hash maps: every traversal below feeds either
+  // message emission order or candidate/victim selection, and the
+  // simulator's determinism contract requires those to be independent of
+  // hash order (the ppsim-audit determinism pass enforces this; see
+  // tools/lint/). FlatMap iterates in key order exactly as std::map does,
+  // without a heap node per entry. Any insert or erase invalidates
+  // iterators and references into the same map, so none is held across a
+  // call that may change that map.
+  sim::FlatMap<net::IpAddress, Neighbor> neighbors_;
+  sim::FlatMap<net::IpAddress, sim::Time> pending_connects_;
+  sim::FlatMap<ChunkSeq, PendingData> pending_data_;
   // Latest outstanding peer-list request per neighbor, for RTT sampling.
-  std::map<net::IpAddress, sim::Time> pending_list_;
+  sim::FlatMap<net::IpAddress, sim::Time> pending_list_;
   // Recently departed neighbors, still eligible for referral for a while
   // ("recently connected peers").
   std::deque<net::IpAddress> recent_neighbors_;
@@ -254,7 +274,7 @@ class Peer {
   // known peer seeds its estimate from here instead of the blind default,
   // so neighborhood optimization never ties a measured-near peer against a
   // far one at the default and evicts on the tie-break.
-  std::map<net::IpAddress, double> recent_rtt_;
+  sim::FlatMap<net::IpAddress, double> recent_rtt_;
 
   // Resilience state (see the matching PeerConfig knobs): tracker-query
   // backoff while a tracker region is dark, and emergency re-acquisition

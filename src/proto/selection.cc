@@ -1,29 +1,31 @@
 #include "proto/selection.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace ppsim::proto {
 
 void sample_eligible(std::span<const net::IpAddress> from,
-                     const std::unordered_set<net::IpAddress>& excluded,
+                     std::span<const net::IpAddress> excluded,
                      std::size_t want, sim::Rng& rng,
                      std::vector<net::IpAddress>& taken) {
+  assert(std::is_sorted(excluded.begin(), excluded.end()));
   if (taken.size() >= want) return;
   std::vector<net::IpAddress> eligible;
   eligible.reserve(from.size());
   for (const auto& ip : from) {
-    if (excluded.contains(ip)) continue;
+    if (std::binary_search(excluded.begin(), excluded.end(), ip)) continue;
     if (std::find(taken.begin(), taken.end(), ip) != taken.end()) continue;
     eligible.push_back(ip);
   }
-  auto picked = rng.sample(eligible, want - taken.size());
+  auto picked = rng.sample(std::move(eligible), want - taken.size());
   taken.insert(taken.end(), picked.begin(), picked.end());
 }
 
 std::vector<net::IpAddress> ReferralSelection::choose(
     std::span<const net::IpAddress> fresh,
     std::span<const net::IpAddress> pool,
-    const std::unordered_set<net::IpAddress>& excluded, std::size_t want,
+    std::span<const net::IpAddress> excluded, std::size_t want,
     sim::Rng& rng) {
   std::vector<net::IpAddress> out;
   sample_eligible(fresh, excluded, want, rng, out);

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "net/ip.h"
@@ -38,13 +37,15 @@ class SelectionPolicy {
   virtual bool connect_on_arrival() const { return true; }
 
   /// Picks up to `want` connection targets. `fresh` is the just-arrived
-  /// list (empty on top-up ticks); `pool` is the accumulated candidate set;
-  /// `excluded` holds addresses that must not be chosen (self, current
-  /// neighbors, pending handshakes). May return fewer than `want`.
+  /// list (empty on top-up ticks); `pool` is the accumulated candidate set,
+  /// oldest first; `excluded` holds addresses that must not be chosen (self,
+  /// current neighbors, pending handshakes). `excluded` must be sorted
+  /// ascending (duplicates allowed): implementations look addresses up in it
+  /// with std::binary_search. May return fewer than `want`.
   virtual std::vector<net::IpAddress> choose(
       std::span<const net::IpAddress> fresh,
       std::span<const net::IpAddress> pool,
-      const std::unordered_set<net::IpAddress>& excluded, std::size_t want,
+      std::span<const net::IpAddress> excluded, std::size_t want,
       sim::Rng& rng) = 0;
 };
 
@@ -56,16 +57,17 @@ class ReferralSelection final : public SelectionPolicy {
   std::vector<net::IpAddress> choose(
       std::span<const net::IpAddress> fresh,
       std::span<const net::IpAddress> pool,
-      const std::unordered_set<net::IpAddress>& excluded, std::size_t want,
+      std::span<const net::IpAddress> excluded, std::size_t want,
       sim::Rng& rng) override;
 };
 
 std::unique_ptr<SelectionPolicy> make_default_policy();
 
 /// Shared helper: random sample of `want` eligible addresses from `from`,
-/// skipping `excluded` and anything already in `taken`.
+/// skipping `excluded` (sorted, as for choose()) and anything already in
+/// `taken`.
 void sample_eligible(std::span<const net::IpAddress> from,
-                     const std::unordered_set<net::IpAddress>& excluded,
+                     std::span<const net::IpAddress> excluded,
                      std::size_t want, sim::Rng& rng,
                      std::vector<net::IpAddress>& taken);
 

@@ -76,8 +76,8 @@ void StreamSource::produce_chunk() {
 void StreamSource::announce_maps() {
   // Drop neighbors that have gone quiet so the list reflects live peers.
   const sim::Time cutoff = simulator_.now() - sim::Time::seconds(90);
-  std::erase_if(neighbors_,
-                [cutoff](const auto& kv) { return kv.second.last_seen < cutoff; });
+  neighbors_.erase_if(
+      [cutoff](const auto& kv) { return kv.second.last_seen < cutoff; });
   if (store_.empty()) return;
   // Live sources advertise a recent window; a VoD source holds (and
   // advertises) the whole program.

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "net/ip.h"
@@ -11,6 +10,7 @@
 #include "proto/host.h"
 #include "proto/message.h"
 #include "proto/tracker.h"
+#include "sim/flat_map.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -94,7 +94,7 @@ class StreamSource {
   };
   // Ordered so buffer-map announcements and gossip replies go out in a
   // deterministic (IP-sorted) order regardless of hash internals.
-  std::map<net::IpAddress, Neighbor> neighbors_;
+  sim::FlatMap<net::IpAddress, Neighbor> neighbors_;
 };
 
 }  // namespace ppsim::proto

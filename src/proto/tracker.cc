@@ -1,6 +1,7 @@
 #include "proto/tracker.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace ppsim::proto {
 
@@ -65,7 +66,7 @@ void TrackerServer::handle(const PeerTransport::Delivery& delivery) {
     const auto cap = static_cast<std::size_t>(config_.max_reply_peers);
     if (config_.locality_db == nullptr) {
       // The measured PPLive behaviour: a plain uniform sample.
-      reply.peers = rng_.sample(candidates, cap);
+      reply.peers = rng_.sample(std::move(candidates), cap);
     } else {
       // ISP-aware variant: same-ISP members first, random within tiers.
       const net::IspCategory own =
@@ -75,9 +76,9 @@ void TrackerServer::handle(const PeerTransport::Delivery& delivery) {
         (config_.locality_db->category_or_foreign(ip) == own ? same : other)
             .push_back(ip);
       }
-      reply.peers = rng_.sample(same, cap);
+      reply.peers = rng_.sample(std::move(same), cap);
       if (reply.peers.size() < cap) {
-        auto fill = rng_.sample(other, cap - reply.peers.size());
+        auto fill = rng_.sample(std::move(other), cap - reply.peers.size());
         reply.peers.insert(reply.peers.end(), fill.begin(), fill.end());
       }
     }

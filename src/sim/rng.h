@@ -67,10 +67,11 @@ class Rng {
     }
   }
 
-  /// Samples up to k distinct elements from v (order randomized).
+  /// Samples up to k distinct elements from `pool` (order randomized).
+  /// Takes the vector by value: callers done with theirs move it in and
+  /// the sample is drawn in place, without a copy.
   template <typename T>
-  std::vector<T> sample(const std::vector<T>& v, std::size_t k) {
-    std::vector<T> pool = v;
+  std::vector<T> sample(std::vector<T> pool, std::size_t k) {
     if (k >= pool.size()) {
       shuffle(pool);
       return pool;

@@ -42,8 +42,7 @@ TEST(ReferralSelectionTest, RespectsExclusions) {
   proto::ReferralSelection policy;
   sim::Rng rng(1);
   auto fresh = ips({1, 2, 3});
-  std::unordered_set<net::IpAddress> excluded = {net::IpAddress(1),
-                                                 net::IpAddress(2)};
+  const auto excluded = ips({1, 2});  // sorted, as choose() requires
   auto picked = policy.choose(fresh, {}, excluded, 3, rng);
   ASSERT_EQ(picked.size(), 1u);
   EXPECT_EQ(picked[0], net::IpAddress(3));
@@ -128,7 +127,7 @@ TEST_F(IspBiasedTest, RespectsExclusions) {
   IspBiasedPolicy policy(db_, net::IspCategory::kTele, 1.0);
   sim::Rng rng(1);
   auto fresh = ips({0x0A000001, 0x0A000002});
-  std::unordered_set<net::IpAddress> excluded = {net::IpAddress(0x0A000001)};
+  const auto excluded = ips({0x0A000001});
   auto picked = policy.choose(fresh, {}, excluded, 2, rng);
   ASSERT_EQ(picked.size(), 1u);
   EXPECT_EQ(picked[0], net::IpAddress(0x0A000002));

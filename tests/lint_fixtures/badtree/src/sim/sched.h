@@ -1,5 +1,5 @@
-// Fixture: unordered iteration feeding the scheduler + pointer-keyed map
-// + a static data member.
+// Fixture: unordered iteration feeding the scheduler + pointer-keyed maps
+// (std::map and sim::FlatMap) + a static data member.
 #pragma once
 #include <map>
 #include <unordered_map>
@@ -25,6 +25,7 @@ class Sched {
  private:
   std::unordered_map<int, Ev> pending_;
   std::map<Ev*, int> by_addr_;  // determinism: pointer-key
+  sim::FlatMap<Ev*, int> flat_by_addr_;  // determinism: pointer-key
 };
 
 }  // namespace ppsim::sim

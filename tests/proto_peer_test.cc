@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <set>
+#include <span>
+#include <vector>
 
 #include "proto_testutil.h"
 
@@ -193,6 +197,152 @@ TEST(PeerTest, CandidatePoolBounded) {
   a.join();
   world.simulator().run_until(sim::Time::minutes(3));
   EXPECT_LE(a.candidate_pool_size(), 10u);
+}
+
+/// Reference model of the candidate pool in its set-plus-FIFO form, fed
+/// every address list the peer is handed.
+struct PoolModel {
+  net::IpAddress self;
+  std::size_t limit = 0;
+  std::deque<net::IpAddress> fifo;
+  std::set<net::IpAddress> members;
+  std::size_t repeats = 0;    // addresses learned while already pooled
+  std::size_t evictions = 0;
+
+  void learn(const std::vector<net::IpAddress>& ips) {
+    for (const auto& ip : ips) {
+      if (ip == self || ip.is_unspecified()) continue;
+      if (!members.insert(ip).second) {
+        ++repeats;
+        continue;
+      }
+      fifo.push_back(ip);
+      while (fifo.size() > limit) {
+        members.erase(fifo.front());
+        fifo.pop_front();
+        ++evictions;
+      }
+    }
+  }
+};
+
+/// Picks like the PPLive policy, and records what each choose() call was
+/// given next to what the peer should have handed it.
+class RecordingPolicy final : public SelectionPolicy {
+ public:
+  struct Call {
+    std::vector<net::IpAddress> pool;
+    std::vector<net::IpAddress> model_pool;
+    std::vector<net::IpAddress> excluded;
+    std::vector<net::IpAddress> neighbors;
+    /// Excluded addresses beyond self/bootstrap/tracker/neighbors, and
+    /// which of them were never chosen before (so cannot be pending).
+    std::size_t pending = 0;
+    std::size_t unexplained = 0;
+  };
+
+  RecordingPolicy(const PoolModel& model,
+                  std::vector<net::IpAddress> infrastructure)
+      : model_(model), infrastructure_(std::move(infrastructure)) {}
+
+  std::vector<net::IpAddress> choose(std::span<const net::IpAddress> fresh,
+                                     std::span<const net::IpAddress> pool,
+                                     std::span<const net::IpAddress> excluded,
+                                     std::size_t want,
+                                     sim::Rng& rng) override {
+    Call call{{pool.begin(), pool.end()},
+              {model_.fifo.begin(), model_.fifo.end()},
+              {excluded.begin(), excluded.end()},
+              peer->neighbor_ips()};
+    for (const auto& ip : excluded) {
+      const auto known = [ip](const std::vector<net::IpAddress>& v) {
+        return std::find(v.begin(), v.end(), ip) != v.end();
+      };
+      if (known(infrastructure_) || known(call.neighbors)) continue;
+      ++call.pending;
+      if (!chosen_.contains(ip)) ++call.unexplained;
+    }
+    calls.push_back(std::move(call));
+    auto out = inner_.choose(fresh, pool, excluded, want, rng);
+    chosen_.insert(out.begin(), out.end());
+    return out;
+  }
+
+  const Peer* peer = nullptr;
+  std::vector<Call> calls;
+
+ private:
+  const PoolModel& model_;
+  std::vector<net::IpAddress> infrastructure_;  // self, bootstrap, tracker
+  ReferralSelection inner_;
+  std::set<net::IpAddress> chosen_;
+};
+
+TEST(PeerTest, SelectionSeesFifoPoolAndSortedExclusions) {
+  MiniWorld world;
+  PeerConfig config;
+  config.candidate_pool_limit = 10;
+  const HostIdentity id = world.identity(net::IspCategory::kTele);
+  PoolModel model;
+  model.self = id.ip;
+  model.limit = 10;
+  auto owned = std::make_unique<RecordingPolicy>(
+      model, std::vector<net::IpAddress>{id.ip, world.bootstrap().ip(),
+                                         world.tracker().ip()});
+  RecordingPolicy& policy = *owned;
+  Peer a(world.simulator(), world.network(), id, world.channel(),
+         world.bootstrap().ip(), sim::Rng(77), config, std::move(owned));
+  policy.peer = &a;
+  // Every list the peer learns candidates from, in delivery order; the tap
+  // runs just before the peer's handler.
+  bool joined = false;
+  world.network().set_global_tap(
+      [&](const net::Endpoint&, const net::Endpoint& to, const Message& m,
+          std::uint64_t) {
+        if (to.ip != a.ip()) return;
+        if (const auto* jr = std::get_if<JoinReply>(&m); jr && !joined) {
+          joined = true;
+          model.learn({jr->source});
+        } else if (const auto* tr = std::get_if<TrackerReply>(&m)) {
+          model.learn(tr->peers);
+        } else if (const auto* q = std::get_if<PeerListQuery>(&m)) {
+          model.learn(q->my_peers);
+        } else if (const auto* r = std::get_if<PeerListReply>(&m)) {
+          model.learn(r->peers);
+        }
+      });
+  for (int i = 0; i < 30; ++i)
+    world.add_peer(net::IspCategory::kTele).join();
+  a.join();
+  world.simulator().run_until(sim::Time::minutes(3));
+
+  ASSERT_GT(policy.calls.size(), 10u);
+  ASSERT_GT(model.evictions, 0u) << "pool never overflowed its limit";
+  ASSERT_GT(model.repeats, 0u) << "no address was ever learned twice";
+  std::size_t with_pending = 0;
+  for (std::size_t i = 0; i < policy.calls.size(); ++i) {
+    const auto& call = policy.calls[i];
+    // The last `limit` distinct addresses, oldest first; a repeat keeps
+    // its original place.
+    EXPECT_EQ(call.pool, call.model_pool) << "call " << i;
+    EXPECT_TRUE(std::is_sorted(call.excluded.begin(), call.excluded.end()))
+        << "call " << i;
+    for (const auto& ip : {a.ip(), world.bootstrap().ip(),
+                           world.tracker().ip()}) {
+      EXPECT_TRUE(std::binary_search(call.excluded.begin(),
+                                     call.excluded.end(), ip))
+          << "call " << i << " misses " << ip.to_string();
+    }
+    for (const auto& ip : call.neighbors) {
+      EXPECT_TRUE(std::binary_search(call.excluded.begin(),
+                                     call.excluded.end(), ip))
+          << "call " << i << " misses neighbor " << ip.to_string();
+    }
+    // The rest are pending handshakes: targets handed out earlier.
+    EXPECT_EQ(call.unexplained, 0u) << "call " << i;
+    if (call.pending > 0) ++with_pending;
+  }
+  EXPECT_GT(with_pending, 0u) << "no call ran with a handshake pending";
 }
 
 TEST(PeerTest, PlaybackLagsLiveEdge) {

@@ -13,8 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "baseline/policies.h"
 #include "core/experiment.h"
+#include "faults/plan.h"
 #include "obs/trace.h"
+#include "proto/counters.h"
 #include "proto_testutil.h"
 #include "sim/rng.h"
 #include "workload/scenario.h"
@@ -172,6 +175,108 @@ TEST(DeterminismTest, TraceDivergesAcrossSeeds) {
   // Proves the trace actually covers the run (a constant or empty trace
   // would pass the identity check vacuously).
   EXPECT_NE(experiment_trace(7), experiment_trace(8));
+}
+
+/// FNV-1a over the integer outputs benchsuite's run digest folds: the
+/// ISP-pair traffic matrix, every summed peer counter, and the swarm's
+/// event, packet and spawn counts. Integers only, so a pin is as portable
+/// across compilers and hosts as benchsuite/digests.json.
+std::uint64_t output_digest(const core::ExperimentResult& r) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& row : r.traffic.bytes)
+    for (const auto b : row) add(b);
+  proto::for_each_field(r.counter_totals,
+                        [&](const char*, const std::uint64_t& v) { add(v); });
+  add(r.swarm.events_executed);
+  add(r.swarm.packets_delivered);
+  add(r.swarm.packets_dropped);
+  add(r.swarm.peers_spawned);
+  return h;
+}
+
+/// A tracker outage, a CNC blackout long enough to idle out every
+/// neighbor (so isolated peers mount emergency re-acquisitions), and a
+/// churn burst.
+faults::FaultPlan outage_blackout_churn_plan() {
+  faults::FaultPlan plan;
+  faults::FaultWindow outage;
+  outage.kind = faults::FaultKind::kTrackerOutage;
+  outage.start = sim::Time::seconds(30);
+  outage.end = sim::Time::seconds(90);
+  plan.windows.push_back(outage);
+  faults::FaultWindow blackout;
+  blackout.kind = faults::FaultKind::kBlackout;
+  blackout.start = sim::Time::seconds(50);
+  blackout.end = sim::Time::seconds(140);
+  blackout.category_a = net::IspCategory::kCnc;
+  plan.windows.push_back(blackout);
+  faults::FaultWindow burst;
+  burst.kind = faults::FaultKind::kChurnBurst;
+  burst.start = burst.end = sim::Time::seconds(100);
+  burst.fraction = 0.3;
+  plan.windows.push_back(burst);
+  return plan;
+}
+
+struct PinnedCase {
+  const char* name;
+  std::uint64_t seed;
+  baseline::Strategy strategy;
+  bool causal;
+  bool faults;
+  std::uint64_t digest;
+  /// A trace event the run must emit, proving the case reached the path
+  /// it pins (nullptr: no check).
+  const char* must_emit;
+};
+
+TEST(DeterminismTest, MatchesPinnedDigests) {
+  // Cross-version oracle: unlike the same-binary checks above, these
+  // constants were computed once and must hold on every later version.
+  // A change that claims to preserve behaviour (a container swap, a
+  // hot-path rewrite) keeps them; one that changes behaviour on purpose
+  // re-pins them and says why. The cases cover what the benchmark digests
+  // do not: causal tracing, every selection strategy, and fault plans
+  // (emergency re-acquisition after a blackout).
+  const PinnedCase cases[] = {
+      {"causal", 1, baseline::Strategy::kPplive, true, false,
+       0x57699ee7d77c4426ULL, "playback_start"},
+      {"pplive", 2, baseline::Strategy::kPplive, false, false,
+       0xfc93a1fbc42c8452ULL, nullptr},
+      {"tracker-only", 3, baseline::Strategy::kTrackerOnly, false, false,
+       0xc629f7d5a354a1b9ULL, nullptr},
+      {"isp-biased", 4, baseline::Strategy::kIspBiased, false, false,
+       0xb80f3aebbfbb4558ULL, nullptr},
+      {"no-rush", 5, baseline::Strategy::kNoRush, false, false,
+       0x90def2d7271141aeULL, nullptr},
+      {"faults", 6, baseline::Strategy::kPplive, false, true,
+       0x9d3b23666afee761ULL, "peer_reacquire"},
+  };
+  for (const PinnedCase& c : cases) {
+    core::ExperimentConfig config;
+    config.scenario = workload::popular_channel();
+    config.scenario.viewers = 120;
+    config.scenario.duration = sim::Time::minutes(3);
+    config.scenario.seed = c.seed;
+    config.probes = {core::tele_probe()};
+    config.strategy = c.strategy;
+    config.observability.causal_trace = c.causal;
+    if (c.faults) config.faults.plan = outage_blackout_churn_plan();
+    obs::CountingTraceSink events;
+    if (c.must_emit != nullptr) config.observability.trace = &events;
+    const std::uint64_t got = output_digest(core::run_experiment(config));
+    EXPECT_EQ(got, c.digest) << c.name << ": digest 0x" << std::hex << got;
+    if (c.must_emit != nullptr) {
+      EXPECT_GT(events.count(c.must_emit), 0u)
+          << c.name << ": no " << c.must_emit << " event";
+    }
+  }
 }
 
 }  // namespace

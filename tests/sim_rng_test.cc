@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace ppsim::sim {
@@ -172,6 +173,20 @@ TEST_P(RngSeededTest, SampleMoreThanAvailableReturnsAll) {
   EXPECT_EQ(s.size(), 3u);
   std::set<int> uniq(s.begin(), s.end());
   EXPECT_EQ(uniq, (std::set<int>{1, 2, 3}));
+}
+
+TEST_P(RngSeededTest, SampleOfMovedVectorMatchesSampleOfCopy) {
+  // sample() takes its vector by value; moving it in must draw exactly
+  // what sampling a copy draws, for both the partial and the full shuffle.
+  std::vector<int> v;
+  for (int i = 0; i < 50; ++i) v.push_back(i);
+  for (std::size_t k : {std::size_t{10}, std::size_t{50}, std::size_t{80}}) {
+    Rng copied(GetParam()), moved(GetParam());
+    const std::vector<int> from_copy = copied.sample(v, k);
+    std::vector<int> scratch = v;
+    EXPECT_EQ(moved.sample(std::move(scratch), k), from_copy) << "k=" << k;
+    EXPECT_EQ(moved.next_u64(), copied.next_u64()) << "k=" << k;
+  }
 }
 
 TEST_P(RngSeededTest, ShufflePreservesElements) {

@@ -80,6 +80,7 @@ TEST(LintBadTree, DeterminismFindings) {
   EXPECT_TRUE(has(f, "sim/clock.cc", 24, "wall-clock", "steady_clock"));
   EXPECT_TRUE(has(f, "sim/sched.h", 17, "unordered-iter", "pending_"));
   EXPECT_TRUE(has(f, "sim/sched.h", 27, "pointer-key", "std::map<Ev*>"));
+  EXPECT_TRUE(has(f, "sim/sched.h", 28, "pointer-key", "FlatMap<Ev*>"));
 }
 
 TEST(LintBadTree, SharedStateInventory) {
@@ -167,7 +168,7 @@ TEST(LintBadTree, CompletenessFindings) {
 
 TEST(LintBadTree, ExactFindingCountAndSorted) {
   const std::vector<Finding> f = run_all(load("badtree"));
-  EXPECT_EQ(f.size(), 44u);
+  EXPECT_EQ(f.size(), 45u);
   EXPECT_TRUE(std::is_sorted(f.begin(), f.end(), [](const Finding& a,
                                                     const Finding& b) {
     return std::tie(a.pass, a.file, a.line, a.check, a.token) <

@@ -13,9 +13,9 @@
 //                  hash-order traversal feeding the scheduler makes event
 //                  order depend on the hash seed / load factors.
 //
-//   pointer-key    std::map/std::set keyed on a pointer type: iteration
-//                  order is allocation-address order, which ASLR
-//                  randomizes.
+//   pointer-key    std::map/std::set (or sim::FlatMap) keyed on a pointer
+//                  type: iteration order is allocation-address order,
+//                  which ASLR randomizes.
 
 #include <cctype>
 #include <set>
@@ -186,7 +186,8 @@ void check_unordered_iteration(const SourceFile& f,
 
 void check_pointer_keys(const SourceFile& f, std::vector<Finding>* findings) {
   static const std::string_view kTypes[] = {"std::map", "std::set",
-                                            "std::multimap", "std::multiset"};
+                                            "std::multimap", "std::multiset",
+                                            "FlatMap"};
   for (const auto type : kTypes) {
     std::size_t pos = 0;
     while ((pos = f.stripped.find(type, pos)) != std::string::npos) {
