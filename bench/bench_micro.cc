@@ -24,8 +24,8 @@
 #include "net/prefix_alloc.h"
 #include "net/transport.h"
 #include "obs/bench_json.h"
-#include "obs/dispatch_stats.h"
 #include "obs/health.h"
+#include "obs/profiler.h"
 #include "obs/resource_probe.h"
 #include "obs/span_tracker.h"
 #include "proto/message.h"
@@ -38,18 +38,18 @@ namespace {
 
 using namespace ppsim;
 
-// Runs `build` once against a fresh simulator with a DispatchStats observer
+// Runs `build` once against a fresh simulator with an untimed RunProfiler
 // attached and reports the peak pending-queue depth. Used after the timed
 // loop (google-benchmark user counter) so the measured iterations never pay
 // for the observer.
 double replay_peak_queue_depth(
     const std::function<void(sim::Simulator&)>& build) {
   sim::Simulator simulator;
-  obs::DispatchStats stats;
-  simulator.add_observer(&stats);
+  obs::RunProfiler profiler(/*timed=*/false);
+  simulator.add_observer(&profiler);
   build(simulator);
   simulator.run();
-  return static_cast<double>(stats.peak_queue_depth());
+  return static_cast<double>(profiler.max_queue_depth());
 }
 
 void schedule_spread(sim::Simulator& simulator, int n, const char* category) {

@@ -1,6 +1,7 @@
 #include "core/cli.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -34,6 +35,15 @@ std::optional<ProbeSpec> probe_by_name(const std::string& name) {
   if (name == "cer") return cer_probe();
   if (name == "mason") return mason_probe();
   return std::nullopt;
+}
+
+/// Parses all of `text` as a base-10 integer in T's range: an empty token,
+/// a sign on an unsigned type, trailing characters and overflow all fail.
+template <typename T>
+bool parse_integer(std::string_view text, T* value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *value);
+  return ec == std::errc() && ptr == end;
 }
 
 std::optional<baseline::Strategy> strategy_by_name(const std::string& name) {
@@ -126,6 +136,13 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
     }
     return std::string(argv[++i]);
   };
+  auto need_number = [&](int& i, const char* flag, auto* value) {
+    auto v = need_value(i, flag);
+    if (!v) return false;
+    if (parse_integer(*v, value)) return true;
+    out.error = std::string("bad value for ") + flag + ": " + *v;
+    return false;
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -140,25 +157,19 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
       }
       o.channel = *v;
     } else if (arg == "--viewers") {
-      auto v = need_value(i, "--viewers");
-      if (!v) return out;
-      o.viewers = std::atoi(v->c_str());
+      if (!need_number(i, "--viewers", &o.viewers)) return out;
       if (o.viewers <= 0) {
         out.error = "viewers must be positive";
         return out;
       }
     } else if (arg == "--minutes") {
-      auto v = need_value(i, "--minutes");
-      if (!v) return out;
-      o.minutes = std::atoi(v->c_str());
+      if (!need_number(i, "--minutes", &o.minutes)) return out;
       if (o.minutes <= 0) {
         out.error = "minutes must be positive";
         return out;
       }
     } else if (arg == "--seed") {
-      auto v = need_value(i, "--seed");
-      if (!v) return out;
-      o.seed = std::strtoull(v->c_str(), nullptr, 10);
+      if (!need_number(i, "--seed", &o.seed)) return out;
     } else if (arg == "--probe") {
       auto v = need_value(i, "--probe");
       if (!v) return out;
@@ -217,17 +228,13 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
       if (!v) return out;
       o.samples_out = *v;
     } else if (arg == "--sample-period") {
-      auto v = need_value(i, "--sample-period");
-      if (!v) return out;
-      o.sample_period_s = std::atoi(v->c_str());
+      if (!need_number(i, "--sample-period", &o.sample_period_s)) return out;
       if (o.sample_period_s <= 0) {
         out.error = "sample period must be positive";
         return out;
       }
     } else if (arg == "--sample-window") {
-      auto v = need_value(i, "--sample-window");
-      if (!v) return out;
-      o.sample_window_s = std::atoi(v->c_str());
+      if (!need_number(i, "--sample-window", &o.sample_window_s)) return out;
       if (o.sample_window_s <= 0) {
         out.error = "sample window must be positive";
         return out;
@@ -236,7 +243,11 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
       o.progress = true;
     } else if (arg.rfind("--progress=", 0) == 0) {
       o.progress = true;
-      o.progress_period_s = std::atoi(arg.c_str() + 11);
+      if (!parse_integer(std::string_view(arg).substr(11),
+                         &o.progress_period_s)) {
+        out.error = "bad value for --progress: " + arg.substr(11);
+        return out;
+      }
       if (o.progress_period_s <= 0) {
         out.error = "progress period must be positive";
         return out;
@@ -248,9 +259,7 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
       if (!v) return out;
       o.fault_plan = *v;
     } else if (arg == "--fault-seed") {
-      auto v = need_value(i, "--fault-seed");
-      if (!v) return out;
-      o.fault_seed = std::strtoull(v->c_str(), nullptr, 10);
+      if (!need_number(i, "--fault-seed", &o.fault_seed)) return out;
     } else if (arg == "--health-rules") {
       auto v = need_value(i, "--health-rules");
       if (!v) return out;
@@ -416,7 +425,6 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     // (trip counters, dispatch telemetry, the post-mortem snapshot).
     ob.health_rules = &built.health_rules;
     ob.metrics = &metrics;
-    ob.dispatch_metrics = true;
   }
   std::optional<obs::SpanTracker> span_tracker;
   if (options.causal_trace) {

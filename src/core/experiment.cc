@@ -5,7 +5,6 @@
 
 #include "capture/trace.h"
 #include "faults/driver.h"
-#include "obs/dispatch_stats.h"
 #include "net/impairment.h"
 #include "net/latency.h"
 #include "net/prefix_alloc.h"
@@ -590,11 +589,14 @@ ExperimentResult Runner::run() {
         std::make_unique<obs::SimEventTracer>(*config_.observability.trace);
     simulator_.add_observer(sim_tracer.get());
   }
-  std::unique_ptr<obs::DispatchStats> dispatch_stats;
-  if (config_.observability.dispatch_metrics &&
+  // Watchdog runs with a registry export the dispatch counts. This is a
+  // fresh profiler, not the caller's: one reused across runs would count
+  // the earlier runs too.
+  std::unique_ptr<obs::RunProfiler> dispatch_counts;
+  if (config_.observability.health_rules != nullptr &&
       config_.observability.metrics != nullptr) {
-    dispatch_stats = std::make_unique<obs::DispatchStats>();
-    simulator_.add_observer(dispatch_stats.get());
+    dispatch_counts = std::make_unique<obs::RunProfiler>(/*timed=*/false);
+    simulator_.add_observer(dispatch_counts.get());
   }
 
   // Watchdogs, the flight recorder, and the resource probe all ride the
@@ -678,9 +680,9 @@ ExperimentResult Runner::run() {
   if (config_.observability.profiler != nullptr)
     simulator_.remove_observer(config_.observability.profiler);
   if (sim_tracer != nullptr) simulator_.remove_observer(sim_tracer.get());
-  if (dispatch_stats != nullptr) {
-    simulator_.remove_observer(dispatch_stats.get());
-    dispatch_stats->export_metrics(*config_.observability.metrics);
+  if (dispatch_counts != nullptr) {
+    simulator_.remove_observer(dispatch_counts.get());
+    dispatch_counts->export_metrics(*config_.observability.metrics);
   }
 
   ExperimentResult result;

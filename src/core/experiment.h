@@ -50,17 +50,15 @@ struct ObservabilityConfig {
   sim::Time sample_period = sim::Time::zero();
   /// Watchdog rules evaluated on every sampling tick (obs::HealthMonitor);
   /// nullptr/empty disables the monitor. The summary lands on
-  /// ExperimentResult::health.
+  /// ExperimentResult::health. With `metrics` also set, the runner attaches
+  /// its own untimed obs::RunProfiler and exports its deterministic
+  /// sim_events_dispatched{category} / sim_peak_queue_depth at run end.
   const obs::HealthRuleSet* health_rules = nullptr;
   /// Flight recorder for post-mortem bundles. When set, the runner feeds it
   /// every sampling tick's TrafficSample and wires the health monitor's
   /// critical hook to FlightRecorder::trigger. To also capture the protocol
   /// event stream, point `trace` at the recorder (it tees downstream).
   obs::FlightRecorder* recorder = nullptr;
-  /// Attach a deterministic obs::DispatchStats observer and export
-  /// sim_events_dispatched{category} / sim_peak_queue_depth into `metrics`
-  /// at run end. No-op without `metrics`.
-  bool dispatch_metrics = false;
   /// Causal tracing (docs/OBSERVABILITY.md): every protocol entity
   /// allocates span ids for its outgoing discovery/data messages, trace
   /// events gain span/parent (and referral-provenance) fields, and the

@@ -153,29 +153,4 @@ void FlightRecorder::dump(sim::Time now, std::string_view reason) {
     options_.metrics->counter("postmortem_dumps").inc();
 }
 
-void FlightRecorder::start_sampling(sim::Simulator& simulator, sim::Time period,
-                                    std::function<TrafficSample()> capture) {
-  stop_sampling();
-  sampling_ = true;
-  sampling_sim_ = &simulator;
-  sampling_first_ = sim::schedule_periodic(
-      simulator, period,
-      [this, capture = std::move(capture)]() {
-        if (!sampling_) return false;
-        note_sample(capture());
-        return true;
-      },
-      "obs.sample");
-}
-
-void FlightRecorder::stop_sampling() {
-  if (!sampling_) return;
-  sampling_ = false;
-  // Cancelling the first firing covers the pre-first-tick window; after
-  // that the chain re-arms under fresh handles and the flag stops it.
-  if (sampling_sim_ != nullptr) sampling_sim_->cancel(sampling_first_);
-  sampling_sim_ = nullptr;
-  sampling_first_ = sim::TimerHandle();
-}
-
 }  // namespace ppsim::obs

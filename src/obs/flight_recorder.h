@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -10,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "sim/simulator.h"
 #include "sim/time.h"
 
 namespace ppsim::obs {
@@ -56,18 +54,6 @@ class FlightRecorder final : public TraceSink {
   /// true when a bundle was written.
   bool trigger(sim::Time now, std::string_view reason);
 
-  /// Arms a periodic self-sampling tick ("obs.sample" category) that calls
-  /// `capture` every `period` and feeds the result to note_sample. Used when
-  /// the recorder runs standalone (tests, tools) rather than riding the
-  /// experiment runner's sampler tick. The chain re-arms itself, so the
-  /// recorder keeps its own stop flag per the schedule_periodic contract:
-  /// stop_sampling() makes the next tick return false and also cancels the
-  /// first firing if it has not fired yet.
-  void start_sampling(sim::Simulator& simulator, sim::Time period,
-                      std::function<TrafficSample()> capture);
-  void stop_sampling();
-  bool sampling_active() const { return sampling_; }
-
   std::uint64_t dumps_written() const { return dumps_written_; }
   std::uint64_t dump_failures() const { return dump_failures_; }
   const std::vector<std::string>& dump_paths() const { return dump_paths_; }
@@ -92,9 +78,6 @@ class FlightRecorder final : public TraceSink {
   bool has_last_dump_ = false;
   sim::Time last_dump_;
   std::vector<std::string> dump_paths_;
-  bool sampling_ = false;
-  sim::Simulator* sampling_sim_ = nullptr;
-  sim::TimerHandle sampling_first_;
 };
 
 }  // namespace ppsim::obs

@@ -145,23 +145,6 @@ const Histogram* MetricsRegistry::find_histogram(std::string_view name,
   return e == nullptr ? nullptr : e->histogram.get();
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const auto& [key, theirs] : other.entries_) {
-    switch (theirs.kind) {
-      case Kind::kCounter:
-        counter(theirs.name, theirs.labels).inc(theirs.counter->value());
-        break;
-      case Kind::kGauge:
-        gauge(theirs.name, theirs.labels).set(theirs.gauge->value());
-        break;
-      case Kind::kHistogram:
-        histogram(theirs.name, theirs.histogram->upper_bounds(), theirs.labels)
-            .merge(*theirs.histogram);
-        break;
-    }
-  }
-}
-
 void MetricsRegistry::for_each(
     const std::function<void(const EntryView&)>& fn) const {
   for (const auto& [key, e] : entries_) {
@@ -218,23 +201,6 @@ void write_entry_ndjson(std::ostream& os,
     os << ']';
   }
   os << "}\n";
-}
-
-MetricsWindowRing::MetricsWindowRing(std::size_t capacity)
-    : capacity_(capacity), current_(std::make_unique<MetricsRegistry>()) {
-  assert(capacity_ > 0);
-}
-
-void MetricsWindowRing::rotate(std::string label) {
-  windows_.push_back({std::move(label), std::move(current_)});
-  if (windows_.size() > capacity_) windows_.erase(windows_.begin());
-  current_ = std::make_unique<MetricsRegistry>();
-  ++sealed_;
-}
-
-void MetricsWindowRing::merged(MetricsRegistry* out) const {
-  for (const auto& w : windows_) out->merge_from(*w.registry);
-  out->merge_from(*current_);
 }
 
 }  // namespace ppsim::obs

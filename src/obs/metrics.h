@@ -64,9 +64,9 @@ class Histogram {
   /// Fold another histogram into this one. Both must have identical bucket
   /// bounds (asserted). Bucket counts and the observation count add as
   /// integers; the sums add as `this += other`, so merging a sequence of
-  /// windows is a left fold in caller order — callers that need the merged
-  /// sum byte-stable must merge windows in their time order, which is the
-  /// only order the windowed rollup ever produces them in.
+  /// histograms is a left fold in caller order — callers that need the
+  /// merged sum byte-stable must merge in a fixed order, as the fleet
+  /// collector does (node address order).
   void merge(const Histogram& other);
 
  private:
@@ -130,15 +130,6 @@ class MetricsRegistry {
   /// docs/OBSERVABILITY.md for the schema.
   void write_ndjson(std::ostream& os) const;
 
-  /// Fold another registry into this one, instance by instance, in the
-  /// other registry's (deterministic) identity order. Counters add, gauges
-  /// take the other's value (the other registry is the newer window, so
-  /// last-write-wins carries over), histograms merge bucket-wise (bounds
-  /// must match; instances missing here are created with the other's
-  /// bounds). Re-registering an identity as a different type asserts, same
-  /// as the accessors.
-  void merge_from(const MetricsRegistry& other);
-
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
   struct Entry {
@@ -157,45 +148,6 @@ class MetricsRegistry {
   // Keyed by the serialized identity name{k="v",...}; std::map so dumps
   // come out in a deterministic order.
   std::map<std::string, Entry> entries_;
-};
-
-/// Fixed-size ring of per-window metric registries, the bounded-memory
-/// rollup counterpart to the sampler's windowed mode. Callers record into
-/// current(); rotate(label) seals the open window under a label (its window
-/// end, say) and evicts the oldest once `capacity` windows are held, so
-/// memory is O(capacity × instances) no matter how long the run is.
-/// merged() folds the held windows oldest→newest with merge_from — the
-/// pinned left-fold order, so the merged sums are deterministic.
-class MetricsWindowRing {
- public:
-  explicit MetricsWindowRing(std::size_t capacity);
-
-  MetricsRegistry& current() { return *current_; }
-  const MetricsRegistry& current() const { return *current_; }
-
-  void rotate(std::string label);
-
-  std::size_t capacity() const { return capacity_; }
-  /// Sealed windows currently held, oldest first (≤ capacity).
-  std::size_t size() const { return windows_.size(); }
-  std::uint64_t windows_sealed() const { return sealed_; }
-  const std::string& label(std::size_t i) const { return windows_[i].label; }
-  const MetricsRegistry& window(std::size_t i) const {
-    return *windows_[i].registry;
-  }
-
-  /// Sealed windows + the open window, folded oldest→newest.
-  void merged(MetricsRegistry* out) const;
-
- private:
-  struct Window {
-    std::string label;
-    std::unique_ptr<MetricsRegistry> registry;
-  };
-  std::size_t capacity_;
-  std::vector<Window> windows_;  // oldest first
-  std::unique_ptr<MetricsRegistry> current_;
-  std::uint64_t sealed_ = 0;
 };
 
 /// Writes the one-line NDJSON row for a single instance — byte-identical

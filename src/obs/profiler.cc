@@ -6,8 +6,6 @@
 #include <ostream>
 #include <vector>
 
-#include "obs/json.h"
-
 namespace ppsim::obs {
 
 std::vector<double> RunProfiler::dispatch_time_bounds() {
@@ -18,47 +16,32 @@ void RunProfiler::on_event_begin(sim::Time /*now*/, std::uint64_t /*seq*/,
                                  const char* /*category*/,
                                  std::size_t queue_depth) {
   max_queue_depth_ = std::max(max_queue_depth_, queue_depth);
-  event_begin_ = Clock::now();
+  if (timed_) event_begin_ = Clock::now();
 }
 
 void RunProfiler::on_event_end(sim::Time /*now*/, const char* category) {
   const double elapsed =
-      std::chrono::duration<double>(Clock::now() - event_begin_).count();
+      timed_ ? std::chrono::duration<double>(Clock::now() - event_begin_)
+                   .count()
+             : 0.0;
   auto it = stats_.find(std::string_view(category));
   if (it == stats_.end()) it = stats_.emplace(category, CategoryStats{}).first;
   ++it->second.events;
+  ++events_total_;
+  if (!timed_) return;
   it->second.wall_seconds += elapsed;
   it->second.dispatch_time.observe(elapsed);
-  ++events_total_;
   wall_seconds_total_ += elapsed;
 }
 
-void RunProfiler::write_ndjson(std::ostream& os) const {
-  // Quantiles come from bucketed histograms; the overflow bucket reports
-  // +inf, which JSON cannot carry — emit null there.
-  const auto write_quantile = [&os](double v) {
-    if (std::isfinite(v))
-      write_json_double(os, v);
-    else
-      os << "null";
-  };
-  for (const auto& [name, cs] : stats_) {
-    os << "{\"category\":";
-    write_json_string(os, name.empty() ? "(untagged)" : name);
-    os << ",\"events\":" << cs.events << ",\"wall_s\":";
-    write_json_double(os, cs.wall_seconds);
-    os << ",\"p50_s\":";
-    write_quantile(cs.dispatch_time.quantile(0.5));
-    os << ",\"p99_s\":";
-    write_quantile(cs.dispatch_time.quantile(0.99));
-    os << "}\n";
-  }
-  os << "{\"category\":\"total\",\"events\":" << events_total_
-     << ",\"wall_s\":";
-  write_json_double(os, wall_seconds_total_);
-  os << ",\"events_per_s\":";
-  write_json_double(os, events_per_second());
-  os << ",\"max_queue_depth\":" << max_queue_depth_ << "}\n";
+void RunProfiler::export_metrics(MetricsRegistry& registry) const {
+  for (const auto& [name, cs] : stats_)
+    registry
+        .counter("sim_events_dispatched",
+                 {{"category", name.empty() ? "(untagged)" : name}})
+        .inc(cs.events);
+  registry.gauge("sim_peak_queue_depth")
+      .set(static_cast<double>(max_queue_depth_));
 }
 
 void RunProfiler::print(std::ostream& os) const {
@@ -82,7 +65,7 @@ void RunProfiler::print(std::ostream& os) const {
   const auto quantile_us = [](const Histogram& h, double q, char* out,
                               std::size_t n) {
     if (h.count() == 0) {
-      // Empty histogram (pre-registered category that never fired):
+      // Empty histogram (every category of an untimed profiler):
       // quantile() is NaN, which must not leak into the table.
       std::snprintf(out, n, "%s", "-");
       return;

@@ -12,15 +12,17 @@
 
 namespace ppsim::obs {
 
-/// Wall-clock run profiler: per-event-category execution time and events
-/// per second, gathered through the simulator's observer hook.
+/// Per-event-category run profiler, gathered through the simulator's
+/// observer hook: events per category and the peak queue depth, plus —
+/// when timed — execution wall time and events per second.
 ///
-/// This is the one component of the observability layer that reads the
-/// host's clock — which is why it lives here in src/obs, outside the event
-/// core the determinism linter guards. It only *measures* the run; nothing
-/// it records feeds back into the simulation, so determinism is preserved.
-/// Its numbers are machine- and load-dependent: never diff them across
-/// runs, never assert on them in tests beyond "non-negative".
+/// A timed profiler is the one component of the observability layer that
+/// reads the host's clock — which is why it lives here in src/obs, outside
+/// the event core the determinism linter guards. It only *measures* the
+/// run; nothing it records feeds back into the simulation, so determinism
+/// is preserved. Its wall numbers are machine- and load-dependent: never
+/// diff them across runs, never assert on them in tests beyond
+/// "non-negative". The counts are deterministic per seed in either mode.
 class RunProfiler final : public sim::SimObserver {
  public:
   /// Bucket bounds (seconds) of the per-category dispatch-time histograms:
@@ -35,16 +37,13 @@ class RunProfiler final : public sim::SimObserver {
     Histogram dispatch_time{dispatch_time_bounds()};
   };
 
+  /// An untimed profiler reads no clock: it only counts, so its wall
+  /// columns stay 0 and its histograms empty.
+  explicit RunProfiler(bool timed = true) : timed_(timed) {}
+
   void on_event_begin(sim::Time now, std::uint64_t seq, const char* category,
                       std::size_t queue_depth) override;
   void on_event_end(sim::Time now, const char* category) override;
-
-  /// Pre-registers a category so it shows up in print()/write_ndjson() even
-  /// if no event of that kind ever executes. Zero-sample rows report "-"
-  /// (text) / null (NDJSON) quantiles rather than garbage.
-  void preregister_category(std::string_view category) {
-    stats_.try_emplace(std::string(category));
-  }
 
   const std::map<std::string, CategoryStats, std::less<>>& categories()
       const {
@@ -59,9 +58,10 @@ class RunProfiler final : public sim::SimObserver {
   }
   std::size_t max_queue_depth() const { return max_queue_depth_; }
 
-  /// One {"category":...,"events":...,"wall_s":...} object per line, plus a
-  /// final "total" row. Wall-clock values: inherently non-deterministic.
-  void write_ndjson(std::ostream& os) const;
+  /// Writes sim_events_dispatched{category=...} counters (the untagged ""
+  /// category as "(untagged)") and the sim_peak_queue_depth gauge into
+  /// `registry`: counts only, so the rows are byte-stable per seed.
+  void export_metrics(MetricsRegistry& registry) const;
 
   /// Human-readable summary table, categories by descending wall time.
   void print(std::ostream& os) const;
@@ -69,6 +69,7 @@ class RunProfiler final : public sim::SimObserver {
  private:
   using Clock = std::chrono::steady_clock;
 
+  bool timed_;
   std::map<std::string, CategoryStats, std::less<>> stats_;
   Clock::time_point event_begin_{};
   std::uint64_t events_total_ = 0;

@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <algorithm>
 #include <ostream>
 
 #include "obs/json.h"
@@ -33,27 +32,6 @@ void NdjsonTraceSink::write(const TraceEvent& event) {
   }
   os_ << "}\n";
   ++events_written_;
-}
-
-void CountingTraceSink::write(const TraceEvent& event) {
-  ++total_;
-  const auto it = std::lower_bound(
-      counts_.begin(), counts_.end(), event.name(),
-      [](const auto& entry, const std::string& name) {
-        return entry.first < name;
-      });
-  if (it != counts_.end() && it->first == event.name()) {
-    ++it->second;
-  } else {
-    counts_.insert(it, {event.name(), 1});
-  }
-}
-
-std::uint64_t CountingTraceSink::count(std::string_view name) const {
-  const auto it = std::lower_bound(
-      counts_.begin(), counts_.end(), name,
-      [](const auto& entry, std::string_view n) { return entry.first < n; });
-  return it != counts_.end() && it->first == name ? it->second : 0;
 }
 
 void SimEventTracer::on_event_begin(sim::Time now, std::uint64_t seq,

@@ -52,19 +52,6 @@ class TeeTraceSink final : public TraceSink {
   std::vector<TraceSink*> sinks_;
 };
 
-/// Counts events per name (std::map, deterministic order); used by tests
-/// and as a cheap volume summary.
-class CountingTraceSink final : public TraceSink {
- public:
-  void write(const TraceEvent& event) override;
-  std::uint64_t total() const { return total_; }
-  std::uint64_t count(std::string_view name) const;
-
- private:
-  std::vector<std::pair<std::string, std::uint64_t>> counts_;  // sorted
-  std::uint64_t total_ = 0;
-};
-
 /// Adapter from the simulator's observer hook to a TraceSink: emits one
 /// "sim_event" row per executed event (sequence number, category, queue
 /// depth). High volume — opt-in separately from protocol tracing.

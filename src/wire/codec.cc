@@ -1,5 +1,6 @@
 #include "wire/codec.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ppsim::wire {
@@ -380,8 +381,8 @@ WireError decode_data_reply(const std::uint8_t* p, std::size_t len,
       4 + r.payload_bytes +
       kIpUdpHeader * (r.subpieces > 0 ? r.subpieces - 1 : 0);
   if (expected != len) return WireError::kBadLength;
-  for (std::size_t i = 20; i < len; ++i)
-    if (p[i] != 0) return WireError::kBadReserved;
+  if (std::any_of(p + 20, p + len, [](std::uint8_t b) { return b != 0; }))
+    return WireError::kBadReserved;
   *m = r;
   return WireError::kOk;
 }

@@ -10,6 +10,7 @@
 #include "core/experiment.h"
 #include "obs/span_tracker.h"
 #include "obs/trace.h"
+#include "obs_testutil.h"
 #include "workload/scenario.h"
 
 namespace ppsim::core {

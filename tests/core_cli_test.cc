@@ -73,6 +73,31 @@ TEST(CliParseTest, RejectsBadValues) {
   EXPECT_TRUE(parse({"--report", "everything"}).error.has_value());
   EXPECT_TRUE(parse({"--viewers", "-5"}).error.has_value());
   EXPECT_TRUE(parse({"--minutes", "0"}).error.has_value());
+
+  // A number must be the whole token and fit the flag's type; the error
+  // names the flag.
+  const auto rejects = [](std::initializer_list<const char*> args,
+                          const char* flag) {
+    const auto r = parse(args);
+    return r.error.has_value() && r.error->find(flag) != std::string::npos;
+  };
+  EXPECT_TRUE(rejects({"--viewers", "12x"}, "--viewers"));
+  EXPECT_TRUE(rejects({"--viewers", "99999999999"}, "--viewers"));
+  EXPECT_TRUE(rejects({"--viewers", ""}, "--viewers"));
+  EXPECT_TRUE(rejects({"--minutes", "1.9"}, "--minutes"));
+  EXPECT_TRUE(rejects({"--sample-period", "15s", "--samples-out", "/tmp/s"},
+                      "--sample-period"));
+  EXPECT_TRUE(rejects({"--sample-window", " 30", "--samples-out", "/tmp/s"},
+                      "--sample-window"));
+  EXPECT_TRUE(rejects({"--progress=6o"}, "--progress"));
+  EXPECT_TRUE(rejects({"--seed", "abc"}, "--seed"));
+  EXPECT_TRUE(rejects({"--seed", "18446744073709551617"}, "--seed"));
+  EXPECT_TRUE(rejects({"--seed", "-1"}, "--seed"));
+  EXPECT_TRUE(rejects({"--fault-seed", "3x", "--fault-plan", "/tmp/plan"},
+                      "--fault-seed"));
+  const auto max_seed = parse({"--seed", "18446744073709551615"});
+  ASSERT_FALSE(max_seed.error.has_value()) << *max_seed.error;
+  EXPECT_EQ(max_seed.options.seed, 18446744073709551615u);
 }
 
 TEST(CliParseTest, HealthAndPostmortemFlags) {

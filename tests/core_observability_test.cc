@@ -13,6 +13,7 @@
 #include "obs/resource_probe.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
+#include "obs_testutil.h"
 #include "workload/scenario.h"
 
 namespace ppsim::core {
@@ -250,10 +251,42 @@ TEST(Observability, ProfilerSeesCategorizedEvents) {
   std::uint64_t events_sum = 0;
   for (const auto& [name, stats] : cats) events_sum += stats.events;
   EXPECT_EQ(events_sum, profiler.events_total());
+}
 
-  std::ostringstream os;
-  profiler.write_ndjson(os);
-  EXPECT_NE(os.str().find("\"category\":\"total\""), std::string::npos);
+TEST(Observability, WatchdogRunExportsDispatchCounts) {
+  const obs::HealthRuleSet rules = obs::default_health_rules();
+  obs::RunProfiler profiler;
+  const auto run = [&](obs::MetricsRegistry* metrics) {
+    ExperimentConfig config = small_config();
+    config.observability.health_rules = &rules;
+    config.observability.metrics = metrics;
+    config.observability.profiler = &profiler;
+    run_experiment(config);
+  };
+  obs::MetricsRegistry metrics;
+  run(&metrics);
+
+  // The runner's own untimed profiler sees the same events as the caller's.
+  ASSERT_FALSE(profiler.categories().empty());
+  for (const auto& [name, stats] : profiler.categories()) {
+    const obs::Counter* c = metrics.find_counter(
+        "sim_events_dispatched",
+        {{"category", name.empty() ? "(untagged)" : name}});
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->value(), stats.events) << name;
+  }
+  const obs::Gauge* peak = metrics.find_gauge("sim_peak_queue_depth");
+  ASSERT_NE(peak, nullptr);
+  EXPECT_EQ(peak->value(), static_cast<double>(profiler.max_queue_depth()));
+
+  // A caller profiler reused across runs keeps counting; the export must
+  // still cover only its own run.
+  obs::MetricsRegistry again;
+  run(&again);
+  std::ostringstream first, second;
+  metrics.write_ndjson(first);
+  again.write_ndjson(second);
+  EXPECT_EQ(first.str(), second.str());
 }
 
 TEST(Observability, HealthSummaryRidesTheResult) {

@@ -10,7 +10,8 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/simulator.h"
+#include "obs_testutil.h"
+#include "sim/time.h"
 
 namespace ppsim::obs {
 namespace {
@@ -199,25 +200,6 @@ TEST_F(FlightRecorderTest, DefaultDumpCapLeavesBundlesUntouched) {
   ASSERT_TRUE(recorder.trigger(sim::Time::seconds(101), "no-cap"));
   const std::string bundle = slurp(recorder.dump_paths()[0]);
   EXPECT_EQ(bundle.find("truncated"), std::string::npos);
-}
-
-TEST_F(FlightRecorderTest, StandaloneSamplingTickStopsCleanly) {
-  sim::Simulator simulator;
-  FlightRecorder recorder(FlightRecorder::Options{});
-  int captures = 0;
-  recorder.start_sampling(simulator, sim::Time::seconds(1), [&] {
-    ++captures;
-    TrafficSample sample;
-    sample.t = simulator.now();
-    return sample;
-  });
-  EXPECT_TRUE(recorder.sampling_active());
-  simulator.schedule(sim::Time::millis(3500),
-                     [&] { recorder.stop_sampling(); });
-  simulator.run();  // must terminate: the stopped chain re-arms no further
-  EXPECT_FALSE(recorder.sampling_active());
-  EXPECT_EQ(captures, 3);
-  EXPECT_EQ(simulator.pending_events(), 0u);
 }
 
 }  // namespace

@@ -182,73 +182,6 @@ TEST(Histogram, MergeIsDeterministicLeftFold) {
   EXPECT_EQ(left.bucket_counts(), again.bucket_counts());
 }
 
-TEST(MetricsRegistry, MergeFromCombinesAllInstrumentKinds) {
-  MetricsRegistry into;
-  into.counter("events").inc(10);
-  into.gauge("continuity").set(0.5);
-  into.histogram("lat", {1.0}).observe(0.5);
-
-  MetricsRegistry from;
-  from.counter("events").inc(5);
-  from.counter("only_there").inc(3);
-  from.gauge("continuity").set(0.9);
-  from.histogram("lat", {1.0}).observe(2.0);
-
-  into.merge_from(from);
-  EXPECT_EQ(into.find_counter("events")->value(), 15u);
-  EXPECT_EQ(into.find_counter("only_there")->value(), 3u);
-  // Gauges are last-write-wins; the merged-in value is the later write.
-  EXPECT_DOUBLE_EQ(into.find_gauge("continuity")->value(), 0.9);
-  EXPECT_EQ(into.find_histogram("lat")->count(), 2u);
-}
-
-TEST(MetricsWindowRing, RotateSealsAndEvictsBeyondCapacity) {
-  MetricsWindowRing ring(2);
-  ring.current().counter("n").inc(1);
-  ring.rotate("w0");
-  ring.current().counter("n").inc(2);
-  ring.rotate("w1");
-  ring.current().counter("n").inc(4);
-  ring.rotate("w2");  // evicts w0
-  EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.windows_sealed(), 3u);
-  EXPECT_EQ(ring.label(0), "w1");
-  EXPECT_EQ(ring.label(1), "w2");
-  EXPECT_EQ(ring.window(0).find_counter("n")->value(), 2u);
-}
-
-TEST(MetricsWindowRing, MergedFoldsRetainedWindowsThenCurrent) {
-  MetricsWindowRing ring(4);
-  ring.current().counter("n").inc(1);
-  ring.rotate("w0");
-  ring.current().counter("n").inc(2);
-  ring.rotate("w1");
-  ring.current().counter("n").inc(4);  // stays in the open window
-  MetricsRegistry out;
-  ring.merged(&out);
-  EXPECT_EQ(out.find_counter("n")->value(), 7u);
-}
-
-TEST(MetricsWindowRing, MergedDumpIsByteStable) {
-  auto fill = [](MetricsWindowRing* ring) {
-    ring->current().counter("c", {{"isp", "TELE"}}).inc(2);
-    ring->current().histogram("h", {1.0}).observe(0.5);
-    ring->rotate("w0");
-    ring->current().counter("c", {{"isp", "TELE"}}).inc(3);
-    ring->current().histogram("h", {1.0}).observe(5.0);
-  };
-  MetricsWindowRing a(8), b(8);
-  fill(&a);
-  fill(&b);
-  MetricsRegistry ma, mb;
-  a.merged(&ma);
-  b.merged(&mb);
-  std::ostringstream da, db;
-  ma.write_ndjson(da);
-  mb.write_ndjson(db);
-  EXPECT_EQ(da.str(), db.str());
-}
-
 TEST(MetricsRegistry, NdjsonHistogramRow) {
   MetricsRegistry reg;
   Histogram& h = reg.histogram("d", {1.0});

@@ -1,6 +1,6 @@
-// Regression tests for RunProfiler's zero-sample handling: a category that
-// was pre-registered but never executed must render placeholder quantiles
-// ("-" in the table, null in NDJSON), never NaN/inf garbage.
+// Regression tests for RunProfiler: a category with no timed samples must
+// render placeholder quantiles ("-" in the table), never NaN/inf garbage,
+// and the exported dispatch metrics carry the deterministic counts.
 #include "obs/profiler.h"
 
 #include <gtest/gtest.h>
@@ -8,20 +8,24 @@
 #include <sstream>
 #include <string>
 
+#include "obs/metrics.h"
 #include "sim/time.h"
 
 namespace ppsim::obs {
 namespace {
 
 TEST(RunProfiler, ZeroSampleCategoryPrintsPlaceholderQuantiles) {
-  RunProfiler profiler;
-  profiler.preregister_category("never.fires");
+  // An untimed profiler counts the event but leaves its histogram empty.
+  RunProfiler profiler(/*timed=*/false);
+  profiler.on_event_begin(sim::Time::zero(), 1, "never.timed", 2);
+  profiler.on_event_end(sim::Time::zero(), "never.timed");
+  EXPECT_EQ(profiler.wall_seconds_total(), 0.0);
 
   std::ostringstream os;
   profiler.print(os);
   const std::string table = os.str();
 
-  ASSERT_NE(table.find("never.fires"), std::string::npos);
+  ASSERT_NE(table.find("never.timed"), std::string::npos);
   // The NaN quantile of an empty histogram used to fall through the
   // +inf branch and print the overflow marker.
   EXPECT_EQ(table.find(">0.1s"), std::string::npos);
@@ -29,26 +33,8 @@ TEST(RunProfiler, ZeroSampleCategoryPrintsPlaceholderQuantiles) {
   EXPECT_NE(table.find("-"), std::string::npos);
 }
 
-TEST(RunProfiler, ZeroSampleCategoryEmitsNullQuantilesInNdjson) {
-  RunProfiler profiler;
-  profiler.preregister_category("idle");
-
-  std::ostringstream os;
-  profiler.write_ndjson(os);
-  const std::string dump = os.str();
-
-  EXPECT_NE(
-      dump.find(
-          "{\"category\":\"idle\",\"events\":0,\"wall_s\":0,\"p50_s\":null,"
-          "\"p99_s\":null}"),
-      std::string::npos);
-  EXPECT_EQ(dump.find("nan"), std::string::npos);
-  EXPECT_EQ(dump.find("inf"), std::string::npos);
-}
-
 TEST(RunProfiler, MeasuredCategoryStillReportsQuantiles) {
   RunProfiler profiler;
-  profiler.preregister_category("warm");
   profiler.on_event_begin(sim::Time::zero(), 1, "warm", 3);
   profiler.on_event_end(sim::Time::zero(), "warm");
 
@@ -64,14 +50,35 @@ TEST(RunProfiler, MeasuredCategoryStillReportsQuantiles) {
   EXPECT_NE(os.str().find("<="), std::string::npos);
 }
 
-TEST(RunProfiler, PreregisterDoesNotResetMeasuredStats) {
-  RunProfiler profiler;
-  profiler.on_event_begin(sim::Time::zero(), 1, "cat", 0);
-  profiler.on_event_end(sim::Time::zero(), "cat");
-  profiler.preregister_category("cat");  // no-op on an existing entry
-  const auto it = profiler.categories().find("cat");
-  ASSERT_NE(it, profiler.categories().end());
-  EXPECT_EQ(it->second.events, 1u);
+TEST(RunProfiler, ExportsDeterministicDispatchMetrics) {
+  RunProfiler profiler(/*timed=*/false);
+  const auto dispatch = [&profiler](const char* category,
+                                    std::size_t queue_depth) {
+    profiler.on_event_begin(sim::Time::zero(), 0, category, queue_depth);
+    profiler.on_event_end(sim::Time::zero(), category);
+  };
+  dispatch("peer.request", 4);
+  dispatch("", 9);
+  dispatch("peer.request", 2);
+
+  MetricsRegistry registry;
+  profiler.export_metrics(registry);
+  const Counter* request =
+      registry.find_counter("sim_events_dispatched",
+                            {{"category", "peer.request"}});
+  ASSERT_NE(request, nullptr);
+  EXPECT_EQ(request->value(), 2u);
+  // The untagged category is exported under a readable label.
+  const Counter* untagged = registry.find_counter(
+      "sim_events_dispatched", {{"category", "(untagged)"}});
+  ASSERT_NE(untagged, nullptr);
+  EXPECT_EQ(untagged->value(), 1u);
+  EXPECT_EQ(registry.find_counter("sim_events_dispatched", {{"category", ""}}),
+            nullptr);
+  const Gauge* peak = registry.find_gauge("sim_peak_queue_depth");
+  ASSERT_NE(peak, nullptr);
+  EXPECT_EQ(peak->value(), 9.0);
+  EXPECT_EQ(registry.size(), 3u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "obs_testutil.h"
 #include "sim/simulator.h"
 
 namespace ppsim::obs {

@@ -17,6 +17,7 @@
 #include "core/experiment.h"
 #include "faults/plan.h"
 #include "obs/trace.h"
+#include "obs_testutil.h"
 #include "proto/counters.h"
 #include "proto_testutil.h"
 #include "sim/rng.h"

@@ -1,8 +1,9 @@
 // Pass `float-order` — flags floating-point accumulation inside iteration
 // loops in the scheduler/protocol/network hot paths (`sim`, `proto`,
 // `net`). FP addition is not associative: `acc += x` over a container is a
-// different number under the reordering that parallel reduction (ROADMAP
-// item 2) introduces, and a different number is a different same-seed run.
+// different number under the reordering that parallel reduction (the
+// deferred ISP-sharded parallel DES, see ROADMAP) would introduce, and a
+// different number is a different same-seed run.
 // Each finding must either be restructured (integer/fixed-point
 // accumulation, pairwise/Kahan summation with a pinned order) or
 // allowlisted with a rationale for why its order can never be re-shuffled.

@@ -17,8 +17,9 @@
 // module outside this table get `unknown-module`; and any cycle in the
 // *actual* edge set (possible only via illegal edges, but reported
 // separately because a cycle blocks per-layer builds outright) gets
-// `layer-cycle`. ROADMAP items 1-2 shard this tree by layer; every edge
-// added here is an edge the parallel refactor has to cut later.
+// `layer-cycle`. The deferred ISP-sharded parallel DES (see ROADMAP) would
+// split this tree by layer; every edge added here is an edge that refactor
+// has to cut.
 
 #include <map>
 #include <set>

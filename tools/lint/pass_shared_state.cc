@@ -1,8 +1,9 @@
 // Pass `shared-state` — inventory of static mutable state across the whole
-// tree. ROADMAP item 2 shards peers by ISP across threads; any mutable
-// global, non-const static local, or static mutable data member is shared
-// by every shard and would turn into a data race (or, before that, a
-// hidden cross-shard coupling that silently breaks same-seed determinism).
+// tree. ROADMAP item 6 runs whole experiments on a thread pool
+// (`core::run_batch`); any mutable global, non-const static local, or
+// static mutable data member is shared by every concurrent run and would
+// turn into a data race (or, before that, a hidden cross-run coupling that
+// silently breaks same-seed determinism).
 // The inventory must be empty or explicitly rationale-allowlisted.
 //
 //   mutable-global  namespace-scope variable definition/declaration that is
