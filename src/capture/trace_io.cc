@@ -1,5 +1,6 @@
 #include "capture/trace_io.h"
 
+#include <algorithm>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -99,9 +100,20 @@ class Fields {
     return tok;
   }
 
+  /// An upper bound on the tokens left on the line, so a count read from
+  /// the line is checked before anything is allocated for it.
+  std::uint64_t tokens_left() {
+    const std::streamoff pos = in_.tellg();
+    if (pos < 0) return 0;  // the line is used up
+    const std::string_view rest =
+        in_.view().substr(static_cast<std::size_t>(pos));
+    return static_cast<std::uint64_t>(
+               std::count(rest.begin(), rest.end(), ',')) + 1;
+  }
+
   std::optional<std::vector<net::IpAddress>> ip_list() {
     auto n = u64();
-    if (!n) return std::nullopt;
+    if (!n || *n > tokens_left()) return std::nullopt;
     std::vector<net::IpAddress> out;
     out.reserve(static_cast<std::size_t>(*n));
     for (std::uint64_t i = 0; i < *n; ++i) {
@@ -116,7 +128,7 @@ class Fields {
     auto base = u64();
     auto bits = u64();
     auto hex = token();
-    if (!base || !bits || !hex) return std::nullopt;
+    if (!base || !bits || !hex || *bits > 4 * hex->size()) return std::nullopt;
     proto::BufferMap m;
     m.base = *base;
     m.have.resize(static_cast<std::size_t>(*bits));

@@ -4,48 +4,11 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
+
+#include "obs/directive.h"
 
 namespace ppsim::faults {
-
-namespace {
-
-/// Parses "key=value" into its parts; returns false on malformed tokens.
-bool split_kv(std::string_view token, std::string_view* key,
-              std::string_view* value) {
-  const auto eq = token.find('=');
-  if (eq == std::string_view::npos || eq == 0) return false;
-  *key = token.substr(0, eq);
-  *value = token.substr(eq + 1);
-  return true;
-}
-
-bool parse_double(std::string_view s, double* out) {
-  try {
-    std::size_t used = 0;
-    *out = std::stod(std::string(s), &used);
-    return used == s.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_int(std::string_view s, int* out) {
-  try {
-    std::size_t used = 0;
-    *out = std::stoi(std::string(s), &used);
-    return used == s.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-std::string line_error(int line_no, const std::string& what) {
-  std::ostringstream os;
-  os << "fault plan line " << line_no << ": " << what;
-  return os.str();
-}
-
-}  // namespace
 
 std::string_view to_string(FaultKind k) {
   switch (k) {
@@ -84,120 +47,58 @@ bool parse_isp_category(std::string_view s, net::IspCategory* out) {
 
 PlanParseResult parse_fault_plan(std::istream& in) {
   PlanParseResult result;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Strip comments and surrounding whitespace.
-    if (const auto hash = line.find('#'); hash != std::string::npos)
-      line.resize(hash);
-    std::istringstream tokens(line);
-    std::string first;
-    if (!(tokens >> first)) continue;  // blank / comment-only line
-    if (first != "window") {
-      result.error = line_error(line_no, "expected 'window', got '" + first +
-                                             "'");
-      return result;
+  FaultWindow w;
+  bool have_kind = false, have_start = false, have_end = false;
+  const auto on_pair = [&](std::string_view key,
+                           std::string_view value) -> std::string {
+    if (key == "kind") {
+      if (!parse_fault_kind(value, &w.kind))
+        return "unknown kind '" + std::string(value) + "'";
+      have_kind = true;
+    } else if (key == "start") {
+      if (!obs::parse_directive_duration(value, &w.start)) return "bad start";
+      have_start = true;
+    } else if (key == "end") {
+      if (!obs::parse_directive_duration(value, &w.end)) return "bad end";
+      have_end = true;
+    } else if (key == "at") {
+      // Instantaneous window: start == end.
+      if (!obs::parse_directive_duration(value, &w.start)) return "bad at";
+      w.end = w.start;
+      have_start = have_end = true;
+    } else if (key == "group") {
+      if (!obs::parse_directive_int(value, &w.tracker_group))
+        return "bad group";
+    } else if (key == "a" || key == "b") {
+      if (!parse_isp_category(value, key == "a" ? &w.category_a
+                                                : &w.category_b))
+        return "unknown category '" + std::string(value) + "'";
+    } else if (key == "loss") {
+      if (!obs::parse_directive_double(value, &w.loss)) return "bad loss";
+    } else if (key == "added_rtt_ms") {
+      if (!obs::parse_directive_duration(value, &w.added_rtt, 1000))
+        return "bad added_rtt_ms";
+    } else if (key == "fraction") {
+      if (!obs::parse_directive_double(value, &w.fraction))
+        return "bad fraction";
+    } else if (key == "label") {
+      w.label = std::string(value);
+    } else {
+      return "unknown key '" + std::string(key) + "'";
     }
-    FaultWindow w;
-    bool have_kind = false, have_start = false, have_end = false;
-    std::string token;
-    while (tokens >> token) {
-      std::string_view key, value;
-      if (!split_kv(token, &key, &value)) {
-        result.error = line_error(line_no, "malformed token '" + token + "'");
-        return result;
-      }
-      double d = 0;
-      int i = 0;
-      if (key == "kind") {
-        if (!parse_fault_kind(value, &w.kind)) {
-          result.error = line_error(
-              line_no, "unknown kind '" + std::string(value) + "'");
-          return result;
-        }
-        have_kind = true;
-      } else if (key == "start") {
-        if (!parse_double(value, &d) || d < 0) {
-          result.error = line_error(line_no, "bad start");
-          return result;
-        }
-        w.start = sim::Time::from_seconds(d);
-        have_start = true;
-      } else if (key == "end") {
-        if (!parse_double(value, &d) || d < 0) {
-          result.error = line_error(line_no, "bad end");
-          return result;
-        }
-        w.end = sim::Time::from_seconds(d);
-        have_end = true;
-      } else if (key == "at") {
-        // Instantaneous window: start == end.
-        if (!parse_double(value, &d) || d < 0) {
-          result.error = line_error(line_no, "bad at");
-          return result;
-        }
-        w.start = w.end = sim::Time::from_seconds(d);
-        have_start = have_end = true;
-      } else if (key == "group") {
-        if (!parse_int(value, &i)) {
-          result.error = line_error(line_no, "bad group");
-          return result;
-        }
-        w.tracker_group = i;
-      } else if (key == "a") {
-        if (!parse_isp_category(value, &w.category_a)) {
-          result.error = line_error(
-              line_no, "unknown category '" + std::string(value) + "'");
-          return result;
-        }
-      } else if (key == "b") {
-        if (!parse_isp_category(value, &w.category_b)) {
-          result.error = line_error(
-              line_no, "unknown category '" + std::string(value) + "'");
-          return result;
-        }
-      } else if (key == "loss") {
-        if (!parse_double(value, &d)) {
-          result.error = line_error(line_no, "bad loss");
-          return result;
-        }
-        w.loss = d;
-      } else if (key == "added_rtt_ms") {
-        if (!parse_double(value, &d) || d < 0) {
-          result.error = line_error(line_no, "bad added_rtt_ms");
-          return result;
-        }
-        w.added_rtt = sim::Time::from_seconds(d / 1000.0);
-      } else if (key == "fraction") {
-        if (!parse_double(value, &d)) {
-          result.error = line_error(line_no, "bad fraction");
-          return result;
-        }
-        w.fraction = d;
-      } else if (key == "label") {
-        w.label = std::string(value);
-      } else {
-        result.error = line_error(line_no,
-                                  "unknown key '" + std::string(key) + "'");
-        return result;
-      }
-    }
-    if (!have_kind) {
-      result.error = line_error(line_no, "missing kind=");
-      return result;
-    }
-    if (!have_start) {
-      result.error = line_error(line_no, "missing start= (or at=)");
-      return result;
-    }
-    if (!have_end && w.kind != FaultKind::kChurnBurst) {
-      result.error = line_error(line_no, "missing end=");
-      return result;
-    }
+    return {};
+  };
+  const auto on_line_end = [&]() -> std::string {
+    if (!have_kind) return "missing kind=";
+    if (!have_start) return "missing start= (or at=)";
+    if (!have_end && w.kind != FaultKind::kChurnBurst) return "missing end=";
     if (!have_end) w.end = w.start;
-    result.plan.windows.push_back(std::move(w));
-  }
+    result.plan.windows.push_back(std::exchange(w, FaultWindow{}));
+    have_kind = have_start = have_end = false;
+    return {};
+  };
+  result.error =
+      obs::read_directives(in, "fault plan", "window", on_pair, on_line_end);
   // Time-ordered schedule: sort by (start, end) and keep the textual order
   // for ties, so the driver applies windows in a well-defined sequence.
   std::stable_sort(result.plan.windows.begin(), result.plan.windows.end(),
@@ -205,7 +106,7 @@ PlanParseResult parse_fault_plan(std::istream& in) {
                      if (a.start != b.start) return a.start < b.start;
                      return a.end < b.end;
                    });
-  result.error = validate(result.plan);
+  if (result.error.empty()) result.error = validate(result.plan);
   if (!result.error.empty()) result.plan.windows.clear();
   return result;
 }

@@ -60,8 +60,8 @@ struct FaultPlan {
   bool empty() const { return windows.empty(); }
 };
 
-/// Plan text format (docs/FAULTS.md): one window per line, '#' comments,
-/// times in simulated seconds —
+/// Plan text format (docs/FAULTS.md), read by obs::read_directives: one
+/// window per line, '#' comments, times in simulated seconds —
 ///
 ///   window kind=tracker_outage  start=120 end=240 group=0 label=tele-dark
 ///   window kind=bootstrap_outage start=60 end=90
@@ -70,7 +70,7 @@ struct FaultPlan {
 ///   window kind=churn_burst     at=240 fraction=0.3
 ///   window kind=uplink_brownout start=300 end=420 fraction=0.2 loss=0.5
 struct PlanParseResult {
-  FaultPlan plan;
+  FaultPlan plan;     // empty whenever error is set
   std::string error;  // empty on success
   bool ok() const { return error.empty(); }
 };

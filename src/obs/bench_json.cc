@@ -1,7 +1,6 @@
 #include "obs/bench_json.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -32,33 +31,6 @@ void write_bench_json(std::ostream& os, std::vector<BenchEntry> entries) {
   }
 }
 
-namespace {
-
-bool find_number(const std::string& line, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) return false;
-  *out = v;
-  return true;
-}
-
-bool find_string(const std::string& line, const char* key, std::string* out) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const std::size_t start = pos + needle.size();
-  const std::size_t close = line.find('"', start);
-  if (close == std::string::npos) return false;
-  *out = line.substr(start, close - start);
-  return true;
-}
-
-}  // namespace
-
 std::vector<BenchEntry> read_bench_json(std::istream& is,
                                         std::size_t* dropped) {
   std::vector<BenchEntry> out;
@@ -66,24 +38,21 @@ std::vector<BenchEntry> read_bench_json(std::istream& is,
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    if (line.find("\"bench_schema\"") != std::string::npos) continue;
+    if (find_json_value(line, "bench_schema") != std::string_view::npos)
+      continue;
     BenchEntry e;
-    double iters = 0, ns = 0, depth = 0;
-    const bool ok = find_string(line, "name", &e.name) &&
-                    find_number(line, "iterations", &iters) &&
-                    find_number(line, "ns_per_op", &ns) &&
-                    find_number(line, "peak_queue_depth", &depth);
+    const bool ok = read_json_string(line, "name", &e.name) &&
+                    read_json_u64(line, "iterations", &e.iterations) &&
+                    read_json_double(line, "ns_per_op", &e.ns_per_op) &&
+                    read_json_u64(line, "peak_queue_depth",
+                                  &e.peak_queue_depth);
     if (!ok) {
       if (dropped != nullptr) ++*dropped;
       continue;
     }
-    e.iterations = static_cast<std::uint64_t>(iters);
-    e.ns_per_op = ns;
-    e.peak_queue_depth = static_cast<std::uint64_t>(depth);
-    double rss = 0, wall = 0;  // optional macro-bench fields
-    if (find_number(line, "rss_peak_bytes", &rss))
-      e.rss_peak_bytes = static_cast<std::uint64_t>(rss);
-    if (find_number(line, "wall_s", &wall)) e.wall_s = wall;
+    // Optional macro-bench fields.
+    read_json_u64(line, "rss_peak_bytes", &e.rss_peak_bytes);
+    read_json_double(line, "wall_s", &e.wall_s);
     out.push_back(std::move(e));
   }
   return out;

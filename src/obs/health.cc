@@ -3,52 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
+#include "obs/directive.h"
+#include "obs/json.h"
+
 namespace ppsim::obs {
-
-namespace {
-
-bool split_kv(std::string_view token, std::string_view* key,
-              std::string_view* value) {
-  const auto eq = token.find('=');
-  if (eq == std::string_view::npos || eq == 0) return false;
-  *key = token.substr(0, eq);
-  *value = token.substr(eq + 1);
-  return true;
-}
-
-bool parse_double(std::string_view s, double* out) {
-  try {
-    std::size_t used = 0;
-    *out = std::stod(std::string(s), &used);
-    return used == s.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_int(std::string_view s, int* out) {
-  try {
-    std::size_t used = 0;
-    *out = std::stoi(std::string(s), &used);
-    return used == s.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-std::string line_error(int line_no, const std::string& what) {
-  std::ostringstream os;
-  os << "health rules line " << line_no << ": " << what;
-  return os.str();
-}
-
-}  // namespace
 
 std::string_view to_string(HealthRuleKind k) {
   switch (k) {
@@ -93,93 +56,44 @@ std::string_view to_string(HealthState s) {
 
 HealthRulesParseResult parse_health_rules(std::istream& in) {
   HealthRulesParseResult result;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos)
-      line.resize(hash);
-    std::istringstream tokens(line);
-    std::string first;
-    if (!(tokens >> first)) continue;  // blank / comment-only line
-    if (first != "rule") {
-      result.error =
-          line_error(line_no, "expected 'rule', got '" + first + "'");
-      return result;
+  HealthRule r;
+  bool have_kind = false, have_warn = false, have_critical = false;
+  const auto on_pair = [&](std::string_view key,
+                           std::string_view value) -> std::string {
+    if (key == "kind") {
+      if (!parse_health_rule_kind(value, &r.kind))
+        return "unknown kind '" + std::string(value) + "'";
+      have_kind = true;
+    } else if (key == "warn") {
+      if (!parse_directive_double(value, &r.warn)) return "bad warn";
+      have_warn = true;
+    } else if (key == "critical") {
+      if (!parse_directive_double(value, &r.critical)) return "bad critical";
+      have_critical = true;
+    } else if (key == "after") {
+      if (!parse_directive_duration(value, &r.after)) return "bad after";
+    } else if (key == "trailing") {
+      if (!parse_directive_int(value, &r.trailing)) return "bad trailing";
+    } else if (key == "slo_s") {
+      if (!parse_directive_double(value, &r.slo_s)) return "bad slo_s";
+    } else if (key == "label") {
+      r.label = std::string(value);
+    } else {
+      return "unknown key '" + std::string(key) + "'";
     }
-    HealthRule r;
-    bool have_kind = false, have_warn = false, have_critical = false;
-    std::string token;
-    while (tokens >> token) {
-      std::string_view key, value;
-      if (!split_kv(token, &key, &value)) {
-        result.error = line_error(line_no, "malformed token '" + token + "'");
-        return result;
-      }
-      double d = 0;
-      int i = 0;
-      if (key == "kind") {
-        if (!parse_health_rule_kind(value, &r.kind)) {
-          result.error =
-              line_error(line_no, "unknown kind '" + std::string(value) + "'");
-          return result;
-        }
-        have_kind = true;
-      } else if (key == "warn") {
-        if (!parse_double(value, &d)) {
-          result.error = line_error(line_no, "bad warn");
-          return result;
-        }
-        r.warn = d;
-        have_warn = true;
-      } else if (key == "critical") {
-        if (!parse_double(value, &d)) {
-          result.error = line_error(line_no, "bad critical");
-          return result;
-        }
-        r.critical = d;
-        have_critical = true;
-      } else if (key == "after") {
-        if (!parse_double(value, &d) || d < 0) {
-          result.error = line_error(line_no, "bad after");
-          return result;
-        }
-        r.after = sim::Time::from_seconds(d);
-      } else if (key == "trailing") {
-        if (!parse_int(value, &i)) {
-          result.error = line_error(line_no, "bad trailing");
-          return result;
-        }
-        r.trailing = i;
-      } else if (key == "slo_s") {
-        if (!parse_double(value, &d)) {
-          result.error = line_error(line_no, "bad slo_s");
-          return result;
-        }
-        r.slo_s = d;
-      } else if (key == "label") {
-        r.label = std::string(value);
-      } else {
-        result.error =
-            line_error(line_no, "unknown key '" + std::string(key) + "'");
-        return result;
-      }
-    }
-    if (!have_kind) {
-      result.error = line_error(line_no, "missing kind=");
-      return result;
-    }
-    if (!have_warn) {
-      result.error = line_error(line_no, "missing warn=");
-      return result;
-    }
-    if (!have_critical) {
-      result.error = line_error(line_no, "missing critical=");
-      return result;
-    }
-    result.rules.rules.push_back(std::move(r));
-  }
-  result.error = validate(result.rules);
+    return {};
+  };
+  const auto on_line_end = [&]() -> std::string {
+    if (!have_kind) return "missing kind=";
+    if (!have_warn) return "missing warn=";
+    if (!have_critical) return "missing critical=";
+    result.rules.rules.push_back(std::exchange(r, HealthRule{}));
+    have_kind = have_warn = have_critical = false;
+    return {};
+  };
+  result.error =
+      read_directives(in, "health rules", "rule", on_pair, on_line_end);
+  if (result.error.empty()) result.error = validate(result.rules);
   if (!result.error.empty()) result.rules.rules.clear();
   return result;
 }
@@ -466,29 +380,6 @@ HealthSummary HealthMonitor::summary() const {
 
 namespace {
 
-bool find_number(const std::string& line, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) return false;
-  *out = v;
-  return true;
-}
-
-bool find_string(const std::string& line, const char* key, std::string* out) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const std::size_t start = pos + needle.size();
-  const std::size_t close = line.find('"', start);
-  if (close == std::string::npos) return false;
-  *out = line.substr(start, close - start);
-  return true;
-}
-
 bool parse_state(const std::string& s, HealthState* out) {
   for (HealthState st :
        {HealthState::kOk, HealthState::kWarn, HealthState::kCritical}) {
@@ -509,28 +400,27 @@ std::vector<HealthTransition> read_health_events_ndjson(std::istream& is,
   std::string line;
   while (std::getline(is, line)) {
     std::string ev;
-    if (!find_string(line, "ev", &ev)) continue;
+    if (!read_json_string(line, "ev", &ev)) continue;
     if (ev != "health.warn" && ev != "health.critical" && ev != "health.clear")
       continue;
     HealthTransition tr;
-    double t = 0, rule = 0, value = 0;
+    std::uint64_t rule = 0;
     std::string kind, from, to;
-    const bool ok = find_number(line, "t", &t) &&
-                    find_number(line, "rule", &rule) &&
-                    find_string(line, "kind", &kind) &&
+    const bool ok = read_json_sim_time(line, "t", &tr.t) &&
+                    read_json_u64(line, "rule", &rule) &&
+                    read_json_string(line, "kind", &kind) &&
                     parse_health_rule_kind(kind, &tr.kind) &&
-                    find_string(line, "label", &tr.label) &&
-                    find_string(line, "from", &from) &&
+                    read_json_string(line, "label", &tr.label) &&
+                    read_json_string(line, "from", &from) &&
                     parse_state(from, &tr.from) &&
-                    find_string(line, "to", &to) && parse_state(to, &tr.to) &&
-                    find_number(line, "value", &value);
+                    read_json_string(line, "to", &to) &&
+                    parse_state(to, &tr.to) &&
+                    read_json_double(line, "value", &tr.value);
     if (!ok) {
       if (dropped != nullptr) ++*dropped;
       continue;
     }
-    tr.t = sim::Time::from_seconds(t);
     tr.rule = static_cast<std::size_t>(rule);
-    tr.value = value;
     out.push_back(std::move(tr));
   }
   return out;

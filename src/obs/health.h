@@ -65,8 +65,8 @@ struct HealthRuleSet {
   bool empty() const { return rules.empty(); }
 };
 
-/// Rule text format (docs/OBSERVABILITY.md): one rule per line, '#'
-/// comments, thresholds in the rule's own unit —
+/// Rule text format (docs/OBSERVABILITY.md), read by obs::read_directives:
+/// one rule per line, '#' comments, thresholds in the rule's own unit —
 ///
 ///   rule kind=continuity_floor    warn=0.90 critical=0.75 after=45 label=continuity
 ///   rule kind=peer_isolation      warn=3 critical=8
@@ -74,8 +74,8 @@ struct HealthRuleSet {
 ///   rule kind=startup_delay_slo   warn=3 critical=10 slo_s=30
 ///   rule kind=queue_depth_ceiling warn=20000 critical=50000
 struct HealthRulesParseResult {
-  HealthRuleSet rules;
-  std::string error;  // empty on success
+  HealthRuleSet rules;  // empty whenever error is set
+  std::string error;    // empty on success
   bool ok() const { return error.empty(); }
 };
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <ostream>
+#include <string>
 #include <string_view>
 
 #include "sim/time.h"
@@ -10,10 +11,11 @@
 namespace ppsim::obs {
 
 /// Formatting primitives shared by every NDJSON emitter in the
-/// observability layer. All output routed through these helpers is
-/// deterministic: fixed-width sim-time, locale-independent numbers, and a
-/// canonical escape set — so byte-identical runs produce byte-identical
-/// files (the property tests/sim_determinism_test.cc pins).
+/// observability layer, and the read side every NDJSON reader uses. All
+/// output routed through these helpers is deterministic: fixed-width
+/// sim-time, locale-independent numbers, and a canonical escape set — so
+/// byte-identical runs produce byte-identical files (the property
+/// tests/sim_determinism_test.cc pins).
 
 /// Writes `s` JSON-escaped, without surrounding quotes.
 inline void write_json_escaped(std::ostream& os, std::string_view s) {
@@ -72,5 +74,33 @@ inline void write_json_sim_time(std::ostream& os, sim::Time t) {
                 static_cast<long long>(us % 1'000'000));
   os << buf;
 }
+
+/// The read side: the inverse of the writers above for the rows ppsim
+/// writes, so a value read back is exactly the value written. Not a
+/// general JSON parser. A key matches only where it is a key, never when
+/// spelled inside a string value; keys are plain names that need no
+/// escaping. Each reader returns false, leaving *out unchanged, when the
+/// key is missing or its value is malformed; numbers must fill their whole
+/// value token.
+
+/// Offset of the value that follows the first `"key":`, or npos.
+std::size_t find_json_value(std::string_view row, std::string_view key);
+
+/// Decodes the JSON string that starts at row[*pos] (which must be '"'),
+/// undoing write_json_escaped; advances *pos past the closing quote.
+bool read_json_string_at(std::string_view row, std::size_t* pos,
+                         std::string* out);
+
+bool read_json_string(std::string_view row, std::string_view key,
+                      std::string* out);
+bool read_json_double(std::string_view row, std::string_view key,
+                      double* out);
+bool read_json_u64(std::string_view row, std::string_view key,
+                   std::uint64_t* out);
+bool read_json_bool(std::string_view row, std::string_view key, bool* out);
+/// Reads a write_json_sim_time value ("<secs>.<micros>", non-negative)
+/// back to the exact microsecond; up to six fraction digits.
+bool read_json_sim_time(std::string_view row, std::string_view key,
+                        sim::Time* out);
 
 }  // namespace ppsim::obs

@@ -1,7 +1,7 @@
 #include "obs/sampler.h"
 
 #include <cassert>
-#include <cstdlib>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <set>
@@ -116,38 +116,23 @@ void write_samples_ndjson(std::ostream& os,
 
 namespace {
 
-/// Finds `"key":` in `line` and parses the number that follows. Tolerant
-/// scanning parser for our own fixed emission format, not general JSON.
-bool find_number(const std::string& line, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_matrix(const std::string& line, IspMatrix* out) {
-  const std::size_t pos = line.find("\"bytes\":[");
-  if (pos == std::string::npos) return false;
-  const char* p = line.c_str() + pos + 9;
+/// Parses the "bytes" matrix: one bracketed row of cells per source ISP.
+bool parse_matrix(std::string_view line, IspMatrix* out) {
+  const std::size_t pos = find_json_value(line, "bytes");
+  if (pos == std::string_view::npos) return false;
+  const char* p = line.data() + pos;
+  const char* end = line.data() + line.size();
+  if (p == end || *p++ != '[') return false;
   for (auto& row : *out) {
-    while (*p == ',' || *p == ' ') ++p;
-    if (*p != '[') return false;
-    ++p;
+    if (p != end && *p == ',') ++p;
+    if (p == end || *p++ != '[') return false;
     for (auto& cell : row) {
-      while (*p == ',' || *p == ' ') ++p;
-      char* end = nullptr;
-      cell = std::strtoull(p, &end, 10);
-      if (end == p) return false;
-      p = end;
+      if (p != end && *p == ',') ++p;
+      const auto [next, ec] = std::from_chars(p, end, cell);
+      if (ec != std::errc{}) return false;
+      p = next;
     }
-    while (*p == ' ') ++p;
-    if (*p != ']') return false;
-    ++p;
+    if (p == end || *p++ != ']') return false;
   }
   return true;
 }
@@ -165,22 +150,23 @@ std::vector<TrafficSample> read_samples_ndjson(std::istream& is,
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     TrafficSample s;
-    double t = 0, alive = 0, continuity = 0, nbr = 0, cum = 0, interval = 0,
-           ib = 0, isb = 0;
-    const bool ok = find_number(line, "t", &t) &&
-                    find_number(line, "alive", &alive) &&
-                    find_number(line, "continuity", &continuity) &&
-                    find_number(line, "neighbor_same_isp", &nbr) &&
-                    find_number(line, "same_isp_cum", &cum) &&
-                    find_number(line, "same_isp_interval", &interval) &&
-                    find_number(line, "interval_bytes", &ib) &&
-                    find_number(line, "interval_same_isp_bytes", &isb) &&
-                    parse_matrix(line, &s.bytes);
+    const bool ok =
+        read_json_sim_time(line, "t", &s.t) &&
+        read_json_u64(line, "alive", &s.alive_peers) &&
+        read_json_double(line, "continuity", &s.avg_continuity) &&
+        read_json_double(line, "neighbor_same_isp",
+                         &s.neighbor_same_isp_share) &&
+        read_json_double(line, "same_isp_cum", &s.same_isp_share_cum) &&
+        read_json_double(line, "same_isp_interval",
+                         &s.same_isp_share_interval) &&
+        read_json_u64(line, "interval_bytes", &s.interval_bytes) &&
+        read_json_u64(line, "interval_same_isp_bytes",
+                      &s.interval_same_isp_bytes) &&
+        parse_matrix(line, &s.bytes);
     if (!ok) {
       if (dropped != nullptr) ++*dropped;
       continue;
     }
-    s.t = sim::Time::from_seconds(t);
     if (!seen_micros.insert(s.t.as_micros()).second) {
       // Each row holds the full (src_isp, dst_isp) matrix for its time, so
       // a repeated t duplicates every pair cell — the file is corrupt (e.g.
@@ -190,13 +176,6 @@ std::vector<TrafficSample> read_samples_ndjson(std::istream& is,
                  " (same time, src_isp, dst_isp cells already present)";
       return {};
     }
-    s.alive_peers = static_cast<std::uint64_t>(alive);
-    s.avg_continuity = continuity;
-    s.neighbor_same_isp_share = nbr;
-    s.same_isp_share_cum = cum;
-    s.same_isp_share_interval = interval;
-    s.interval_bytes = static_cast<std::uint64_t>(ib);
-    s.interval_same_isp_bytes = static_cast<std::uint64_t>(isb);
     out.push_back(s);
   }
   return out;

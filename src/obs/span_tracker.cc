@@ -1,7 +1,6 @@
 #include "obs/span_tracker.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 
@@ -33,52 +32,6 @@ std::string_view str_field(const TraceEvent& e, std::string_view key) {
   if (v == nullptr) return {};
   if (const auto* s = std::get_if<std::string>(v)) return *s;
   return {};
-}
-
-/// Extracts the raw value of `key` from an NDJSON line: unquotes and
-/// unescapes strings, returns bare tokens (numbers, booleans) verbatim.
-bool find_raw(const std::string& line, std::string_view key,
-              std::string* out) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle.push_back('"');
-  needle.append(key);
-  needle.append("\":");
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t i = pos + needle.size();
-  if (i < line.size() && line[i] == '"') {
-    ++i;
-    std::string v;
-    while (i < line.size() && line[i] != '"') {
-      if (line[i] == '\\' && i + 1 < line.size()) {
-        v.push_back(line[i + 1]);
-        i += 2;
-      } else {
-        v.push_back(line[i++]);
-      }
-    }
-    *out = std::move(v);
-    return true;
-  }
-  std::size_t j = i;
-  while (j < line.size() && line[j] != ',' && line[j] != '}') ++j;
-  *out = line.substr(i, j - i);
-  return true;
-}
-
-/// Parses the canonical "<secs>.<micros>" sim-time text back to micros
-/// exactly (no double round-trip, so exact-sum survives serialization).
-sim::Time parse_sim_time(const std::string& s) {
-  const auto dot = s.find('.');
-  const long long secs = std::atoll(s.substr(0, dot).c_str());
-  long long micros = 0;
-  if (dot != std::string::npos) {
-    std::string frac = s.substr(dot + 1);
-    frac.resize(6, '0');
-    micros = std::atoll(frac.c_str());
-  }
-  return sim::Time::micros(secs * 1'000'000 + micros);
 }
 
 }  // namespace
@@ -298,40 +251,39 @@ bool read_spans_ndjson(std::istream& is, SpanFileData* out,
     if (error != nullptr) *error = msg;
     return false;
   };
-  std::string line;
+  std::string line, schema;
   if (!std::getline(is, line) ||
-      line.find("\"spans_schema\":\"ppsim-spans-v1\"") == std::string::npos)
+      !read_json_string(line, "spans_schema", &schema) ||
+      schema != "ppsim-spans-v1")
     return fail("not a ppsim-spans-v1 file (missing header)");
-  std::string raw;
-  if (find_raw(line, "spans", &raw))
-    out->header_spans = static_cast<std::uint64_t>(std::atoll(raw.c_str()));
+  read_json_u64(line, "spans", &out->header_spans);
   int lineno = 1;
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty()) continue;
     std::string kind;
-    if (!find_raw(line, "kind", &kind))
+    if (!read_json_string(line, "kind", &kind))
       return fail("line " + std::to_string(lineno) + ": missing kind");
     if (kind == "referral") {
       ReferralRecord r;
-      if (find_raw(line, "t", &raw)) r.t = parse_sim_time(raw);
-      find_raw(line, "peer", &r.peer);
-      find_raw(line, "neighbor", &r.neighbor);
-      find_raw(line, "via", &r.via);
-      find_raw(line, "introducer", &r.introducer);
-      find_raw(line, "peer_isp", &r.peer_isp);
-      find_raw(line, "introducer_isp", &r.introducer_isp);
-      if (find_raw(line, "same_isp", &raw)) r.same_isp = raw == "true";
+      read_json_sim_time(line, "t", &r.t);
+      read_json_string(line, "peer", &r.peer);
+      read_json_string(line, "neighbor", &r.neighbor);
+      read_json_string(line, "via", &r.via);
+      read_json_string(line, "introducer", &r.introducer);
+      read_json_string(line, "peer_isp", &r.peer_isp);
+      read_json_string(line, "introducer_isp", &r.introducer_isp);
+      read_json_bool(line, "same_isp", &r.same_isp);
       out->referrals.push_back(std::move(r));
     } else if (kind == "critical_path") {
       CriticalPath p;
-      find_raw(line, "peer", &p.peer);
-      find_raw(line, "isp", &p.isp);
-      if (find_raw(line, "t_join", &raw)) p.t_join = parse_sim_time(raw);
-      if (find_raw(line, "startup_s", &raw)) p.startup = parse_sim_time(raw);
+      read_json_string(line, "peer", &p.peer);
+      read_json_string(line, "isp", &p.isp);
+      read_json_sim_time(line, "t_join", &p.t_join);
+      read_json_sim_time(line, "startup_s", &p.startup);
       for (std::size_t i = 0; i < kStartupStageNames.size(); ++i) {
-        const std::string key = std::string(kStartupStageNames[i]) + "_s";
-        if (find_raw(line, key, &raw)) p.stages[i] = parse_sim_time(raw);
+        read_json_sim_time(line, std::string(kStartupStageNames[i]) + "_s",
+                           &p.stages[i]);
       }
       out->paths.push_back(std::move(p));
     } else if (kind != "referral_share") {

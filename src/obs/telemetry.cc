@@ -5,56 +5,9 @@
 #include <sstream>
 #include <string>
 
+#include "obs/json.h"
+
 namespace ppsim::obs {
-
-namespace {
-
-/// Reads a JSON string starting at raw[pos] (which must be '"'), undoing
-/// the write_json_escaped escapes. Returns false on malformed input;
-/// advances pos past the closing quote on success.
-bool read_json_string(const std::string& raw, std::size_t* pos,
-                      std::string* out) {
-  std::size_t i = *pos;
-  if (i >= raw.size() || raw[i] != '"') return false;
-  ++i;
-  out->clear();
-  while (i < raw.size()) {
-    const char c = raw[i];
-    if (c == '"') {
-      *pos = i + 1;
-      return true;
-    }
-    if (c == '\\') {
-      if (i + 1 >= raw.size()) return false;
-      const char esc = raw[i + 1];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (i + 5 >= raw.size()) return false;
-          const std::string hex = raw.substr(i + 2, 4);
-          char* end = nullptr;
-          const long code = std::strtol(hex.c_str(), &end, 16);
-          if (end != hex.c_str() + 4 || code < 0 || code > 0x7f) return false;
-          out->push_back(static_cast<char>(code));
-          i += 4;
-          break;
-        }
-        default: return false;
-      }
-      i += 2;
-      continue;
-    }
-    out->push_back(c);
-    ++i;
-  }
-  return false;  // unterminated
-}
-
-}  // namespace
 
 std::vector<std::string> MetricsDeltaTracker::collect_impl(
     const MetricsRegistry& registry, bool full) {
@@ -89,13 +42,13 @@ bool parse_metric_ndjson(const std::string& line, ParsedMetric* out) {
   std::size_t pos = line.find("{\"metric\":");
   if (pos != 0) return false;
   pos += 10;
-  if (!read_json_string(line, &pos, &out->name)) return false;
+  if (!read_json_string_at(line, &pos, &out->name)) return false;
 
   const std::size_t type_pos = line.find(",\"type\":\"", pos);
   if (type_pos == std::string::npos) return false;
   std::size_t p = type_pos + 8;
   std::string type;
-  if (!read_json_string(line, &p, &type)) return false;
+  if (!read_json_string_at(line, &p, &type)) return false;
 
   const std::size_t labels_pos = line.find(",\"labels\":{", p);
   if (labels_pos == std::string::npos) return false;
@@ -104,10 +57,10 @@ bool parse_metric_ndjson(const std::string& line, ParsedMetric* out) {
   if (p < line.size() && line[p] != '}') {
     while (true) {
       std::string k, v;
-      if (!read_json_string(line, &p, &k)) return false;
+      if (!read_json_string_at(line, &p, &k)) return false;
       if (p >= line.size() || line[p] != ':') return false;
       ++p;
-      if (!read_json_string(line, &p, &v)) return false;
+      if (!read_json_string_at(line, &p, &v)) return false;
       out->labels.emplace_back(std::move(k), std::move(v));
       if (p < line.size() && line[p] == ',') {
         ++p;

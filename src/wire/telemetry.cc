@@ -14,39 +14,6 @@
 
 namespace ppsim::wire {
 
-namespace {
-
-/// Finds `"key":` and returns the index just past the colon, or npos.
-std::size_t find_key(const std::string& line, std::string_view key) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const std::size_t pos = line.find(needle);
-  return pos == std::string::npos ? std::string::npos : pos + needle.size();
-}
-
-/// Reads the quoted string value at `pos` (heartbeat fields never contain
-/// escapes — IPs, role names, state names).
-bool read_plain_string(const std::string& line, std::size_t pos,
-                       std::string* out) {
-  if (pos == std::string::npos || pos >= line.size() || line[pos] != '"')
-    return false;
-  const std::size_t end = line.find('"', pos + 1);
-  if (end == std::string::npos) return false;
-  *out = line.substr(pos + 1, end - pos - 1);
-  return true;
-}
-
-bool read_u64(const std::string& line, std::size_t pos, std::uint64_t* out) {
-  if (pos == std::string::npos || pos >= line.size()) return false;
-  const char* start = line.c_str() + pos;
-  char* end = nullptr;
-  *out = static_cast<std::uint64_t>(std::strtoull(start, &end, 10));
-  return end != start;
-}
-
-}  // namespace
-
 TelemetryRecord classify_telemetry_record(std::string_view line) {
   if (line.rfind("{\"telemetry_schema\"", 0) == 0)
     return TelemetryRecord::kHeartbeat;
@@ -57,40 +24,41 @@ TelemetryRecord classify_telemetry_record(std::string_view line) {
 
 std::string encode_heartbeat(const TelemetryHeartbeat& hb) {
   std::ostringstream os;
-  os << "{\"telemetry_schema\":\"" << kTelemetrySchema << "\",\"node\":\""
-     << hb.node.to_string() << "\",\"role\":\"" << hb.role
-     << "\",\"epoch\":" << hb.epoch << ",\"seq\":" << hb.seq
-     << ",\"uptime_s\":";
+  os << "{\"telemetry_schema\":\"" << kTelemetrySchema << "\",\"node\":";
+  obs::write_json_string(os, hb.node.to_string());
+  os << ",\"role\":";
+  obs::write_json_string(os, hb.role);
+  os << ",\"epoch\":" << hb.epoch << ",\"seq\":" << hb.seq << ",\"uptime_s\":";
   obs::write_json_sim_time(os, hb.uptime);
-  os << ",\"state\":\"" << (hb.closing ? "closing" : "up") << "\"}";
+  os << ",\"state\":";
+  obs::write_json_string(os, hb.closing ? "closing" : "up");
+  os << '}';
   return os.str();
 }
 
 bool decode_heartbeat(const std::string& line, TelemetryHeartbeat* out) {
   *out = TelemetryHeartbeat{};
-  std::string schema;
-  if (!read_plain_string(line, find_key(line, "telemetry_schema"), &schema) ||
-      schema != kTelemetrySchema)
+  std::string schema, node, state;
+  std::uint64_t epoch = 0;
+  if (!obs::read_json_string(line, "telemetry_schema", &schema) ||
+      schema != kTelemetrySchema || !obs::read_json_string(line, "node", &node))
     return false;
-  std::string node;
-  if (!read_plain_string(line, find_key(line, "node"), &node)) return false;
   const auto ip = net::IpAddress::parse(node);
   if (!ip.has_value()) return false;
   out->node = *ip;
-  if (!read_plain_string(line, find_key(line, "role"), &out->role))
+  // Only the documented roles: the collector echoes the role into its
+  // line-oriented event log.
+  if (!obs::read_json_string(line, "role", &out->role) ||
+      (out->role != "hub" && out->role != "source" && out->role != "peer"))
     return false;
-  std::uint64_t epoch = 0;
-  if (!read_u64(line, find_key(line, "epoch"), &epoch) || epoch > 0xffff)
+  if (!obs::read_json_u64(line, "epoch", &epoch) || epoch > 0xffff)
     return false;
   out->epoch = static_cast<std::uint16_t>(epoch);
-  if (!read_u64(line, find_key(line, "seq"), &out->seq)) return false;
-  const std::size_t up_pos = find_key(line, "uptime_s");
-  if (up_pos == std::string::npos) return false;
-  out->uptime = sim::Time::from_seconds(std::strtod(line.c_str() + up_pos,
-                                                    nullptr));
-  std::string state;
-  if (!read_plain_string(line, find_key(line, "state"), &state)) return false;
-  if (state != "up" && state != "closing") return false;
+  if (!obs::read_json_u64(line, "seq", &out->seq) ||
+      !obs::read_json_sim_time(line, "uptime_s", &out->uptime) ||
+      !obs::read_json_string(line, "state", &state) ||
+      (state != "up" && state != "closing"))
+    return false;
   out->closing = state == "closing";
   return true;
 }

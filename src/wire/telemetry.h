@@ -73,7 +73,8 @@ struct TelemetryHeartbeat {
 std::string encode_heartbeat(const TelemetryHeartbeat& hb);
 
 /// Parses a heartbeat line (schema checked). Returns false on anything
-/// malformed or from another schema version.
+/// malformed, from another schema version, or naming a role other than
+/// the three above.
 bool decode_heartbeat(const std::string& line, TelemetryHeartbeat* out);
 
 /// Packs payload rows (metric rows first, then sample rows — both without

@@ -117,11 +117,15 @@ TEST(TraceIoTest, MalformedLinesSkippedAndCounted) {
   buffer << "100,sideways,1,2,50,DataQuery,3,42\n";
   buffer << "100,out,1,2,50,NoSuchMessage,3\n";
   buffer << "100,out,1,2,50,DataQuery\n";  // missing fields
+  // Counts beyond what the line holds, rejected before allocating.
+  buffer << "0,in,1,2,3,TrackerReply,1,18446744073709551615\n";
+  buffer << "0,in,1,2,3,TrackerReply,1,4000000000000\n";
+  buffer << "0,in,1,2,3,BufferMapAnnounce,1,0,18446744073709551615,ff\n";
   buffer << "\n";
   std::size_t dropped = 0;
   auto trace = read_trace(buffer, &dropped);
   EXPECT_EQ(trace.size(), 1u);
-  EXPECT_EQ(dropped, 4u);
+  EXPECT_EQ(dropped, 7u);
 }
 
 TEST(TraceIoTest, ParseRecordSingle) {

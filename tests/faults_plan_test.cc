@@ -69,6 +69,22 @@ TEST(FaultPlanTest, RejectsMalformedInput) {
   EXPECT_FALSE(parse("window start=1 end=2\n").ok());             // no kind
   EXPECT_FALSE(parse("window kind=blackout start=1 end=2 x=1\n").ok());
   EXPECT_FALSE(parse("window kind=link_degrade start=1 end=2 a=MARS\n").ok());
+  // Numbers must be finite, and times must fit sim::Time.
+  EXPECT_FALSE(
+      parse("window kind=link_degrade start=1 end=2 a=TELE b=CNC loss=nan\n")
+          .ok());
+  EXPECT_FALSE(parse("window kind=blackout start=nan end=30 a=TELE\n").ok());
+  EXPECT_FALSE(parse("window kind=blackout start=1e300 end=2e300 a=TELE\n")
+                   .ok());
+  EXPECT_FALSE(parse("window kind=churn_burst at=inf fraction=0.5\n").ok());
+  EXPECT_FALSE(parse("window kind=link_degrade start=1 end=2 a=TELE b=CNC "
+                     "added_rtt_ms=1e300\n")
+                   .ok());
+  // An error on a later line drops the windows parsed before it.
+  auto later = parse("window kind=blackout start=1 end=2 a=TELE\n"
+                     "window kind=bogus start=3 end=4\n");
+  EXPECT_FALSE(later.ok());
+  EXPECT_TRUE(later.plan.empty());
   // Errors carry the line number.
   auto bad = parse("window kind=blackout start=1 end=2 a=TELE\n"
                    "window kind=blackout start=3\n");

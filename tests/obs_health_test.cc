@@ -87,6 +87,17 @@ TEST(HealthRules, RejectsBadInput) {
                "trailing window too short");
   expect_error("bogus kind=continuity_floor warn=0.9 critical=0.7\n",
                "unknown directive");
+  expect_error("rule kind=peer_isolation warn=nan critical=nan\n",
+               "non-finite thresholds");
+  expect_error("rule kind=peer_isolation warn=3 critical=inf\n",
+               "infinite threshold");
+  expect_error("rule kind=peer_isolation warn=3 critical=8 after=nan\n",
+               "non-finite after");
+  expect_error("rule kind=peer_isolation warn=3 critical=8 after=1e300\n",
+               "after beyond sim::Time");
+  expect_error("rule kind=peer_isolation warn=3 critical=8\n"
+               "rule kind=bogus warn=1 critical=2\n",
+               "error on a later line");
 }
 
 TEST(HealthRules, DefaultRulesAreValid) {
@@ -274,6 +285,25 @@ TEST(HealthTimeline, DigestsTransitionStream) {
   print_health_timeline(table, rows);
   EXPECT_NE(table.str().find("continuity_floor"), std::string::npos);
   EXPECT_NE(table.str().find("queue_depth_ceiling"), std::string::npos);
+}
+
+TEST(HealthTimeline, LabelWithQuoteAndBackslashReadsBackInFull) {
+  std::ostringstream trace_out;
+  NdjsonTraceSink trace(trace_out);
+  HealthRule rule = continuity_rule();
+  rule.label = "cont\"x\\y";
+  HealthMonitor monitor(one_rule(rule), {.trace = &trace});
+  auto input = healthy_at(10);
+  input.avg_continuity = 0.5;
+  monitor.evaluate(input);
+
+  std::istringstream trace_in(trace_out.str());
+  const auto rows = analyze_health_timeline(read_health_events_ndjson(trace_in));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].label, "cont\"x\\y");
+  std::ostringstream table;
+  print_health_timeline(table, rows);
+  EXPECT_NE(table.str().find("cont\"x\\y"), std::string::npos) << table.str();
 }
 
 TEST(HealthTimeline, ReaderSkipsForeignLinesAndCountsMalformed) {

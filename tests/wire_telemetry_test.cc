@@ -152,6 +152,12 @@ TEST(TelemetryHeartbeat, EncodeDecodeRoundTrip) {
   ASSERT_TRUE(decode_heartbeat(encode_heartbeat(hb), &back));
   EXPECT_TRUE(back.closing);
 
+  // Only the documented roles: the collector logs the role line by line.
+  for (const char* role : {"relay", "peer\nevent=node-lost", ""}) {
+    hb.role = role;
+    EXPECT_FALSE(decode_heartbeat(encode_heartbeat(hb), &back)) << role;
+  }
+
   EXPECT_FALSE(decode_heartbeat("", &back));
   EXPECT_FALSE(decode_heartbeat("{\"metric\":\"x\"}", &back));
   EXPECT_FALSE(decode_heartbeat(

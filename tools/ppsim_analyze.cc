@@ -37,11 +37,11 @@
 // its fold code so both produce byte-identical artifacts.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,6 +54,7 @@
 #include "faults/resilience.h"
 #include "net/asn_db.h"
 #include "obs/health.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/span_tracker.h"
@@ -120,18 +121,6 @@ int analyze_health(const std::string& path) {
   return 0;
 }
 
-// Pulls the string value of "key" out of one NDJSON line, or "" when absent.
-// Same tolerant scanning idiom as obs::read_samples_ndjson.
-std::string find_json_string(const std::string& line, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return "";
-  const auto start = pos + needle.size();
-  const auto end = line.find('"', start);
-  if (end == std::string::npos) return "";
-  return line.substr(start, end - start);
-}
-
 int analyze_postmortem(const std::string& path) {
   using namespace ppsim;
   std::ifstream in(path);
@@ -139,22 +128,21 @@ int analyze_postmortem(const std::string& path) {
     std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
     return 1;
   }
-  std::string line;
+  std::string line, reason;
   if (!std::getline(in, line) ||
-      line.find("\"postmortem\"") == std::string::npos) {
+      !obs::read_json_string(line, "postmortem", &reason)) {
     std::fprintf(stderr, "error: %s is not a post-mortem bundle\n",
                  path.c_str());
     return 1;
   }
-  const std::string reason = find_json_string(line, "postmortem");
-  std::string trigger_t = "?";
-  if (const auto pos = line.find("\"t\":"); pos != std::string::npos) {
-    const auto start = pos + 4;
-    const auto end = line.find_first_of(",}", start);
-    if (end != std::string::npos) trigger_t = line.substr(start, end - start);
-  }
+  std::ostringstream trigger_t;
+  if (sim::Time t; obs::read_json_sim_time(line, "t", &t))
+    obs::write_json_sim_time(trigger_t, t);
+  else
+    trigger_t << '?';
   std::printf("post-mortem: %s\n", path.c_str());
-  std::printf("  trigger: %s at t=%ss\n", reason.c_str(), trigger_t.c_str());
+  std::printf("  trigger: %s at t=%ss\n", reason.c_str(),
+              trigger_t.str().c_str());
 
   // Walk the section markers; count rows and tally event names. Truncated
   // marker rows (capped rings declare {"truncated":name,"kept":K,
@@ -165,22 +153,15 @@ int analyze_postmortem(const std::string& path) {
   std::map<std::string, std::uint64_t> dropped_by_name;
   std::uint64_t samples = 0, metrics = 0;
   while (std::getline(in, line)) {
-    const std::string marker = find_json_string(line, "section");
-    if (!marker.empty()) {
-      section = marker;
-      continue;
-    }
+    if (obs::read_json_string(line, "section", &section)) continue;
     if (section == "events") {
-      const std::string capped = find_json_string(line, "truncated");
-      if (!capped.empty()) {
-        double dropped_n = 0;
-        if (const auto pos = line.find("\"dropped\":");
-            pos != std::string::npos)
-          dropped_n = std::strtod(line.c_str() + pos + 10, nullptr);
-        dropped_by_name[capped] = static_cast<std::uint64_t>(dropped_n);
+      std::string capped, ev;
+      if (obs::read_json_string(line, "truncated", &capped)) {
+        obs::read_json_u64(line, "dropped", &dropped_by_name[capped]);
         continue;
       }
-      ++events_by_name[find_json_string(line, "ev")];
+      obs::read_json_string(line, "ev", &ev);
+      ++events_by_name[ev];
     } else if (section == "samples") {
       ++samples;
     } else if (section == "metrics") {
