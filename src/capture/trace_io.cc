@@ -1,260 +1,131 @@
 #include "capture/trace_io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace ppsim::capture {
 
 namespace {
 
-void write_ip_list(std::ostream& os, const std::vector<net::IpAddress>& ips) {
-  os << ips.size();
-  for (const auto& ip : ips) os << ',' << ip.value();
-}
+constexpr std::string_view kHexDigits = "0123456789abcdef";
 
-void write_map(std::ostream& os, const proto::BufferMap& map) {
-  os << map.base << ',' << map.have.size();
-  // Bits packed as hex nibbles to keep lines short.
-  os << ',';
-  int nibble = 0, filled = 0;
-  for (std::size_t i = 0; i < map.have.size(); ++i) {
-    nibble = (nibble << 1) | (map.have[i] ? 1 : 0);
-    if (++filled == 4) {
-      os << "0123456789abcdef"[nibble];
-      nibble = 0;
-      filled = 0;
-    }
-  }
-  if (filled > 0) os << "0123456789abcdef"[nibble << (4 - filled)];
-}
-
+/// One text writer per field type; each field is written as `,<text>`.
 struct FieldWriter {
   std::ostream& os;
 
-  void operator()(const proto::ChannelListQuery&) const {}
-  void operator()(const proto::ChannelListReply& m) const {
-    os << m.channels.size();
-    for (auto c : m.channels) os << ',' << c;
+  void operator()(std::uint32_t v) const { os << ',' << v; }
+  void operator()(std::uint64_t v) const { os << ',' << v; }
+  void operator()(bool v) const { os << ',' << (v ? 1 : 0); }
+  void operator()(net::IpAddress ip) const { os << ',' << ip.value(); }
+  /// A list is its length, then its entries.
+  template <typename T>
+  void operator()(const std::vector<T>& list) const {
+    os << ',' << list.size();
+    for (const T& entry : list) (*this)(entry);
   }
-  void operator()(const proto::JoinQuery& m) const { os << m.channel; }
-  void operator()(const proto::JoinReply& m) const {
-    os << m.channel << ',' << m.source.value() << ',';
-    write_ip_list(os, m.trackers);
+  /// A map is its base, its bit count, then the bits packed as hex nibbles
+  /// to keep lines short (an empty token when there are none).
+  void operator()(const proto::BufferMap& map) const {
+    os << ',' << map.base << ',' << map.have.size() << ',';
+    int nibble = 0, filled = 0;
+    for (const bool bit : map.have) {
+      nibble = (nibble << 1) | (bit ? 1 : 0);
+      if (++filled == 4) {
+        os << kHexDigits[static_cast<std::size_t>(nibble)];
+        nibble = 0;
+        filled = 0;
+      }
+    }
+    if (filled > 0)
+      os << kHexDigits[static_cast<std::size_t>(nibble << (4 - filled))];
   }
-  void operator()(const proto::TrackerQuery& m) const { os << m.channel; }
-  void operator()(const proto::TrackerReply& m) const {
-    os << m.channel << ',';
-    write_ip_list(os, m.peers);
-  }
-  void operator()(const proto::PeerListQuery& m) const {
-    os << m.channel << ',';
-    write_ip_list(os, m.my_peers);
-  }
-  void operator()(const proto::PeerListReply& m) const {
-    os << m.channel << ',';
-    write_ip_list(os, m.peers);
-  }
-  void operator()(const proto::ConnectQuery& m) const { os << m.channel; }
-  void operator()(const proto::ConnectReply& m) const {
-    os << m.channel << ',' << (m.accepted ? 1 : 0) << ',';
-    write_map(os, m.map);
-  }
-  void operator()(const proto::BufferMapAnnounce& m) const {
-    os << m.channel << ',';
-    write_map(os, m.map);
-  }
-  void operator()(const proto::DataQuery& m) const {
-    os << m.channel << ',' << m.chunk;
-  }
-  void operator()(const proto::DataReply& m) const {
-    os << m.channel << ',' << m.chunk << ',' << m.subpieces << ','
-       << m.payload_bytes;
-  }
-  void operator()(const proto::Goodbye& m) const { os << m.channel; }
 };
 
-/// Tokenizer over the comma-separated tail of a record line.
-class Fields {
- public:
-  explicit Fields(std::istringstream& in) : in_(in) {}
+/// One text reader per field type, consuming the comma-separated tokens of
+/// a record line in order. A number must fill its token and fit its field:
+/// no sign, no space, no narrowing. The first failure sticks.
+struct FieldReader {
+  std::string_view rest;  // the unread tokens
+  bool done = false;      // the last token has been read
+  bool ok = true;
 
-  std::optional<std::uint64_t> u64() {
-    std::string tok;
-    if (!std::getline(in_, tok, ',')) return std::nullopt;
-    try {
-      std::size_t pos = 0;
-      std::uint64_t v = std::stoull(tok, &pos);
-      if (pos != tok.size()) return std::nullopt;
-      return v;
-    } catch (...) {
-      return std::nullopt;
+  std::string_view token() {
+    if (done) {
+      ok = false;
+      return {};
     }
-  }
-
-  std::optional<std::string> token() {
-    std::string tok;
-    if (!std::getline(in_, tok, ',')) return std::nullopt;
+    const std::size_t comma = rest.find(',');
+    const std::string_view tok = rest.substr(0, comma);
+    if (comma == std::string_view::npos)
+      done = true;
+    else
+      rest.remove_prefix(comma + 1);
     return tok;
   }
 
-  /// An upper bound on the tokens left on the line, so a count read from
-  /// the line is checked before anything is allocated for it.
-  std::uint64_t tokens_left() {
-    const std::streamoff pos = in_.tellg();
-    if (pos < 0) return 0;  // the line is used up
-    const std::string_view rest =
-        in_.view().substr(static_cast<std::size_t>(pos));
-    return static_cast<std::uint64_t>(
-               std::count(rest.begin(), rest.end(), ',')) + 1;
+  std::size_t tokens_left() const {
+    return done ? 0
+                : static_cast<std::size_t>(
+                      std::count(rest.begin(), rest.end(), ',')) + 1;
   }
 
-  std::optional<std::vector<net::IpAddress>> ip_list() {
-    auto n = u64();
-    if (!n || *n > tokens_left()) return std::nullopt;
-    std::vector<net::IpAddress> out;
-    out.reserve(static_cast<std::size_t>(*n));
-    for (std::uint64_t i = 0; i < *n; ++i) {
-      auto v = u64();
-      if (!v) return std::nullopt;
-      out.emplace_back(static_cast<std::uint32_t>(*v));
+  template <typename T>
+  void number(T& v) {
+    const std::string_view tok = token();
+    const char* end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+    if (ec != std::errc{} || ptr != end) ok = false;
+  }
+
+  void operator()(std::uint32_t& v) { number(v); }
+  void operator()(std::uint64_t& v) { number(v); }
+  void operator()(bool& v) {
+    const std::string_view tok = token();
+    if (tok != "0" && tok != "1") ok = false;
+    v = tok == "1";
+  }
+  void operator()(net::IpAddress& ip) {
+    std::uint32_t v = 0;
+    number(v);
+    ip = net::IpAddress(v);
+  }
+  template <typename T>
+  void operator()(std::vector<T>& list) {
+    std::uint64_t n = 0;
+    number(n);
+    // Checked against the line before anything is allocated for it.
+    if (!ok || n > tokens_left()) {
+      ok = false;
+      return;
     }
-    return out;
+    list.resize(static_cast<std::size_t>(n));
+    for (T& entry : list) (*this)(entry);
   }
-
-  std::optional<proto::BufferMap> map() {
-    auto base = u64();
-    auto bits = u64();
-    auto hex = token();
-    if (!base || !bits || !hex || *bits > 4 * hex->size()) return std::nullopt;
-    proto::BufferMap m;
-    m.base = *base;
-    m.have.resize(static_cast<std::size_t>(*bits));
-    for (std::size_t i = 0; i < m.have.size(); ++i) {
-      const std::size_t byte = i / 4;
-      if (byte >= hex->size()) return std::nullopt;
-      const char c = (*hex)[byte];
-      int nib;
-      if (c >= '0' && c <= '9')
-        nib = c - '0';
-      else if (c >= 'a' && c <= 'f')
-        nib = c - 'a' + 10;
-      else
-        return std::nullopt;
-      m.have[i] = (nib >> (3 - static_cast<int>(i % 4))) & 1;
+  void operator()(proto::BufferMap& map) {
+    std::uint64_t bits = 0;
+    number(map.base);
+    number(bits);
+    const std::string_view hex = token();
+    if (!ok || bits > 4 * hex.size()) {
+      ok = false;
+      return;
     }
-    return m;
+    map.have.resize(static_cast<std::size_t>(bits));
+    for (std::size_t i = 0; i < map.have.size(); ++i) {
+      const std::size_t nibble = kHexDigits.find(hex[i / 4]);
+      if (nibble == std::string_view::npos) {
+        ok = false;
+        return;
+      }
+      map.have[i] = ((nibble >> (3 - i % 4)) & 1u) != 0;
+    }
   }
-
- private:
-  std::istringstream& in_;
 };
-
-std::optional<proto::Message> parse_payload(const std::string& type,
-                                            Fields& f) {
-  using namespace proto;
-  auto channel = [&]() -> std::optional<ChannelId> {
-    auto v = f.u64();
-    if (!v) return std::nullopt;
-    return static_cast<ChannelId>(*v);
-  };
-
-  if (type == "ChannelListQuery") return Message{ChannelListQuery{}};
-  if (type == "ChannelListReply") {
-    auto n = f.u64();
-    if (!n) return std::nullopt;
-    ChannelListReply m;
-    for (std::uint64_t i = 0; i < *n; ++i) {
-      auto c = f.u64();
-      if (!c) return std::nullopt;
-      m.channels.push_back(static_cast<ChannelId>(*c));
-    }
-    return Message{std::move(m)};
-  }
-  if (type == "JoinQuery") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    return Message{JoinQuery{*c}};
-  }
-  if (type == "JoinReply") {
-    auto c = channel();
-    auto src = f.u64();
-    if (!c || !src) return std::nullopt;
-    auto trackers = f.ip_list();
-    if (!trackers) return std::nullopt;
-    return Message{JoinReply{*c, net::IpAddress(static_cast<std::uint32_t>(*src)),
-                             std::move(*trackers)}};
-  }
-  if (type == "TrackerQuery") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    return Message{TrackerQuery{*c}};
-  }
-  if (type == "TrackerReply") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    auto peers = f.ip_list();
-    if (!peers) return std::nullopt;
-    return Message{TrackerReply{*c, std::move(*peers)}};
-  }
-  if (type == "PeerListQuery") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    auto peers = f.ip_list();
-    if (!peers) return std::nullopt;
-    return Message{PeerListQuery{*c, std::move(*peers)}};
-  }
-  if (type == "PeerListReply") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    auto peers = f.ip_list();
-    if (!peers) return std::nullopt;
-    return Message{PeerListReply{*c, std::move(*peers)}};
-  }
-  if (type == "ConnectQuery") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    return Message{ConnectQuery{*c}};
-  }
-  if (type == "ConnectReply") {
-    auto c = channel();
-    auto accepted = f.u64();
-    if (!c || !accepted) return std::nullopt;
-    auto map = f.map();
-    if (!map) return std::nullopt;
-    return Message{ConnectReply{*c, *accepted != 0, std::move(*map)}};
-  }
-  if (type == "BufferMapAnnounce") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    auto map = f.map();
-    if (!map) return std::nullopt;
-    return Message{BufferMapAnnounce{*c, std::move(*map)}};
-  }
-  if (type == "DataQuery") {
-    auto c = channel();
-    auto chunk = f.u64();
-    if (!c || !chunk) return std::nullopt;
-    return Message{DataQuery{*c, *chunk}};
-  }
-  if (type == "DataReply") {
-    auto c = channel();
-    auto chunk = f.u64();
-    auto sub = f.u64();
-    auto bytes = f.u64();
-    if (!c || !chunk || !sub || !bytes) return std::nullopt;
-    return Message{DataReply{*c, *chunk, static_cast<std::uint32_t>(*sub),
-                             static_cast<std::uint32_t>(*bytes)}};
-  }
-  if (type == "Goodbye") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    return Message{Goodbye{*c}};
-  }
-  return std::nullopt;
-}
 
 }  // namespace
 
@@ -264,10 +135,13 @@ std::size_t write_trace(std::ostream& os, const PacketTrace& trace) {
        << (rec.direction == net::Direction::kOutgoing ? "out" : "in") << ','
        << rec.local.value() << ',' << rec.remote.value() << ','
        << rec.wire_bytes << ',' << proto::message_name(rec.payload);
-    std::ostringstream fields;
-    std::visit(FieldWriter{fields}, rec.payload);
-    const std::string tail = fields.str();
-    if (!tail.empty()) os << ',' << tail;
+    const FieldWriter out{os};
+    std::visit(
+        [&](const auto& msg) {
+          std::apply([&](const auto&... field) { (out(field), ...); },
+                     msg.fields(msg));
+        },
+        rec.payload);
     os << '\n';
   }
   return trace.size();
@@ -281,36 +155,26 @@ bool write_trace_file(const std::string& path, const PacketTrace& trace) {
 }
 
 std::optional<TraceRecord> parse_record(const std::string& line) {
-  std::istringstream in(line);
-  Fields f(in);
-  auto time_us = [&]() -> std::optional<std::int64_t> {
-    auto tok = f.token();
-    if (!tok) return std::nullopt;
-    try {
-      return std::stoll(*tok);
-    } catch (...) {
-      return std::nullopt;
-    }
-  }();
-  auto dir = f.token();
-  auto local = f.u64();
-  auto remote = f.u64();
-  auto bytes = f.u64();
-  auto type = f.token();
-  if (!time_us || !dir || !local || !remote || !bytes || !type)
-    return std::nullopt;
-  if (*dir != "out" && *dir != "in") return std::nullopt;
-
-  auto payload = parse_payload(*type, f);
-  if (!payload) return std::nullopt;
-
+  FieldReader in{line};
   TraceRecord rec;
-  rec.time = sim::Time::micros(*time_us);
+  std::int64_t time_us = 0;
+  in.number(time_us);
+  const std::string_view dir = in.token();
+  in(rec.local);
+  in(rec.remote);
+  in(rec.wire_bytes);
+  std::optional<proto::Message> payload = proto::message_named(in.token());
+  if (!in.ok || (dir != "out" && dir != "in") || !payload) return std::nullopt;
+  std::visit(
+      [&](auto& msg) {
+        std::apply([&](auto&... field) { (in(field), ...); },
+                   msg.fields(msg));
+      },
+      *payload);
+  if (!in.ok || !in.done) return std::nullopt;
+  rec.time = sim::Time::micros(time_us);
   rec.direction =
-      *dir == "out" ? net::Direction::kOutgoing : net::Direction::kIncoming;
-  rec.local = net::IpAddress(static_cast<std::uint32_t>(*local));
-  rec.remote = net::IpAddress(static_cast<std::uint32_t>(*remote));
-  rec.wire_bytes = *bytes;
+      dir == "out" ? net::Direction::kOutgoing : net::Direction::kIncoming;
   rec.payload = std::move(*payload);
   return rec;
 }
@@ -331,10 +195,11 @@ PacketTrace read_trace(std::istream& is, std::size_t* dropped) {
   return trace;
 }
 
-std::optional<PacketTrace> read_trace_file(const std::string& path) {
+std::optional<PacketTrace> read_trace_file(const std::string& path,
+                                           std::size_t* dropped) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
-  return read_trace(in);
+  return read_trace(in, dropped);
 }
 
 }  // namespace ppsim::capture

@@ -1,6 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <cstdlib>
 #include <istream>
 #include <sstream>
 #include <string>
@@ -77,20 +76,17 @@ bool parse_metric_ndjson(const std::string& line, ParsedMetric* out) {
     return true;
   }
   if (line.compare(p, 9, ",\"value\":") != 0) return false;
-  p += 9;
-  const char* start = line.c_str() + p;
-  char* end = nullptr;
+  // The row from its "value" key on, so no label key can shadow it.
+  const std::string_view value = std::string_view(line).substr(p + 1);
   if (type == "counter") {
     out->kind = ParsedMetric::Kind::kCounter;
-    out->counter_value =
-        static_cast<std::uint64_t>(std::strtoull(start, &end, 10));
-  } else if (type == "gauge") {
-    out->kind = ParsedMetric::Kind::kGauge;
-    out->gauge_value = std::strtod(start, &end);
-  } else {
-    return false;
+    return read_json_u64(value, "value", &out->counter_value);
   }
-  return end != start;
+  if (type == "gauge") {
+    out->kind = ParsedMetric::Kind::kGauge;
+    return read_json_double(value, "value", &out->gauge_value);
+  }
+  return false;
 }
 
 bool apply_metric(const ParsedMetric& m, MetricsRegistry* registry) {

@@ -1,5 +1,7 @@
 #include "proto/message.h"
 
+#include <utility>
+
 namespace ppsim::proto {
 
 namespace {
@@ -34,48 +36,26 @@ struct SizeVisitor {
   }
   std::uint64_t operator()(const DataQuery&) const { return 20; }
   std::uint64_t operator()(const DataReply& m) const {
-    // One header per sub-piece packet the chunk is carried in.
-    return m.payload_bytes + 12 + kIpUdpHeader * (m.subpieces > 0
-                                                      ? m.subpieces - 1
-                                                      : 0);
+    // One header per sub-piece packet the chunk is carried in. In 64 bits:
+    // a decoded reply may claim any 32-bit payload.
+    return std::uint64_t{m.payload_bytes} + 12 +
+           kIpUdpHeader * (m.subpieces > 0 ? m.subpieces - 1 : 0);
   }
   std::uint64_t operator()(const Goodbye&) const { return 12; }
 };
 
-struct NameVisitor {
-  std::string_view operator()(const ChannelListQuery&) const {
-    return "ChannelListQuery";
-  }
-  std::string_view operator()(const ChannelListReply&) const {
-    return "ChannelListReply";
-  }
-  std::string_view operator()(const JoinQuery&) const { return "JoinQuery"; }
-  std::string_view operator()(const JoinReply&) const { return "JoinReply"; }
-  std::string_view operator()(const TrackerQuery&) const {
-    return "TrackerQuery";
-  }
-  std::string_view operator()(const TrackerReply&) const {
-    return "TrackerReply";
-  }
-  std::string_view operator()(const PeerListQuery&) const {
-    return "PeerListQuery";
-  }
-  std::string_view operator()(const PeerListReply&) const {
-    return "PeerListReply";
-  }
-  std::string_view operator()(const ConnectQuery&) const {
-    return "ConnectQuery";
-  }
-  std::string_view operator()(const ConnectReply&) const {
-    return "ConnectReply";
-  }
-  std::string_view operator()(const BufferMapAnnounce&) const {
-    return "BufferMapAnnounce";
-  }
-  std::string_view operator()(const DataQuery&) const { return "DataQuery"; }
-  std::string_view operator()(const DataReply&) const { return "DataReply"; }
-  std::string_view operator()(const Goodbye&) const { return "Goodbye"; }
-};
+/// Default-constructs the first type of the variant, in index order, for
+/// which `match(index, kName)` holds.
+template <typename Match>
+std::optional<Message> first_match(Match match) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    std::optional<Message> out;
+    ((match(I, std::variant_alternative_t<I, Message>::kName) &&
+      (out.emplace(std::in_place_index<I>), true)) ||
+     ...);
+    return out;
+  }(std::make_index_sequence<std::variant_size_v<Message>>{});
+}
 
 }  // namespace
 
@@ -84,7 +64,17 @@ std::uint64_t wire_size(const Message& m) {
 }
 
 std::string_view message_name(const Message& m) {
-  return std::visit(NameVisitor{}, m);
+  return std::visit([](const auto& msg) { return msg.kName; }, m);
+}
+
+std::optional<Message> message_at(std::size_t index) {
+  return first_match(
+      [&](std::size_t i, std::string_view) { return i == index; });
+}
+
+std::optional<Message> message_named(std::string_view name) {
+  return first_match(
+      [&](std::size_t, std::string_view n) { return n == name; });
 }
 
 }  // namespace ppsim::proto

@@ -13,19 +13,22 @@ namespace ppsim::wire {
 /// datagram of the real-wire deployment mode (docs/WIRE.md has the byte-
 /// level table). Every datagram is
 ///
-///   header (8 bytes, big-endian)          body (variant-specific)
-///   +-------+-----+-----+-------+-----+   +---------------------+
-///   | magic | ver | tag | epoch | aux |   | ...                 |
-///   |  u16  | u8  | u8  |  u16  | u16 |   |                     |
-///   +-------+-----+-----+-------+-----+   +---------------------+
+///   header (8 bytes, big-endian)          body
+///   +-------+-----+-----+-------+-----+   +--------------+--------------+
+///   | magic | ver | tag | epoch | aux |   | fields(m)... | zero padding |
+///   |  u16  | u8  | u8  |  u16  | u16 |   |              |              |
+///   +-------+-----+-----+-------+-----+   +--------------+--------------+
 ///
-/// and its total length is *exactly* `proto::wire_size(m) - kIpUdpHeader`:
-/// the sim's wire-size model already budgets the 28-byte IP+UDP header, so
-/// the encoded datagram fills the remaining payload budget byte-for-byte.
-/// That identity is the sim/wire contract — a packet on the real wire
-/// occupies the same link bytes the simulator charged for it — and both
-/// encode and decode assert it. `SpanContext` is trace metadata, never
-/// encoded; decoded messages always carry a zero span.
+/// The tag is the message's index in the proto::Message variant, and the
+/// body is the message's field list (proto/message.h) in order, one
+/// encoding per field type. Zero padding then brings the datagram to
+/// *exactly* `proto::wire_size(m) - kIpUdpHeader` bytes: the sim's
+/// wire-size model already budgets the 28-byte IP+UDP header, so the
+/// datagram fills the remaining payload budget byte-for-byte. That identity
+/// is the sim/wire contract — a packet on the real wire occupies the same
+/// link bytes the simulator charged for it — and the decoder requires it.
+/// `SpanContext` is trace metadata, never encoded; decoded messages always
+/// carry a zero span.
 inline constexpr std::uint16_t kMagic = 0x5057;  // "PW"
 inline constexpr std::uint8_t kVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 8;
@@ -34,29 +37,6 @@ inline constexpr std::uint64_t kIpUdpHeader = 28;
 /// Largest datagram the transport will encode or accept (a DataReply for a
 /// jumbo chunk still fits far below this).
 inline constexpr std::size_t kMaxDatagram = 60000;
-
-/// Message tag carried in the header, one per proto::Message variant, value
-/// == the variant's index in the proto::Message std::variant. The audit's
-/// completeness pass cross-checks this enum, the encode/decode branches and
-/// the docs/WIRE.md packet table against the variant list in both
-/// directions (tools/lint/pass_completeness.cc).
-enum class Tag : std::uint8_t {
-  kChannelListQuery = 0,
-  kChannelListReply = 1,
-  kJoinQuery = 2,
-  kJoinReply = 3,
-  kTrackerQuery = 4,
-  kTrackerReply = 5,
-  kPeerListQuery = 6,
-  kPeerListReply = 7,
-  kConnectQuery = 8,
-  kConnectReply = 9,
-  kBufferMapAnnounce = 10,
-  kDataQuery = 11,
-  kDataReply = 12,
-  kGoodbye = 13,
-};
-inline constexpr std::uint8_t kNumTags = 14;
 
 /// Decode (and one encode) failure codes. Distinct per failure shape so
 /// the transport's RxErrors counters and the fuzz tests can tell a short
@@ -77,10 +57,11 @@ enum class WireError : std::uint8_t {
 std::string_view wire_error_name(WireError e);
 
 /// Encodes `m` into a ppsim-wire-v1 datagram appended to *out (cleared
-/// first). Returns kOk, or kUnencodable for shapes the format cannot carry
-/// (a DataReply whose payload_bytes/subpieces budget is smaller than its
-/// fixed fields — the protocol never produces one). On kOk the datagram
-/// length equals proto::wire_size(m) - kIpUdpHeader, asserted.
+/// first). Returns kOk, or kUnencodable for shapes the format cannot carry:
+/// a budget smaller than the fields (a DataReply with too few
+/// payload_bytes) or larger than kMaxDatagram; the protocol produces
+/// neither. On kOk the datagram length equals
+/// proto::wire_size(m) - kIpUdpHeader.
 WireError encode_message(const proto::Message& m, std::uint16_t epoch,
                          std::vector<std::uint8_t>* out);
 
@@ -91,9 +72,9 @@ struct DecodeResult {
 
 /// Decodes one datagram. Never throws and never reads out of bounds for
 /// any input (the fuzz tests pin this); every rejection carries a distinct
-/// WireError. On success re-derives proto::wire_size(message) and verifies
-/// it equals len + kIpUdpHeader, so a decoded message is always one the
-/// sim would have charged identically for.
+/// WireError. On success proto::wire_size(message) equals
+/// len + kIpUdpHeader, so a decoded message is always one the sim would
+/// have charged identically for.
 DecodeResult decode_message(const std::uint8_t* data, std::size_t len,
                             std::uint16_t epoch);
 

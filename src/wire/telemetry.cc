@@ -7,7 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
 
 #include "obs/json.h"
@@ -123,16 +123,16 @@ bool TelemetryClient::send(const std::string& datagram) {
 bool parse_host_port(const std::string& spec, net::IpAddress* ip,
                      std::uint16_t* port) {
   const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size())
-    return false;
+  if (colon == std::string::npos) return false;
   const auto parsed = net::IpAddress::parse(spec.substr(0, colon));
-  if (!parsed.has_value()) return false;
-  char* end = nullptr;
-  const unsigned long p = std::strtoul(spec.c_str() + colon + 1, &end, 10);
-  if (end == spec.c_str() + colon + 1 || *end != '\0' || p == 0 || p > 0xffff)
+  // The port fills the rest of the spec: no sign, no space, 1..65535.
+  std::uint16_t p = 0;
+  const char* end = spec.data() + spec.size();
+  const auto [ptr, ec] = std::from_chars(spec.data() + colon + 1, end, p);
+  if (!parsed.has_value() || ec != std::errc{} || ptr != end || p == 0)
     return false;
   *ip = *parsed;
-  *port = static_cast<std::uint16_t>(p);
+  *port = p;
   return true;
 }
 

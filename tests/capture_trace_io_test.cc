@@ -83,6 +83,51 @@ TEST(TraceIoTest, RoundTripIdentity) {
   }
 }
 
+// The text format itself, one line per record of sample_trace().
+TEST(TraceIoTest, WritesPinnedLines) {
+  std::ostringstream out;
+  EXPECT_EQ(write_trace(out, sample_trace()), 14u);
+  EXPECT_EQ(out.str(),
+            "100,out,167772161,335544321,40,JoinQuery,3\n"
+            "250,in,167772161,335544321,56,JoinReply,3,503316481,2,1,2\n"
+            "300,out,167772161,335544322,44,TrackerQuery,3\n"
+            "400,in,167772161,335544322,46,TrackerReply,3,1,7\n"
+            "500,out,167772161,7,52,PeerListQuery,3,2,9,11\n"
+            "700,in,167772161,7,40,PeerListReply,3,0\n"
+            "800,out,167772161,7,44,ConnectQuery,3\n"
+            "900,in,167772161,7,49,ConnectReply,3,1,40,5,b0\n"
+            "1000,in,167772161,7,49,BufferMapAnnounce,3,42,2,c\n"
+            "1100,out,167772161,7,48,DataQuery,3,42\n"
+            "1300,in,167772161,7,5644,DataReply,3,42,4,5520\n"
+            "1400,out,167772161,7,40,Goodbye,3\n"
+            "1500,out,167772161,335544321,36,ChannelListQuery\n"
+            "1600,in,167772161,335544321,48,ChannelListReply,3,1,2,3\n");
+}
+
+// An empty map is written as `<base>,0,` with an empty hex token.
+TEST(TraceIoTest, EmptyBufferMapsSurviveRoundTrip) {
+  PacketTrace trace;
+  for (proto::Message m :
+       {proto::Message{proto::ConnectReply{3, false, make_map(40, {})}},
+        proto::Message{proto::BufferMapAnnounce{3, make_map(0, {})}}}) {
+    TraceRecord rec;
+    rec.time = sim::Time::millis(5);
+    rec.wire_bytes = proto::wire_size(m);
+    rec.payload = std::move(m);
+    trace.push_back(std::move(rec));
+  }
+  std::stringstream buffer;
+  write_trace(buffer, trace);
+  const std::string text = buffer.str();
+  std::size_t dropped = 99;
+  const PacketTrace restored = read_trace(buffer, &dropped);
+  EXPECT_EQ(dropped, 0u);
+  ASSERT_EQ(restored.size(), 2u);
+  std::ostringstream again;
+  write_trace(again, restored);
+  EXPECT_EQ(again.str(), text);
+}
+
 TEST(TraceIoTest, BufferMapBitsSurviveRoundTrip) {
   PacketTrace trace;
   TraceRecord rec;
@@ -121,11 +166,19 @@ TEST(TraceIoTest, MalformedLinesSkippedAndCounted) {
   buffer << "0,in,1,2,3,TrackerReply,1,18446744073709551615\n";
   buffer << "0,in,1,2,3,TrackerReply,1,4000000000000\n";
   buffer << "0,in,1,2,3,BufferMapAnnounce,1,0,18446744073709551615,ff\n";
+  // Tokens that do not fit their field, never narrowed.
+  buffer << "0,in,1,2,3,JoinQuery,4294967297\n";
+  buffer << "0,in,1,2,3,DataReply,1,42,4294967296,5520\n";
+  buffer << "0,in,1,2,3,JoinReply,1,4294967297,0\n";
+  buffer << "0,in,1,2,3,ConnectReply,1,2,40,5,b0\n";  // a bool is 0 or 1
+  buffer << "0,in,4294967296,2,3,Goodbye,1\n";
+  buffer << "0,in,1,4294967296,3,Goodbye,1\n";
+  buffer << "100,out,1,2,50,DataQuery,3,42,7\n";  // a token past the fields
   buffer << "\n";
   std::size_t dropped = 0;
   auto trace = read_trace(buffer, &dropped);
   EXPECT_EQ(trace.size(), 1u);
-  EXPECT_EQ(dropped, 7u);
+  EXPECT_EQ(dropped, 14u);
 }
 
 TEST(TraceIoTest, ParseRecordSingle) {

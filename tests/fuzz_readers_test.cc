@@ -1,11 +1,12 @@
 // Seeded never-crash loops for every reader of text that arrives from
 // outside the process: NDJSON rows, telemetry datagrams, fault plans,
-// health rules and capture traces. Random lines and mutated valid inputs
+// health rules, capture traces and the command-line parsers. Random lines and mutated valid inputs
 // must each be read or rejected without throwing or crashing, in the style
 // of WireCodec.FuzzMutatedValidPacketsNeverCrash. Under the asan-ubsan
 // preset this also means no sanitizer report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <iterator>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "capture/trace_io.h"
+#include "core/cli.h"
 #include "faults/plan.h"
 #include "obs/bench_json.h"
 #include "obs/health.h"
@@ -172,13 +174,47 @@ std::vector<Target> targets() {
          return parsed.ok();
        }},
       {"trace_record",
-       {"250,in,167772161,335544321,60,JoinReply,3,503316481,2,1,2",
+       {"1500,out,167772161,335544321,36,ChannelListQuery",
+        "1600,in,167772161,335544321,48,ChannelListReply,3,1,2,3",
+        "100,out,167772161,335544321,40,JoinQuery,3",
+        "250,in,167772161,335544321,60,JoinReply,3,503316481,2,1,2",
+        "300,out,167772161,335544322,44,TrackerQuery,3",
         "400,in,167772161,335544322,60,TrackerReply,3,3,7,8,9",
+        "500,out,167772161,7,52,PeerListQuery,3,2,9,11",
+        "700,in,167772161,7,40,PeerListReply,3,0",
+        "800,out,167772161,7,44,ConnectQuery,3",
         "900,in,167772161,7,80,ConnectReply,3,1,40,5,b0",
+        "950,in,167772161,7,48,ConnectReply,3,0,40,0,",
         "1000,in,167772161,7,70,BufferMapAnnounce,3,42,2,c",
-        "1500000,in,167772161,335544321,5560,DataReply,1,42,4,5520"},
+        "1100,out,167772161,7,48,DataQuery,3,42",
+        "1500000,in,167772161,335544321,5560,DataReply,1,42,4,5520",
+        "1400,out,167772161,7,40,Goodbye,3"},
        [](const std::string& s) {
          return capture::parse_record(s).has_value();
+       }},
+      {"host_port",
+       {"127.0.0.9:47500"},
+       [](const std::string& s) {
+         net::IpAddress ip;
+         std::uint16_t port = 0;
+         return wire::parse_host_port(s, &ip, &port);
+       }},
+      {"cli",
+       {"--channel unpopular --viewers 40 --minutes 4 --seed 7 --probe tele "
+        "--probe cnc --dump-trace P --report all --progress=60",
+        "--fault-plan plan.txt --fault-seed 3 --sample-period 15 "
+        "--samples-out s.ndjson --health-rules default --causal-trace"},
+       [](const std::string& s) {
+         // argv is the input split at every space, after a program name.
+         std::vector<std::string> args = {"ppsim"};
+         for (std::size_t at = 0, end; at <= s.size(); at = end + 1) {
+           end = std::min(s.find(' ', at), s.size());
+           args.push_back(s.substr(at, end - at));
+         }
+         std::vector<const char*> argv;
+         for (const std::string& a : args) argv.push_back(a.c_str());
+         return !core::parse_cli(static_cast<int>(argv.size()), argv.data())
+                     .error.has_value();
        }},
   };
 }

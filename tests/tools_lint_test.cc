@@ -66,7 +66,7 @@ TEST(LintRegistry, FivePassesInOrder) {
 
 TEST(LintGoodTree, NoFindings) {
   const Tree tree = load("goodtree");
-  EXPECT_EQ(tree.files.size(), 13u);
+  EXPECT_EQ(tree.files.size(), 9u);
   const std::vector<Finding> findings = run_all(tree);
   EXPECT_TRUE(findings.empty()) << findings.size() << " findings; first: "
                                 << (findings.empty()
@@ -105,38 +105,27 @@ TEST(LintBadTree, FloatOrderFindings) {
 TEST(LintBadTree, CompletenessFindings) {
   const std::vector<Finding> f = run_all(load("badtree"));
   // Variant / struct / span-member triangulation.
-  EXPECT_TRUE(has(f, "proto/message.h", 22, "variant-membership", "Stray"));
-  EXPECT_TRUE(has(f, "proto/message.h", 27, "variant-membership", "Ghost"));
-  EXPECT_TRUE(has(f, "proto/message.h", 18, "span-member", "Pong"));
-  // Visitor tables in proto/message.cc.
-  EXPECT_TRUE(has(f, "proto/message.cc", 9, "wire-size-visitor", "Pong"));
-  EXPECT_TRUE(has(f, "proto/message.cc", 9, "wire-size-visitor", "Ghost"));
-  EXPECT_TRUE(has(f, "proto/message.cc", 14, "name-visitor", "Ghost"));
-  EXPECT_TRUE(has(f, "proto/message.cc", 14, "name-visitor", "Pong"));
-  // Capture serializer/parser.
-  EXPECT_TRUE(has(f, "capture/trace_io.cc", 1, "trace-io-write", "Pong"));
-  EXPECT_TRUE(has(f, "capture/trace_io.cc", 1, "trace-io-write", "Ghost"));
-  EXPECT_TRUE(has(f, "capture/trace_io.cc", 1, "trace-io-parse", "Ghost"));
+  EXPECT_TRUE(has(f, "proto/message.h", 28, "variant-membership", "Stray"));
+  EXPECT_TRUE(has(f, "proto/message.h", 33, "variant-membership", "Ghost"));
+  EXPECT_TRUE(has(f, "proto/message.h", 23, "span-member", "Pong"));
+  // Field lists: a member the list omits and a listed name that is no
+  // member. Static members (kName) and span are not fields.
+  EXPECT_TRUE(has(f, "proto/message.h", 14, "message-fields", "Ping.ttl"));
+  EXPECT_TRUE(has(f, "proto/message.h", 14, "message-fields", "Ping.hops"));
+  EXPECT_FALSE(has(f, "proto/message.h", 14, "message-fields", "Ping.kName"));
+  EXPECT_FALSE(has(f, "proto/message.h", 14, "message-fields", "Ping.span"));
+  EXPECT_FALSE(has(f, "proto/message.h", 23, "message-fields", "Pong.nonce"));
   // Span docs: Ghost undocumented; Pong stamped but not in the table.
   EXPECT_TRUE(has(f, "docs/PROTOCOL.md", 3, "span-doc", "Ghost"));
   EXPECT_TRUE(has(f, "docs/PROTOCOL.md", 3, "span-doc", "Pong"));
   // Ping documented as stamped but never stamped in proto/*.cc.
-  EXPECT_TRUE(has(f, "proto/message.h", 13, "span-stamp", "Ping"));
+  EXPECT_TRUE(has(f, "proto/message.h", 14, "span-stamp", "Ping"));
   // Drop buckets: declared-but-dead and unreconciled.
   EXPECT_TRUE(has(f, "net/transport.h", 9, "drop-counter", "ghost_drops"));
   EXPECT_TRUE(has(f, "core/experiment.cc", 1, "drop-counter", "ghost_drops"));
   // uplink_drops is live and reconciled — no finding.
   EXPECT_FALSE(has(f, "net/transport.h", 9, "drop-counter", "uplink_drops"));
-  // Wire codec coverage: Tag enum, encode/decode branches, docs table —
-  // missing members and stale extras in both directions.
-  EXPECT_TRUE(has(f, "wire/codec.h", 9, "wire-tag", "Pong"));
-  EXPECT_TRUE(has(f, "wire/codec.h", 9, "wire-tag", "Ghost"));
-  EXPECT_TRUE(has(f, "wire/codec.h", 9, "wire-tag", "Stale"));
-  EXPECT_FALSE(has(f, "wire/codec.h", 9, "wire-tag", "Ping"));
-  EXPECT_TRUE(has(f, "wire/codec.cc", 1, "wire-encode", "Pong"));
-  EXPECT_TRUE(has(f, "wire/codec.cc", 1, "wire-encode", "Ghost"));
-  EXPECT_TRUE(has(f, "wire/codec.cc", 1, "wire-decode", "Pong"));
-  EXPECT_TRUE(has(f, "wire/codec.cc", 1, "wire-decode", "Ghost"));
+  // Wire docs table: missing members and stale extras in both directions.
   EXPECT_TRUE(has(f, "docs/WIRE.md", 3, "wire-doc", "Pong"));
   EXPECT_TRUE(has(f, "docs/WIRE.md", 3, "wire-doc", "Ghost"));
   EXPECT_TRUE(has(f, "docs/WIRE.md", 3, "wire-doc", "Phantom"));
@@ -168,7 +157,7 @@ TEST(LintBadTree, CompletenessFindings) {
 
 TEST(LintBadTree, ExactFindingCountAndSorted) {
   const std::vector<Finding> f = run_all(load("badtree"));
-  EXPECT_EQ(f.size(), 45u);
+  EXPECT_EQ(f.size(), 33u);
   EXPECT_TRUE(std::is_sorted(f.begin(), f.end(), [](const Finding& a,
                                                     const Finding& b) {
     return std::tie(a.pass, a.file, a.line, a.check, a.token) <
@@ -182,7 +171,7 @@ TEST(LintBadTree, NoDocsRootSkipsDocChecks) {
   ASSERT_TRUE(load_tree(fixture("badtree/src"), "", &tree, &error)) << error;
   const std::vector<Finding> f = run_passes(tree, {"completeness"}, &error);
   EXPECT_TRUE(error.empty()) << error;
-  EXPECT_EQ(f.size(), 21u);
+  EXPECT_EQ(f.size(), 9u);
   for (const Finding& x : f) {
     EXPECT_FALSE(x.file.starts_with("docs/")) << x.file << " " << x.check;
     for (const char* doc_check : {"span-doc", "wire-doc", "resource-gauge-doc",
@@ -248,9 +237,7 @@ INSTANTIATE_TEST_SUITE_P(
                           "### Resource and scheduler gauges"},
         MissingAnchorCase{"TelemetryRecords", "docs/OBSERVABILITY.md",
                           "### Telemetry record types", "telemetry-record-doc",
-                          "### Telemetry record types"},
-        MissingAnchorCase{"TagEnum", "wire/codec.h", "enum class Tag",
-                          "wire-tag", "Tag"}),
+                          "### Telemetry record types"}),
     [](const ::testing::TestParamInfo<MissingAnchorCase>& info) {
       return std::string(info.param.name);
     });

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "proto/message.h"
@@ -42,6 +46,100 @@ proto::BufferMap sample_map(proto::ChunkSeq base, std::size_t n) {
   map.base = base;
   for (std::size_t i = 0; i < n; ++i) map.have.push_back(i % 3 == 0);
   return map;
+}
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  constexpr std::string_view kDigits = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+/// One message and the exact datagram encode_message gives for it at
+/// kEpoch, written as the 8-byte header followed by the body.
+struct Pin {
+  const char* name;
+  proto::Message message;
+  std::string hex;
+};
+
+std::vector<Pin> pinned_packets() {
+  using net::IpAddress;
+  using namespace proto;
+  return {
+      {"ChannelListQuery", ChannelListQuery{{5, 6}}, "5057010000070000"},
+      {"ChannelListReply", ChannelListReply{{1, 42, 0xFFFFFFFF}},
+       "5057010100070000"
+       "000000010000002affffffff"},
+      {"JoinQuery", JoinQuery{77}, "5057010200070000"
+                                   "0000004d"},
+      {"JoinReply",
+       JoinReply{9, IpAddress(127, 1, 0, 3),
+                 {IpAddress(127, 1, 0, 2), IpAddress(127, 2, 0, 2)}},
+       "5057010300070000"
+       "000000097f010003"
+       "7f0100020000"
+       "7f0200020000"},
+      {"TrackerQuery", TrackerQuery{3}, "5057010400070000"
+                                        "0000000300000000"},
+      {"TrackerReply",
+       TrackerReply{3, {IpAddress(127, 2, 1, 1), IpAddress(127, 2, 1, 2)}},
+       "5057010500070000"
+       "00000003"
+       "7f0201010000"
+       "7f0201020000"},
+      {"PeerListQuery", PeerListQuery{3, {IpAddress(127, 5, 0, 1)}},
+       "5057010600070000"
+       "00000003"
+       "7f0500010000"},
+      {"PeerListReply", PeerListReply{3, {}}, "5057010700070000"
+                                              "00000003"},
+      {"ConnectQuery", ConnectQuery{11}, "5057010800070000"
+                                         "0000000b00000000"},
+      {"ConnectReply", ConnectReply{11, true, sample_map(1000, 37)},
+       "5057010900078005"
+       "0000000b00000000000003e8"
+       "9249249248"},
+      {"ConnectReply accepted, 0-bit map", ConnectReply{11, true, {}},
+       "5057010900078000"
+       "0000000b0000000000000000"},
+      {"ConnectReply rejected, 0-bit map",
+       ConnectReply{11, false, sample_map(7, 0)},
+       "5057010900070000"
+       "0000000b0000000000000007"},
+      {"ConnectReply rejected, 7-bit map",
+       ConnectReply{11, false, sample_map(8, 7)},
+       "5057010900070007"
+       "0000000b0000000000000008"
+       "92"},
+      {"ConnectReply accepted, 9-bit map",
+       ConnectReply{11, true, sample_map(9, 9)},
+       "5057010900078001"
+       "0000000b0000000000000009"
+       "9200"},
+      {"BufferMapAnnounce",
+       BufferMapAnnounce{11, sample_map(123456789012345ull, 64)},
+       "5057010a00070000"
+       "0000000b00007048860ddf79"
+       "9249249249249249"},
+      {"DataQuery", DataQuery{11, 0xDEADBEEFCAFEull},
+       "5057010b00070000"
+       "0000000b0000deadbeefcafe"},
+      {"DataReply", DataReply{11, 99, 1, 16},
+       "5057010c00070000"
+       "0000000b0000000000000063"
+       "0000000100000010"},
+      {"DataReply, padded", DataReply{11, 99, 2, 20},
+       "5057010c00070000"
+       "0000000b0000000000000063"
+       "0000000200000014" +
+           std::string(64, '0')},
+      {"Goodbye", Goodbye{11}, "5057010d00070000"
+                               "0000000b"},
+  };
 }
 
 // --- one round-trip + encoded-size pin per Message variant ---
@@ -160,6 +258,20 @@ TEST(WireCodec, GoodbyeRoundTrip) {
   expect_round_trip(m);
 }
 
+// The byte format itself: every variant, both states of ConnectReply's aux
+// flag, bitmaps of 0, 7 and 9 bits, and a zero-padded DataReply.
+TEST(WireCodec, EncodesPinnedBytes) {
+  for (const Pin& pin : pinned_packets()) {
+    SCOPED_TRACE(pin.name);
+    const std::vector<std::uint8_t> wire = encode_ok(pin.message);
+    EXPECT_EQ(to_hex(wire), pin.hex);
+    const DecodeResult back = decode_message(wire.data(), wire.size(), kEpoch);
+    ASSERT_EQ(back.error, WireError::kOk);
+    EXPECT_EQ(back.message.index(), pin.message.index());
+    EXPECT_EQ(to_hex(encode_ok(back.message)), pin.hex);
+  }
+}
+
 TEST(WireCodec, DegenerateDataReplyIsUnencodable) {
   // payload budget below the fixed fields: the protocol never produces
   // this shape, and v1 refuses it rather than lying about sizes.
@@ -167,6 +279,13 @@ TEST(WireCodec, DegenerateDataReplyIsUnencodable) {
   m.subpieces = 1;
   m.payload_bytes = 0;
   std::vector<std::uint8_t> out;
+  EXPECT_EQ(encode_message(m, kEpoch, &out), WireError::kUnencodable);
+  EXPECT_TRUE(out.empty());
+  // A payload near 2^32 bytes is far past any datagram; its budget must not
+  // wrap around to a small one.
+  m.subpieces = 2;
+  m.payload_bytes = 0xFFFFFFF4;
+  EXPECT_EQ(proto::wire_size(m), kIpUdpHeader + 12 + 0xFFFFFFF4ull + 28);
   EXPECT_EQ(encode_message(m, kEpoch, &out), WireError::kUnencodable);
   EXPECT_TRUE(out.empty());
 }
@@ -178,6 +297,20 @@ TEST(WireCodec, RejectsTruncatedHeader) {
   for (std::size_t len = 0; len < kHeaderBytes; ++len)
     EXPECT_EQ(decode_message(wire.data(), len, kEpoch).error,
               WireError::kTruncated);
+}
+
+// A fixed-size body shorter than its fields runs out of bytes inside a
+// field: truncated, like a short header.
+TEST(WireCodec, RejectsShortFixedBodyAsTruncated) {
+  const proto::Message fixed[] = {proto::JoinQuery{1}, proto::TrackerQuery{1},
+                                  proto::ConnectQuery{1},
+                                  proto::DataQuery{1, 2}, proto::Goodbye{1}};
+  for (const proto::Message& m : fixed) {
+    const std::vector<std::uint8_t> wire = encode_ok(m);
+    EXPECT_EQ(decode_message(wire.data(), kHeaderBytes + 3, kEpoch).error,
+              WireError::kTruncated)
+        << proto::message_name(m);
+  }
 }
 
 TEST(WireCodec, RejectsBadMagic) {
@@ -202,7 +335,7 @@ TEST(WireCodec, RejectsBadEpoch) {
 
 TEST(WireCodec, RejectsBadTag) {
   std::vector<std::uint8_t> wire = encode_ok(proto::JoinQuery{1});
-  wire[3] = kNumTags;
+  wire[3] = std::variant_size_v<proto::Message>;  // one past the last tag
   EXPECT_EQ(decode_message(wire.data(), wire.size(), kEpoch).error,
             WireError::kBadTag);
 }
@@ -210,6 +343,13 @@ TEST(WireCodec, RejectsBadTag) {
 TEST(WireCodec, RejectsBadLength) {
   std::vector<std::uint8_t> wire = encode_ok(proto::TrackerReply{3, {}, {}});
   wire.push_back(0);  // 6-byte address entries can't cover 1 extra byte
+  EXPECT_EQ(decode_message(wire.data(), wire.size(), kEpoch).error,
+            WireError::kBadLength);
+  // A 28-byte DataReply that claims 2 sub-pieces of 0xFFFFFFF4 bytes.
+  wire = encode_ok(proto::DataReply{11, 99, 1, 16});
+  wire[23] = 2;
+  wire[24] = wire[25] = wire[26] = 0xFF;
+  wire[27] = 0xF4;
   EXPECT_EQ(decode_message(wire.data(), wire.size(), kEpoch).error,
             WireError::kBadLength);
 }
@@ -271,6 +411,17 @@ TEST(WireCodec, FuzzRandomBuffersNeverCrash) {
     buf.resize(len);
     for (auto& b : buf)
       b = static_cast<std::uint8_t>(rng.next_below(256));
+    // Every other buffer starts with a header this node accepts, mostly
+    // with aux 0 and with tags 0-15 (two past the last), so random bodies
+    // reach the field readers; the magic alone is 1 in 65,536.
+    if (iter % 2 == 1 && len >= kHeaderBytes) {
+      const std::uint8_t header[] = {
+          kMagic >> 8, kMagic & 0xFF, kVersion,
+          static_cast<std::uint8_t>(buf[3] % 16), kEpoch >> 8, kEpoch & 0xFF,
+          static_cast<std::uint8_t>(iter % 4 == 3 ? buf[6] & 0x80 : 0),
+          static_cast<std::uint8_t>(iter % 4 == 3 ? buf[7] & 0x07 : 0)};
+      std::copy(std::begin(header), std::end(header), buf.begin());
+    }
     const DecodeResult r = decode_message(buf.data(), buf.size(), kEpoch);
     if (r.error == WireError::kOk) {
       // A random buffer that decodes must still satisfy the size identity.
@@ -293,7 +444,8 @@ TEST(WireCodec, FuzzMutatedValidPacketsNeverCrash) {
   dr.chunk = 1;
   dr.subpieces = 4;
   dr.payload_bytes = 5520;
-  const proto::Message seeds[] = {tr, bma, dr};
+  std::vector<proto::Message> seeds = {tr, bma, dr};
+  for (const Pin& pin : pinned_packets()) seeds.push_back(pin.message);
   for (const auto& seed : seeds) {
     const std::vector<std::uint8_t> clean = encode_ok(seed);
     for (int iter = 0; iter < 1000; ++iter) {

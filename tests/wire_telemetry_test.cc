@@ -99,6 +99,15 @@ TEST(TelemetryMetricRow, CounterApplyIsMonotonicGaugeIsLastWriteWins) {
   g.gauge_value = 2.5;
   EXPECT_TRUE(obs::apply_metric(g, &registry));
   EXPECT_EQ(registry.gauge("rss").value(), 2.5);
+
+  // The value must fill its token and fit its type. A counter of -1 would
+  // otherwise read as 2^64-1 and, being monotonic, stick for the run.
+  EXPECT_FALSE(obs::parse_metric_ndjson(
+      R"({"metric":"sent","type":"counter","labels":{},"value":-1})", &m));
+  EXPECT_FALSE(obs::parse_metric_ndjson(
+      R"({"metric":"sent","type":"counter","labels":{},"value":5x})", &m));
+  EXPECT_FALSE(obs::parse_metric_ndjson(
+      R"({"metric":"rss","type":"gauge","labels":{},"value":1e999})", &g));
 }
 
 TEST(TelemetryMetricRow, HistogramRowsAreRecognizedButSkipped) {
@@ -254,6 +263,8 @@ TEST(TelemetryParseHostPort, AcceptsIpPortRejectsJunk) {
   EXPECT_FALSE(parse_host_port("127.0.0.9:99999", &ip, &port));
   EXPECT_FALSE(parse_host_port("not-an-ip:123", &ip, &port));
   EXPECT_FALSE(parse_host_port("", &ip, &port));
+  EXPECT_FALSE(parse_host_port("127.0.0.9: 80", &ip, &port));
+  EXPECT_FALSE(parse_host_port("127.0.0.9:+80", &ip, &port));
 }
 
 // --- Collector ---

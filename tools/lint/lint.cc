@@ -31,7 +31,7 @@ const std::vector<PassInfo>& passes() {
        "(order-dependent under parallel reduction)",
        &pass_float_order},
       {"completeness",
-       "Message variant vs codec/capture/visitor/docs tables, name "
+       "Message variant vs message field lists and docs tables, name "
        "inventories vs docs tables, drop counters vs their increments",
        &pass_completeness},
   };

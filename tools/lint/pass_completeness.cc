@@ -1,20 +1,16 @@
 // Pass `completeness` — cross-checks the tables that must move together,
 // extending the in-file static_assert counter audit (proto/counters.h) to
-// checks no compiler sees: every per-message-type table against the
-// `Message` variant in proto/message.h, and every published name inventory
-// against its docs table. Most checks are one row of two tables:
-//
-//   kMirrors   two name lists that must hold the same names, both
-//              directions. A list is the Message variant, an enum's `kX`
-//              enumerators (read as `X`), a struct's data members, the
-//              string literals of a constexpr array, or the first
-//              backticked cell of each table row under a docs/ heading.
-//   kBranches  every variant member needs a per-type pattern (an overload,
-//              a `case`, a parser branch) in one source file.
+// checks no compiler sees: every message struct against its own field
+// list and the `Message` variant in proto/message.h, and every published
+// name inventory against its docs table. Most checks are one row of
+// kMirrors: two name lists that must hold the same names, both
+// directions. A list is the Message variant, a struct's data members, the
+// string literals of a constexpr array, or the first backticked cell of
+// each table row under a docs/ heading.
 //
 // A row is skipped when a source file it reads is missing (fixture trees
 // lack whole layers), and a doc row when the tree has no docs root. A file
-// that exists but lacks a row's anchor (the variant, enum, struct, array or
+// that exists but lacks a row's anchor (the variant, struct, array or
 // heading), or a doc missing under the docs root, is one finding at line 1
 // with the anchor as written in the row as token.
 //
@@ -22,9 +18,11 @@
 //
 //   variant-membership  structs with a SpanContext member vs the variant
 //   span-member         every variant member carries a SpanContext
-//   wire-size-visitor   an overload per member in SizeVisitor (wire_size)
-//   name-visitor        an overload per member in NameVisitor
-//                       (message_name), returning the "TypeName" literal
+//   message-fields      every data member of a variant member but `span`
+//                       is in its `fields(m)` list, and every `m.<name>`
+//                       that list holds is a data member: the wire codec
+//                       and the capture format read and write exactly that
+//                       list
 //   span-doc            the span-propagation section of docs/PROTOCOL.md
 //                       lists every member, and every stamped one
 //   span-stamp          a `<msg>.span = SpanContext{...}` site in proto/*.cc
@@ -35,7 +33,6 @@
 //                       lands in exactly one bucket")
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <set>
 #include <string>
@@ -99,7 +96,8 @@ std::vector<StructDecl> parse_structs(const std::string& stripped) {
 
 /// Data members of a struct body: the declarator of each top-level
 /// `Type name = ...;`, `Type name{...};` or `Type name;`. Member functions
-/// (a `(` before any initializer) and everything nested are skipped.
+/// (a `(` before any initializer), static members and everything nested
+/// are skipped.
 std::set<std::string> data_members(const std::string& body) {
   std::set<std::string> out;
   std::size_t begin = 0;
@@ -110,6 +108,7 @@ std::set<std::string> data_members(const std::string& body) {
     if (depth > 0 || (body[i] != ';' && body[i] != '}')) continue;
     const std::string stmt = body.substr(begin, i - begin);
     begin = i + 1;
+    if (contains_word(stmt, "static")) continue;
     std::size_t end = stmt.find_first_of("=({");
     if (end != std::string::npos && stmt[end] == '(') continue;
     end = std::min(end, stmt.size());
@@ -117,6 +116,34 @@ std::set<std::string> data_members(const std::string& body) {
     std::size_t start = end;
     while (start > 0 && is_ident_char(stmt[start - 1])) --start;
     if (start < end) out.insert(stmt.substr(start, end - start));
+  }
+  return out;
+}
+
+/// The names a message struct's field list reads: each `m.<name>` in the
+/// body of its `fields(auto& m)`, where `m` is the parameter's name. Empty
+/// when the struct has no such function.
+std::set<std::string> field_list(const std::string& body) {
+  std::set<std::string> out;
+  std::size_t at = body.find("fields(");
+  while (at != std::string::npos && !word_match(body, at, "fields"))
+    at = body.find("fields(", at + 1);
+  if (at == std::string::npos) return out;
+  const std::size_t close = body.find(')', at);
+  const std::size_t open = body.find('{', close);
+  if (close == std::string::npos || open == std::string::npos) return out;
+  std::size_t start = close;
+  while (start > at && is_ident_char(body[start - 1])) --start;
+  const std::string param = body.substr(start, close - start);
+  if (param.empty()) return out;  // `fields(auto&)`: an empty list
+  const std::size_t end = body.find('}', open);
+  for (std::size_t i = body.find(param + ".", open); i < end;
+       i = body.find(param + ".", i + 1)) {
+    if (!word_match(body, i, param)) continue;
+    const std::size_t name = i + param.size() + 1;
+    std::size_t j = name;
+    while (j < body.size() && is_ident_char(body[j])) ++j;
+    out.insert(body.substr(name, j - name));
   }
   return out;
 }
@@ -158,7 +185,6 @@ std::set<std::string> table_entries(const std::string& section) {
 /// The kinds of name list a cross-check can read.
 enum class Kind {
   kVariant,  // `using <anchor> = std::variant<...>;` member types
-  kEnum,     // `enum class <anchor> { kX, ... }`, read as `X`
   kStruct,   // data members of `struct <anchor> { ... }`
   kArray,    // string literals of `<anchor> = { "...", ... }`
   kDoc,      // first backticked cell of each table row under <anchor>
@@ -210,20 +236,19 @@ Names read_list(const Tree& tree, const List& list) {
     return out;
   }
   std::string decl(list.anchor);
-  if (list.kind == Kind::kVariant) decl.insert(0, "using ");
-  if (list.kind == Kind::kEnum) decl.insert(0, "enum class ");
+  const bool variant = list.kind == Kind::kVariant;
+  if (variant) decl.insert(0, "using ");
   const std::size_t at = s.find(decl);
   if (at == std::string::npos) return out;
   out.read = Read::kOk;
   out.line = line_of(s, at);
-  // The variant's list runs `<...;`, an enum's or array's `{...}`.
-  const bool variant = list.kind == Kind::kVariant;
+  // The variant's list runs `<...;`, an array's `{...}`.
   const std::size_t open = s.find(variant ? '<' : '{', at);
   const std::size_t close = open == std::string::npos
                                 ? open
                                 : s.find(variant ? ';' : '}', open);
   if (close == std::string::npos) return out;
-  if (list.kind == Kind::kArray) {
+  if (!variant) {
     // The literals come from the raw text: stripping preserves offsets.
     for (std::size_t q = f->raw.find('"', open); q < close;) {
       const std::size_t q2 = f->raw.find('"', q + 1);
@@ -238,12 +263,8 @@ Names read_list(const Tree& tree, const List& list) {
     while (end < close && is_ident_char(s[end])) ++end;
     const std::string ident = s.substr(i, end - i);
     i = std::max(end, i + 1);
-    if (ident.empty()) continue;
-    if (variant && ident != "std" && ident != "variant")
+    if (!ident.empty() && ident != "std" && ident != "variant")
       out.names.insert(ident);
-    if (!variant && ident.size() > 1 && ident[0] == 'k' &&
-        std::isupper(static_cast<unsigned char>(ident[1])) != 0)
-      out.names.insert(ident.substr(1));  // kJoinQuery -> JoinQuery
   }
   return out;
 }
@@ -262,7 +283,6 @@ struct Mirror {
 };
 
 constexpr Mirror kMirrors[] = {
-    {"wire-tag", kMessageVariant, {Kind::kEnum, "wire/codec.h", "Tag"}, true},
     {"wire-doc", kMessageVariant,
      {Kind::kDoc, "WIRE.md", "## Packet formats"}, true},
     {"resource-gauge-doc",
@@ -276,25 +296,6 @@ constexpr Mirror kMirrors[] = {
     {"telemetry-record-doc",
      {Kind::kArray, "wire/telemetry.h", "kTelemetryRecordNames"},
      {Kind::kDoc, "OBSERVABILITY.md", "### Telemetry record types"}, false},
-};
-
-/// Every Message variant member needs one of `patterns`, with `$` standing
-/// for the type name, in `file`. Patterns match the whitespace-collapsed
-/// stripped text, or the raw text when `raw` (the pattern quotes a literal).
-struct Branch {
-  std::string_view check;
-  std::string_view file;
-  bool raw;
-  std::string_view patterns[2];
-};
-
-constexpr Branch kBranches[] = {
-    {"trace-io-write", "capture/trace_io.cc", false,
-     {"(const proto::$&", "(const $&"}},
-    {"trace-io-parse", "capture/trace_io.cc", true, {"type == \"$\""}},
-    {"wire-encode", "wire/codec.cc", false,
-     {"(const proto::$&", "(const $&"}},
-    {"wire-decode", "wire/codec.cc", false, {"case Tag::k$:"}},
 };
 
 std::string describe(const List& list, const Names& names) {
@@ -340,35 +341,6 @@ void check_mirror(const Tree& tree, const Mirror& m,
   diff(m.right, right, m.left, left, m.left_rules ? right : left);
 }
 
-void check_branches(const Tree& tree, const std::set<std::string>& variant,
-                    std::vector<Finding>* findings) {
-  for (const Branch& b : kBranches) {
-    const SourceFile* f = find_file(tree, b.file);
-    if (f == nullptr) continue;
-    const std::string flat = collapse_ws(b.raw ? f->raw : f->stripped);
-    for (const std::string& name : variant) {
-      std::string want;
-      bool found = false;
-      for (const std::string_view p : b.patterns) {
-        if (p.empty()) continue;
-        std::string pat(p);
-        pat.replace(pat.find('$'), 1, name);
-        found = found || flat.find(pat) != std::string::npos;
-        if (want.empty()) want = pat;
-      }
-      if (found) continue;
-      std::string detail = "Message variant member has no `" + want;
-      detail += "` branch in ";
-      detail += b.file;
-      add(findings, f->rel, 1, std::string(b.check), name, std::move(detail));
-    }
-  }
-}
-
-int line_or_1(const std::string& text, std::size_t pos) {
-  return pos == std::string::npos ? 1 : line_of(text, pos);
-}
-
 void check_message_tables(const Tree& tree, const Names& variant,
                           std::vector<Finding>* findings) {
   const SourceFile* msg_h = find_file(tree, kMessageVariant.file);
@@ -377,7 +349,8 @@ void check_message_tables(const Tree& tree, const Names& variant,
   for (const StructDecl& s : structs) by_name[s.name] = &s;
   const std::set<std::string>& in_variant = variant.names;
 
-  // variant-membership, both directions; span-member for every member.
+  // variant-membership, both directions; span-member and message-fields
+  // for every member.
   for (const StructDecl& s : structs) {
     if (!contains_word(s.body, "SpanContext")) continue;  // not a message
     if (!in_variant.contains(s.name))
@@ -393,41 +366,24 @@ void check_message_tables(const Tree& tree, const Names& variant,
           "proto/message.h");
       continue;
     }
-    if (!contains_word(it->second->body, "SpanContext"))
-      add(findings, msg_h->rel, it->second->line, "span-member", name,
+    const StructDecl& msg = *it->second;
+    if (!contains_word(msg.body, "SpanContext"))
+      add(findings, msg_h->rel, msg.line, "span-member", name,
           "message struct lacks the trailing `SpanContext span{};` member "
           "every wire message carries (docs/PROTOCOL.md)");
-  }
-
-  // Visitor tables in proto/message.cc.
-  if (const SourceFile* msg_cc = find_file(tree, "proto/message.cc")) {
-    const std::string flat = collapse_ws(msg_cc->stripped);
-    const std::string flat_raw = collapse_ws(msg_cc->raw);
-    const std::size_t size_at = flat.find("struct SizeVisitor");
-    const std::size_t name_at = flat.find("struct NameVisitor");
-    const int size_line =
-        line_or_1(msg_cc->stripped, msg_cc->stripped.find("SizeVisitor"));
-    const int name_line =
-        line_or_1(msg_cc->stripped, msg_cc->stripped.find("NameVisitor"));
-    for (const std::string& name : in_variant) {
-      const std::string pat = "(const " + name + "&";
-      const std::size_t in_size = flat.find(pat);
-      if (size_at == std::string::npos || in_size == std::string::npos ||
-          (name_at != std::string::npos && in_size > name_at))
-        add(findings, msg_cc->rel, size_line, "wire-size-visitor", name,
-            "message type has no operator() in SizeVisitor — wire_size() "
-            "would not compile-break, it would std::visit the wrong "
-            "overload set; add the per-type size");
-      if (name_at == std::string::npos ||
-          flat.find(pat, name_at) == std::string::npos)
-        add(findings, msg_cc->rel, name_line, "name-visitor", name,
-            "message type has no operator() in NameVisitor; traces and "
-            "capture files would have no name for it");
-      else if (flat_raw.find("\"" + name + "\"") == std::string::npos)
-        add(findings, msg_cc->rel, name_line, "name-visitor", name,
-            "NameVisitor never returns the literal \"" + name +
-                "\"; capture round-trips key on that exact string");
-    }
+    std::set<std::string> members = data_members(msg.body);
+    members.erase("span");
+    const std::set<std::string> listed = field_list(msg.body);
+    for (const std::string& m : members)
+      if (!listed.contains(m))
+        add(findings, msg_h->rel, msg.line, "message-fields", name + "." + m,
+            "data member missing from the message's fields() list; the "
+            "wire codec and the capture format would drop it");
+    for (const std::string& m : listed)
+      if (!members.contains(m))
+        add(findings, msg_h->rel, msg.line, "message-fields", name + "." + m,
+            "fields() lists a name that is not a data member of the "
+            "message");
   }
 
   // Span documentation + stamping sites.
@@ -530,7 +486,6 @@ void pass_completeness(const Tree& tree, std::vector<Finding>* findings) {
   const Names variant = read_list(tree, kMessageVariant);
   if (variant.read == Read::kOk) {
     check_message_tables(tree, variant, findings);
-    check_branches(tree, variant.names, findings);
   }
   check_drop_counters(tree, findings);
 }

@@ -32,12 +32,11 @@ void pass_layering(const Tree& tree, std::vector<Finding>* findings);
 /// reordering that parallel reduction will introduce.
 void pass_float_order(const Tree& tree, std::vector<Finding>* findings);
 
-/// Lists that must move together. kMirrors rows (wire-tag, wire-doc,
+/// Lists that must move together. kMirrors rows (wire-doc,
 /// resource-gauge-doc, rx-error-export, rx-error-doc, telemetry-record-doc)
-/// match two name lists both ways; kBranches rows (trace-io-write,
-/// trace-io-parse, wire-encode, wire-decode) need a per-type branch for
-/// every Message variant member. Bespoke: variant-membership, span-member,
-/// wire-size-visitor, name-visitor, span-doc, span-stamp, drop-counter.
+/// match two name lists both ways. Bespoke: variant-membership,
+/// span-member, message-fields (each message's field list vs its data
+/// members), span-doc, span-stamp, drop-counter.
 void pass_completeness(const Tree& tree, std::vector<Finding>* findings);
 
 }  // namespace ppsim::lint

@@ -406,7 +406,8 @@ int main(int argc, char** argv) {
   }
   if (sections.empty()) sections = {"data"};
 
-  auto trace = capture::read_trace_file(path);
+  std::size_t dropped = 0;
+  auto trace = capture::read_trace_file(path, &dropped);
   if (!trace) {
     std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
     return 1;
@@ -437,8 +438,9 @@ int main(int argc, char** argv) {
   auto analysis = capture::analyze_trace(*trace, db, probe, {});
 
   const net::IspCategory probe_cat = db.category_or_foreign(probe);
-  std::printf("trace: %s (%zu records), probe %s (%s)\n\n", path.c_str(),
-              trace->size(), probe.to_string().c_str(),
+  std::printf("trace: %s (%zu records", path.c_str(), trace->size());
+  if (dropped > 0) std::printf(", %zu malformed dropped", dropped);
+  std::printf("), probe %s (%s)\n\n", probe.to_string().c_str(),
               std::string(net::to_string(probe_cat)).c_str());
 
   auto wants = [&](const char* name) {
