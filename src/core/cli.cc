@@ -7,6 +7,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "capture/trace_io.h"
 #include "core/session_export.h"
@@ -16,7 +17,6 @@
 #include "obs/bench_json.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "workload/scenario.h"
 
@@ -83,11 +83,6 @@ std::string cli_usage() {
       "                                NDJSON (Figure-6-style time series)\n"
       "  --sample-period SEC           snapshot cadence in sim-seconds\n"
       "                                (default 10; needs --samples-out)\n"
-      "  --sample-window SEC           stream samples to --samples-out in\n"
-      "                                sim-time windows of SEC seconds\n"
-      "                                (bounded obs memory; the file is\n"
-      "                                byte-identical to the end-of-run\n"
-      "                                dump)\n"
       "  --progress[=SEC]              stderr heartbeat every SEC\n"
       "                                sim-seconds (default 30): sim/wall\n"
       "                                time, events/s, peers alive, RSS,\n"
@@ -233,12 +228,6 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
         out.error = "sample period must be positive";
         return out;
       }
-    } else if (arg == "--sample-window") {
-      if (!need_number(i, "--sample-window", &o.sample_window_s)) return out;
-      if (o.sample_window_s <= 0) {
-        out.error = "sample window must be positive";
-        return out;
-      }
     } else if (arg == "--progress") {
       o.progress = true;
     } else if (arg.rfind("--progress=", 0) == 0) {
@@ -286,10 +275,6 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
   }
   if (o.sample_period_s > 0 && o.samples_out.empty()) {
     out.error = "--sample-period requires --samples-out";
-    return out;
-  }
-  if (o.sample_window_s > 0 && o.samples_out.empty()) {
-    out.error = "--sample-window requires --samples-out";
     return out;
   }
   if (o.trace_sim_events && o.trace_out.empty()) {
@@ -379,6 +364,23 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     return 2;
   }
 
+  // Every streamed output is opened before the run, so a path that cannot
+  // be written fails at once instead of after the whole simulation.
+  std::ofstream trace_file, samples_file, metrics_file, spans_file,
+      bench_file;
+  const std::pair<const std::string&, std::ofstream&> outputs[] = {
+      {options.trace_out, trace_file},     {options.samples_out, samples_file},
+      {options.metrics_out, metrics_file}, {options.spans_out, spans_file},
+      {options.bench_json, bench_file}};
+  for (const auto& [path, file] : outputs) {
+    if (path.empty()) continue;
+    file.open(path);
+    if (!file) {
+      std::cerr << "error: could not write " << path << "\n";
+      return 1;
+    }
+  }
+
   out << "channel=" << options.channel
             << " viewers=" << built.config.scenario.viewers
             << " minutes=" << options.minutes << " seed=" << options.seed
@@ -389,37 +391,17 @@ int run_cli(const CliOptions& options, std::ostream& out) {
   // experiment borrows them through config.observability.
   obs::MetricsRegistry metrics;
   obs::RunProfiler profiler;
-  std::ofstream trace_file;
   std::optional<obs::NdjsonTraceSink> trace_sink;
-  if (!options.trace_out.empty()) {
-    trace_file.open(options.trace_out);
-    if (!trace_file) {
-      std::cerr << "error: could not open " << options.trace_out << "\n";
-      return 1;
-    }
-    trace_sink.emplace(trace_file);
-  }
+  if (!options.trace_out.empty()) trace_sink.emplace(trace_file);
   ObservabilityConfig& ob = built.config.observability;
   if (!options.metrics_out.empty()) ob.metrics = &metrics;
   if (trace_sink.has_value()) ob.trace = &*trace_sink;
   ob.trace_sim_events = options.trace_sim_events;
   if (options.profile || !options.bench_json.empty() || options.progress)
     ob.profiler = &profiler;
-  if (!options.samples_out.empty())
-    ob.sample_period = sim::Time::seconds(
-        options.sample_period_s > 0 ? options.sample_period_s : 10);
-  // Windowed streaming: the samples file must be open for the whole run so
-  // each window can flush into it; the end-of-run write path is skipped.
-  std::ofstream samples_file;
-  if (options.sample_window_s > 0) {
-    samples_file.open(options.samples_out);
-    if (!samples_file) {
-      std::cerr << "error: could not write " << options.samples_out << "\n";
-      return 1;
-    }
-    ob.sample_window = sim::Time::seconds(options.sample_window_s);
-    ob.samples_stream = &samples_file;
-  }
+  if (!options.samples_out.empty()) ob.samples_stream = &samples_file;
+  if (options.sample_period_s > 0)
+    ob.sample_period = sim::Time::seconds(options.sample_period_s);
   if (!options.health_rules.empty()) {
     // Watchdogs make the registry meaningful even without --metrics-out
     // (trip counters, dispatch telemetry, the post-mortem snapshot).
@@ -440,19 +422,11 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     };
     span_tracker.emplace(std::move(span_options));
     ob.spans = &*span_tracker;
-    ob.causal_trace = true;
   }
   std::optional<obs::FlightRecorder> recorder;
   if (!options.postmortem_dir.empty()) {
-    obs::FlightRecorder::Options recorder_options;
-    recorder_options.dir = options.postmortem_dir;
-    // The recorder tees in front of the NDJSON sink (or stands alone when
-    // no --trace-out was given) so it sees every protocol event.
-    recorder_options.downstream =
-        trace_sink.has_value() ? &*trace_sink : nullptr;
-    recorder_options.metrics = &metrics;
-    recorder.emplace(recorder_options);
-    ob.trace = &*recorder;
+    recorder.emplace(
+        obs::FlightRecorder::Options{options.postmortem_dir, &metrics});
     ob.recorder = &*recorder;
     ob.metrics = &metrics;
   }
@@ -472,8 +446,7 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     meter_options.total = built.config.scenario.duration;
     progress_meter.emplace(meter_options);
     ob.progress = &*progress_meter;
-    if (options.progress_period_s > 0)
-      ob.progress_period = sim::Time::seconds(options.progress_period_s);
+    ob.progress_period = sim::Time::seconds(options.progress_period_s);
   }
 
   ExperimentResult result = run_experiment(built.config);
@@ -561,12 +534,7 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     }
   }
   if (!options.metrics_out.empty()) {
-    std::ofstream f(options.metrics_out);
-    if (!f) {
-      std::cerr << "error: could not write " << options.metrics_out << "\n";
-      return 1;
-    }
-    metrics.write_ndjson(f);
+    metrics.write_ndjson(metrics_file);
     out << "metrics written: " << options.metrics_out << " ("
         << metrics.size() << " series)\n";
   }
@@ -574,28 +542,12 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     out << "trace written: " << options.trace_out << " ("
         << trace_sink->events_written() << " events)\n";
   }
-  if (options.sample_window_s > 0) {
-    samples_file.close();
-    out << "samples streamed: " << options.samples_out << " ("
-        << result.samples_flushed << " samples, "
-        << options.sample_window_s << "s windows)\n";
-  } else if (!options.samples_out.empty()) {
-    std::ofstream f(options.samples_out);
-    if (!f) {
-      std::cerr << "error: could not write " << options.samples_out << "\n";
-      return 1;
-    }
-    obs::write_samples_ndjson(f, result.samples);
+  if (!options.samples_out.empty()) {
     out << "samples written: " << options.samples_out << " ("
         << result.samples.size() << " samples)\n";
   }
   if (!options.spans_out.empty()) {
-    std::ofstream f(options.spans_out);
-    if (!f) {
-      std::cerr << "error: could not write " << options.spans_out << "\n";
-      return 1;
-    }
-    span_tracker->write_ndjson(f);
+    span_tracker->write_ndjson(spans_file);
     out << "spans written: " << options.spans_out << " ("
         << span_tracker->span_count() << " spans, "
         << span_tracker->referrals().size() << " referrals, "
@@ -625,12 +577,7 @@ int run_cli(const CliOptions& options, std::ostream& out) {
                   static_cast<double>(profiler.events_total()) * 1e9;
     total.peak_queue_depth = profiler.max_queue_depth();
     entries.push_back(std::move(total));
-    std::ofstream f(options.bench_json);
-    if (!f) {
-      std::cerr << "error: could not write " << options.bench_json << "\n";
-      return 1;
-    }
-    obs::write_bench_json(f, std::move(entries));
+    obs::write_bench_json(bench_file, std::move(entries));
     out << "bench telemetry written: " << options.bench_json << "\n";
   }
   return 0;

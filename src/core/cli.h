@@ -28,13 +28,9 @@ struct CliOptions {
   std::string metrics_out;    // metrics NDJSON path; empty = off
   std::string trace_out;      // protocol-event trace NDJSON path; empty = off
   std::string samples_out;    // time-series samples NDJSON path; empty = off
-  int sample_period_s = 0;    // 0 = default (10s) when samples_out is set
-  /// Scale observatory (docs/OBSERVABILITY.md): stream samples to
-  /// samples_out every sample_window_s sim-seconds instead of dumping at
-  /// run end (bounded obs memory). 0 = unwindowed.
-  int sample_window_s = 0;
+  int sample_period_s = 0;    // 0 = the runner's default period
   bool progress = false;      // stderr heartbeat; arms the resource probe
-  int progress_period_s = 0;  // 0 = default (30s) when progress is set
+  int progress_period_s = 30;  // heartbeat cadence in sim-seconds
   bool trace_sim_events = false;  // add per-sim-event rows to trace_out
   bool profile = false;           // print per-category wall-clock profile
   // Fault injection (docs/FAULTS.md); off by default.

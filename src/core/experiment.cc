@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_set>
 
 #include "capture/trace.h"
@@ -146,10 +147,9 @@ class Runner : public faults::FaultHost {
   sim::Simulator simulator_;
   proto::PeerNetwork network_;
 
-  // trace_dest_ is where protocol emitters actually point: the configured
-  // trace sink, the span tracker, or a tee over both — resolved once at the
-  // top of run(). Declared before every emitter (peers included) because
-  // ~Peer still emits through it; members below destruct first.
+  // trace_dest_ is where protocol emitters point, resolved once at the top
+  // of run(). Declared before every emitter (peers included) because ~Peer
+  // still emits through it; members below destruct first.
   obs::TraceSink* trace_dest_ = nullptr;
   std::unique_ptr<obs::TeeTraceSink> trace_tee_;
   bool causal_ = false;
@@ -322,6 +322,8 @@ void Runner::collect_sample() {
                              static_cast<double>(total_links),
       viewers == 0 ? 0.0 : continuity_acc / static_cast<double>(viewers),
       alive);
+  if (std::ostream* stream = config_.observability.samples_stream)
+    obs::write_sample_ndjson(*stream, sample);
   if (config_.observability.recorder != nullptr)
     config_.observability.recorder->note_sample(sample);
   if (health_ != nullptr) {
@@ -538,22 +540,50 @@ void Runner::schedule_probes() {
   }
 }
 
-ExperimentResult Runner::run() {
-  // Resolve the effective trace destination before any emitter is built.
-  // Attaching a span tracker implies causal tracing: spans without span ids
-  // would be an empty artifact.
-  causal_ = config_.observability.causal_trace ||
-            config_.observability.spans != nullptr;
-  trace_dest_ = config_.observability.trace;
-  if (obs::SpanTracker* spans = config_.observability.spans) {
-    if (trace_dest_ != nullptr) {
-      trace_tee_ = std::make_unique<obs::TeeTraceSink>(
-          std::initializer_list<obs::TraceSink*>{trace_dest_, spans});
-      trace_dest_ = trace_tee_.get();
-    } else {
-      trace_dest_ = spans;
+/// The sink that feeds every non-null one of `sinks`, in order: nullptr
+/// when there is none, the sink itself when there is one, else `tee`.
+obs::TraceSink* fan_out(std::unique_ptr<obs::TeeTraceSink>& tee,
+                        std::initializer_list<obs::TraceSink*> sinks) {
+  obs::TraceSink* only = nullptr;
+  for (obs::TraceSink* sink : sinks) {
+    if (sink == nullptr) continue;
+    if (only != nullptr) {
+      tee = std::make_unique<obs::TeeTraceSink>(sinks);
+      return tee.get();
     }
+    only = sink;
   }
+  return only;
+}
+
+ExperimentResult Runner::run() {
+  // Everything the observability config implies is decided here, before
+  // any emitter is built; ObservabilityConfig documents the rules.
+  const ObservabilityConfig& ob = config_.observability;
+  assert((ob.trace == nullptr || ob.trace != ob.recorder) &&
+         "the runner feeds the recorder every trace row itself");
+  causal_ = ob.spans != nullptr;
+  trace_dest_ = fan_out(trace_tee_, {ob.trace, ob.recorder, ob.spans});
+  std::unique_ptr<obs::TeeTraceSink> rows_tee;
+  std::unique_ptr<obs::SimEventTracer> sim_tracer;
+  if (ob.trace_sim_events) {
+    if (obs::TraceSink* rows = fan_out(rows_tee, {ob.trace, ob.recorder}))
+      sim_tracer = std::make_unique<obs::SimEventTracer>(*rows);
+  }
+  // A fresh profiler, not the caller's: one reused across runs would count
+  // the earlier runs too.
+  std::unique_ptr<obs::RunProfiler> dispatch_counts;
+  if (ob.health_rules != nullptr && ob.metrics != nullptr)
+    dispatch_counts = std::make_unique<obs::RunProfiler>(/*timed=*/false);
+  const std::array<sim::SimObserver*, 3> observers = {
+      ob.profiler, sim_tracer.get(), dispatch_counts.get()};
+  const bool wants_health =
+      ob.health_rules != nullptr && !ob.health_rules->empty();
+  sim::Time sample_period = ob.sample_period;
+  if (sample_period <= sim::Time::zero() &&
+      (wants_health || ob.recorder != nullptr || ob.resource != nullptr ||
+       ob.samples_stream != nullptr))
+    sample_period = sim::Time::seconds(10);
 
   if (config_.interconnects.has_value())
     network_.set_interconnects(*config_.interconnects);
@@ -572,69 +602,30 @@ ExperimentResult Runner::run() {
             ? config_.faults.fault_seed
             : sim::hash_combine(config_.seed, 0x6661756C7473ULL);
     fault_options.trace = trace_dest_;
-    fault_options.metrics = config_.observability.metrics;
+    fault_options.metrics = ob.metrics;
     fault_driver_ = std::make_unique<faults::FaultDriver>(
         simulator_, impairments_, *this, config_.faults.plan, fault_options);
     fault_driver_->arm();
   }
 
-  if (config_.observability.profiler != nullptr)
-    simulator_.add_observer(config_.observability.profiler);
-  std::unique_ptr<obs::SimEventTracer> sim_tracer;
-  if (config_.observability.trace != nullptr &&
-      config_.observability.trace_sim_events) {
-    // sim_event rows go to the trace file only; the span tracker has no use
-    // for them and would just count them.
-    sim_tracer =
-        std::make_unique<obs::SimEventTracer>(*config_.observability.trace);
-    simulator_.add_observer(sim_tracer.get());
-  }
-  // Watchdog runs with a registry export the dispatch counts. This is a
-  // fresh profiler, not the caller's: one reused across runs would count
-  // the earlier runs too.
-  std::unique_ptr<obs::RunProfiler> dispatch_counts;
-  if (config_.observability.health_rules != nullptr &&
-      config_.observability.metrics != nullptr) {
-    dispatch_counts = std::make_unique<obs::RunProfiler>(/*timed=*/false);
-    simulator_.add_observer(dispatch_counts.get());
-  }
+  for (sim::SimObserver* observer : observers)
+    if (observer != nullptr) simulator_.add_observer(observer);
 
-  // Watchdogs, the flight recorder, and the resource probe all ride the
-  // sampling tick; give them a default cadence when the caller enabled any
-  // of them without choosing one.
-  const bool wants_health = config_.observability.health_rules != nullptr &&
-                            !config_.observability.health_rules->empty();
-  sim::Time sample_period = config_.observability.sample_period;
-  if ((wants_health || config_.observability.recorder != nullptr ||
-       config_.observability.resource != nullptr ||
-       config_.observability.sample_window > sim::Time::zero()) &&
-      sample_period <= sim::Time::zero())
-    sample_period = sim::Time::seconds(10);
-
-  // Windowed streaming mode: flush each window of samples to the caller's
-  // stream as sim time crosses its boundary, retaining only a bounded tail.
-  if (config_.observability.sample_window > sim::Time::zero()) {
-    assert(config_.observability.samples_stream != nullptr &&
-           "sample_window requires samples_stream");
-    obs::TrafficSampler::WindowOptions window_options;
-    window_options.window = config_.observability.sample_window;
-    window_options.out = config_.observability.samples_stream;
-    window_options.retain = config_.observability.sample_retain;
-    sampler_.enable_windowing(window_options);
-  }
   if (wants_health) {
     obs::HealthMonitor::Options health_options;
     health_options.trace = trace_dest_;
-    health_options.metrics = config_.observability.metrics;
-    health_ = std::make_unique<obs::HealthMonitor>(
-        *config_.observability.health_rules, health_options);
-    if (obs::FlightRecorder* recorder = config_.observability.recorder) {
+    health_options.metrics = ob.metrics;
+    health_ = std::make_unique<obs::HealthMonitor>(*ob.health_rules,
+                                                   health_options);
+    if (obs::FlightRecorder* recorder = ob.recorder) {
       health_->set_critical_hook(
           [recorder](sim::Time t, const obs::HealthRule& rule, double) {
             recorder->trigger(t, "health-" + rule.display_name());
           });
     }
   }
+  // Watchdogs, the flight recorder, the resource probe and the samples
+  // stream all ride this tick.
   if (sample_period > sim::Time::zero()) {
     sampling_active_ = true;
     sim::schedule_periodic(
@@ -650,13 +641,10 @@ ExperimentResult Runner::run() {
   // The heartbeat is its own chain so its cadence is independent of the
   // sampling one; like the sampler tick it reads but never mutates, so
   // arming it cannot change the simulated trajectory.
-  if (obs::ProgressMeter* meter = config_.observability.progress) {
-    sim::Time progress_period = config_.observability.progress_period;
-    if (progress_period <= sim::Time::zero())
-      progress_period = sim::Time::seconds(30);
+  if (obs::ProgressMeter* meter = ob.progress) {
     progress_active_ = true;
     sim::schedule_periodic(
-        simulator_, progress_period,
+        simulator_, ob.progress_period,
         [this, meter] {
           if (!progress_active_) return false;
           obs::ProgressMeter::State state;
@@ -675,21 +663,14 @@ ExperimentResult Runner::run() {
   simulator_.run_until(config_.duration);
   sampling_active_ = false;
   progress_active_ = false;
-  sampler_.flush();  // windowed mode: write out the still-open window
 
-  if (config_.observability.profiler != nullptr)
-    simulator_.remove_observer(config_.observability.profiler);
-  if (sim_tracer != nullptr) simulator_.remove_observer(sim_tracer.get());
-  if (dispatch_counts != nullptr) {
-    simulator_.remove_observer(dispatch_counts.get());
-    dispatch_counts->export_metrics(*config_.observability.metrics);
-  }
+  for (sim::SimObserver* observer : observers)
+    if (observer != nullptr) simulator_.remove_observer(observer);
+  if (dispatch_counts != nullptr) dispatch_counts->export_metrics(*ob.metrics);
 
   ExperimentResult result;
   result.traffic = traffic_;
-  result.samples =
-      sampler_.windowed() ? sampler_.tail_samples() : sampler_.samples();
-  result.samples_flushed = sampler_.samples_flushed();
+  result.samples = sampler_.samples();
 
   for (const auto& probe : probes_) {
     ProbeResult pr;
@@ -732,10 +713,10 @@ ExperimentResult Runner::run() {
   }
 
   if (health_ != nullptr) result.health = health_->summary();
-  if (config_.observability.recorder != nullptr)
-    result.postmortem_dumps = config_.observability.recorder->dumps_written();
+  if (ob.recorder != nullptr)
+    result.postmortem_dumps = ob.recorder->dumps_written();
 
-  if (const obs::SpanTracker* spans = config_.observability.spans) {
+  if (const obs::SpanTracker* spans = ob.spans) {
     result.lineage = spans->lineage();
     result.referral_share = spans->referral_share_series();
     result.critical_paths = spans->critical_paths();

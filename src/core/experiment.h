@@ -28,6 +28,20 @@ namespace ppsim::core {
 /// Opt-in observability sinks for a run. Every pointer is borrowed (the
 /// caller owns the sink and must keep it alive through run_experiment) and
 /// defaults to off; a default-constructed config costs the run nothing.
+///
+/// What a config implies is decided once, at the top of the run:
+///  * Sampling: the sampling tick runs every `sample_period`. Left at zero,
+///    it runs every 10 s when anything that rides it is attached (non-empty
+///    `health_rules`, `recorder`, `resource` or `samples_stream`), and not
+///    at all otherwise.
+///  * Causal tracing is on exactly when `spans` is set.
+///  * Trace fan-out: protocol, fault and health events go to `trace`,
+///    `recorder` and `spans`; sim_event rows go to `trace` and `recorder`
+///    only (the span tracker has no use for them). `trace` must not be the
+///    recorder: the runner feeds the recorder itself.
+///  * Dispatch counts: with `health_rules` and `metrics` both set, the
+///    runner attaches its own untimed obs::RunProfiler and exports its
+///    sim_events_dispatched{category} / sim_peak_queue_depth at run end.
 struct ObservabilityConfig {
   /// Filled during and at the end of the run: per-ISP-pair
   /// bytes_uploaded{src_isp,dst_isp} counters (live, from the network's
@@ -38,58 +52,40 @@ struct ObservabilityConfig {
   /// peer, tracker, and source). Sim-timestamps only: same seed, same
   /// config => byte-identical trace.
   obs::TraceSink* trace = nullptr;
-  /// Additionally emit one "sim_event" row per executed simulator event to
-  /// `trace` (sequence, category, queue depth). High volume.
+  /// Additionally emit one "sim_event" row per executed simulator event
+  /// (sequence, category, queue depth). High volume.
   bool trace_sim_events = false;
   /// Wall-clock per-category profile of the run (see obs::RunProfiler).
   obs::RunProfiler* profiler = nullptr;
-  /// When positive, snapshot the traffic matrix / neighbor composition /
-  /// continuity every sample_period into ExperimentResult::samples.
-  /// Defaulted to 10s when health rules or a flight recorder are attached
-  /// and no period was chosen (the watchdogs ride the sampling tick).
+  /// Cadence of the sampling tick, which snapshots the traffic matrix /
+  /// neighbor composition / continuity into ExperimentResult::samples.
   sim::Time sample_period = sim::Time::zero();
   /// Watchdog rules evaluated on every sampling tick (obs::HealthMonitor);
   /// nullptr/empty disables the monitor. The summary lands on
-  /// ExperimentResult::health. With `metrics` also set, the runner attaches
-  /// its own untimed obs::RunProfiler and exports its deterministic
-  /// sim_events_dispatched{category} / sim_peak_queue_depth at run end.
+  /// ExperimentResult::health.
   const obs::HealthRuleSet* health_rules = nullptr;
-  /// Flight recorder for post-mortem bundles. When set, the runner feeds it
-  /// every sampling tick's TrafficSample and wires the health monitor's
-  /// critical hook to FlightRecorder::trigger. To also capture the protocol
-  /// event stream, point `trace` at the recorder (it tees downstream).
+  /// Flight recorder for post-mortem bundles. The runner feeds it every
+  /// trace row and every sampling tick's TrafficSample, and wires the
+  /// health monitor's critical hook to FlightRecorder::trigger.
   obs::FlightRecorder* recorder = nullptr;
-  /// Causal tracing (docs/OBSERVABILITY.md): every protocol entity
-  /// allocates span ids for its outgoing discovery/data messages, trace
-  /// events gain span/parent (and referral-provenance) fields, and the
-  /// startup milestone events (join_reply, chunk_delivered,
-  /// playback_start, bootstrap_serve) are emitted. Off by default so runs
-  /// without it stay byte-identical to builds that predate causal tracing.
-  bool causal_trace = false;
-  /// Online span-tree consumer. When set, the runner enables causal_trace
-  /// implicitly and tees the span tracker behind `trace` (if any), so both
-  /// sinks observe the identical event sequence. Its lineage /
-  /// referral-share / critical-path summaries land on ExperimentResult.
+  /// Online span-tree consumer; attaching one turns on causal tracing
+  /// (docs/OBSERVABILITY.md): every protocol entity allocates span ids for
+  /// its outgoing discovery/data messages, trace events gain span/parent
+  /// (and referral-provenance) fields, and the startup milestone events
+  /// (join_reply, chunk_delivered, playback_start, bootstrap_serve) are
+  /// emitted. Its lineage / referral-share / critical-path summaries land
+  /// on ExperimentResult.
   obs::SpanTracker* spans = nullptr;
-  /// Scale observatory (docs/OBSERVABILITY.md "Scale observatory").
-  /// When sample_window is positive the sampler runs in its windowed
-  /// streaming mode: each time sim time crosses a window boundary the
-  /// window's samples are flushed to `samples_stream` (which must be set)
-  /// and only the last `sample_retain` samples stay in memory, so
-  /// ExperimentResult::samples holds the bounded tail instead of the whole
-  /// series. The flushed stream is byte-identical to the end-of-run dump an
-  /// unwindowed run would have written.
-  sim::Time sample_window = sim::Time::zero();
+  /// Receives each sample as an NDJSON row (write_sample_ndjson) the
+  /// moment it is recorded, so the stream ends byte-identical to
+  /// write_samples_ndjson(ExperimentResult::samples).
   std::ostream* samples_stream = nullptr;
-  std::size_t sample_retain = 16;
-  /// Host-resource / scheduler telemetry, sampled on the sampling tick
-  /// (requires sample_period, or it defaults to 10s like the watchdogs).
+  /// Host-resource / scheduler telemetry, sampled on the sampling tick.
   /// Wall-clock inputs are read from `profiler` when one is attached.
   obs::ResourceProbe* resource = nullptr;
-  /// Live stderr heartbeat, emitted every progress_period of sim time
-  /// (defaulted to 30s when a meter is attached without a period).
+  /// Live stderr heartbeat, emitted every progress_period of sim time.
   obs::ProgressMeter* progress = nullptr;
-  sim::Time progress_period = sim::Time::zero();
+  sim::Time progress_period = sim::Time::seconds(30);
 };
 
 /// Declarative fault schedule for a run (src/faults, docs/FAULTS.md).
@@ -241,13 +237,9 @@ struct ExperimentResult {
   /// with PeerCounters::operator+= so no field can be silently dropped.
   proto::PeerCounters counter_totals;
   std::array<proto::PeerCounters, net::kNumIspCategories> counters_by_isp{};
-  /// Periodic swarm snapshots; empty unless observability.sample_period
-  /// was set (the Figure-6-style time-series source). In windowed mode
-  /// (observability.sample_window) this is only the bounded in-memory tail;
-  /// the full series lives in the flushed samples_stream.
+  /// Every periodic swarm snapshot of the run; empty unless the sampling
+  /// tick ran (the Figure-6-style time-series source).
   std::vector<obs::TrafficSample> samples;
-  /// Samples flushed to observability.samples_stream (windowed mode only).
-  std::uint64_t samples_flushed = 0;
   /// Fault-driver summary; all zero when no fault plan was configured.
   std::uint64_t fault_windows_applied = 0;
   std::uint64_t fault_windows_reverted = 0;

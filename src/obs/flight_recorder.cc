@@ -30,20 +30,16 @@ std::string sanitize(std::string_view reason) {
 }  // namespace
 
 FlightRecorder::FlightRecorder(Options options)
-    : options_(std::move(options)) {
-  if (options_.ring_capacity == 0) options_.ring_capacity = 1;
-  if (options_.max_dump_per_category == 0) options_.max_dump_per_category = 1;
-}
+    : options_(std::move(options)) {}
 
 void FlightRecorder::write(const TraceEvent& event) {
   auto& ring = rings_[event.name()];
   ring.push_back(Buffered{arrival_++, event});
   ++events_buffered_;
-  while (ring.size() > options_.ring_capacity) {
+  while (ring.size() > kRingCapacity) {
     ring.pop_front();
     --events_buffered_;
   }
-  if (options_.downstream != nullptr) options_.downstream->write(event);
   // Anomaly markers from the fault layer double as dump triggers: capture
   // the swarm state around every crash and at each fault-window onset.
   if (event.name() == "peer_crash" || event.name() == "fault_begin")
@@ -52,13 +48,13 @@ void FlightRecorder::write(const TraceEvent& event) {
 
 void FlightRecorder::note_sample(const TrafficSample& sample) {
   samples_.push_back(sample);
-  while (samples_.size() > options_.sample_window) samples_.pop_front();
+  while (samples_.size() > kSampleWindow) samples_.pop_front();
 }
 
 bool FlightRecorder::trigger(sim::Time now, std::string_view reason) {
   if (options_.dir.empty()) return false;
-  if (dumps_written_ + dump_failures_ >= options_.max_dumps) return false;
-  if (has_last_dump_ && now < last_dump_ + options_.min_dump_gap) return false;
+  if (dumps_written_ + dump_failures_ >= kMaxDumps) return false;
+  if (has_last_dump_ && now < last_dump_ + kMinDumpGap) return false;
   has_last_dump_ = true;
   last_dump_ = now;
   dump(now, reason);
@@ -84,27 +80,11 @@ void FlightRecorder::dump(sim::Time now, std::string_view reason) {
 
   // Header, then three marked sections so the bundle self-describes for
   // ppsim-analyze --postmortem. Events replay in global arrival order by
-  // merging the per-name rings on their arrival index. Each ring
-  // contributes at most max_dump_per_category (newest) events so a single
-  // bundle's size stays bounded even when rings are sized up for scale
-  // runs; capped rings are declared with explicit truncated marker rows
-  // rather than silently shrinking.
-  struct Truncation {
-    std::string_view name;
-    std::size_t kept;
-    std::size_t dropped;
-  };
+  // merging the per-name rings on their arrival index.
   std::vector<const Buffered*> ordered;
   ordered.reserve(events_buffered_);
-  std::vector<Truncation> truncated;  // rings_ is a map: sorted by name
-  for (const auto& [ev_name, ring] : rings_) {
-    const std::size_t keep =
-        std::min(ring.size(), options_.max_dump_per_category);
-    if (keep < ring.size())
-      truncated.push_back(Truncation{ev_name, keep, ring.size() - keep});
-    for (std::size_t i = ring.size() - keep; i < ring.size(); ++i)
-      ordered.push_back(&ring[i]);
-  }
+  for (const auto& entry : rings_)
+    for (const Buffered& buffered : entry.second) ordered.push_back(&buffered);
   std::sort(ordered.begin(), ordered.end(),
             [](const Buffered* a, const Buffered* b) {
               return a->order < b->order;
@@ -117,20 +97,7 @@ void FlightRecorder::dump(sim::Time now, std::string_view reason) {
   os << ",\"dump\":" << index << ",\"events\":" << ordered.size()
      << ",\"samples\":" << samples_.size() << "}\n";
 
-  os << "{\"section\":\"events\",\"count\":" << ordered.size();
-  // Only stamped when something was cut, so uncapped bundles keep their
-  // exact pre-existing byte layout.
-  if (!truncated.empty()) os << ",\"truncated\":" << truncated.size();
-  os << "}\n";
-  // Marker rows lead the section (deterministic name order) so a reader
-  // knows up front which categories are partial. They carry no "ev" key,
-  // and ppsim-analyze --postmortem recognizes the "truncated" key, so they
-  // never pollute the per-event tally.
-  for (const Truncation& t : truncated) {
-    os << "{\"truncated\":";
-    write_json_string(os, t.name);
-    os << ",\"kept\":" << t.kept << ",\"dropped\":" << t.dropped << "}\n";
-  }
+  os << "{\"section\":\"events\",\"count\":" << ordered.size() << "}\n";
   NdjsonTraceSink events_sink(os);
   for (const Buffered* b : ordered) events_sink.write(b->event);
 

@@ -13,36 +13,31 @@
 
 namespace ppsim::obs {
 
-/// A TraceSink tee with memory: forwards every event to an optional
-/// downstream sink and keeps the last `ring_capacity` events *per event
+/// A TraceSink with memory: keeps the last kRingCapacity events *per event
 /// name* in bounded rings (so rare control events like fault_begin are not
-/// evicted by high-volume data events). On a trigger — a critical watchdog
-/// trip via HealthMonitor's hook, a `peer_crash`, or a `fault_begin`, all
-/// auto-detected from the event stream — it dumps a post-mortem NDJSON
-/// bundle to `dir`: buffered events in arrival order, the trailing sampler
-/// window, and a metrics snapshot. Everything in the bundle is stamped with
-/// sim time only, so same-seed dumps are byte-identical.
+/// evicted by high-volume data events). The experiment runner feeds it
+/// every trace row, sim_event rows included. On a trigger — a critical
+/// watchdog trip via HealthMonitor's hook, a `peer_crash`, or a
+/// `fault_begin`, all auto-detected from the event stream — it dumps a
+/// post-mortem NDJSON bundle to `dir`: buffered events in arrival order,
+/// the trailing sampler window, and a metrics snapshot. Everything in the
+/// bundle is stamped with sim time only, so same-seed dumps are
+/// byte-identical.
 class FlightRecorder final : public TraceSink {
  public:
+  static constexpr std::size_t kRingCapacity = 64;  // events per event name
+  static constexpr std::size_t kSampleWindow = 16;  // trailing TrafficSamples
+  static constexpr std::size_t kMaxDumps = 16;  // per run, then triggers no-op
+  static constexpr sim::Time kMinDumpGap = sim::Time::seconds(30);  // debounce
+
   struct Options {
-    std::size_t ring_capacity = 64;  // buffered events per event name
-    std::size_t sample_window = 16;  // trailing TrafficSamples kept
-    std::size_t max_dumps = 16;      // bundles per run, then triggers no-op
-    /// Cap on events *written per event name* in one bundle, bounding the
-    /// per-dump cost when rings are sized up for big runs. A ring holding
-    /// more contributes only its newest max_dump_per_category events, and
-    /// the bundle's events section carries one explicit
-    /// {"truncated":name,"kept":K,"dropped":D} marker row per capped ring.
-    std::size_t max_dump_per_category = 64;
-    sim::Time min_dump_gap = sim::Time::seconds(30);  // sim-time debounce
-    std::string dir;                 // bundle directory; empty = dumps off
-    TraceSink* downstream = nullptr;  // forwarded every event; borrowed
+    std::string dir;                     // bundle directory; empty = dumps off
     MetricsRegistry* metrics = nullptr;  // postmortem_dumps counter; borrowed
   };
 
   explicit FlightRecorder(Options options);
 
-  /// TraceSink: buffer, forward, and auto-trigger on peer_crash/fault_begin.
+  /// TraceSink: buffer the event; auto-trigger on peer_crash/fault_begin.
   void write(const TraceEvent& event) override;
 
   /// Feeds the trailing sampler window (the runner calls this right after

@@ -1,6 +1,5 @@
 #include "obs/sampler.h"
 
-#include <cassert>
 #include <charconv>
 #include <istream>
 #include <ostream>
@@ -24,42 +23,11 @@ std::uint64_t matrix_intra_isp(const IspMatrix& m) {
   return t;
 }
 
-void TrafficSampler::enable_windowing(const WindowOptions& options) {
-  assert(options.window > sim::Time::zero() && options.out != nullptr);
-  assert(samples_.empty() && flushed_ == 0 &&
-         "windowing must be configured before the first sample");
-  window_ = options.window;
-  window_end_ = options.window;
-  out_ = options.out;
-  retain_ = options.retain;
-}
-
-void TrafficSampler::flush() {
-  if (!windowed()) return;
-  for (const auto& s : samples_) {
-    write_sample_ndjson(*out_, s);
-    retained_.push_back(s);
-    while (retained_.size() > retain_) retained_.pop_front();
-    ++flushed_;
-  }
-  samples_.clear();
-}
-
-std::vector<TrafficSample> TrafficSampler::tail_samples() const {
-  std::vector<TrafficSample> out(retained_.begin(), retained_.end());
-  out.insert(out.end(), samples_.begin(), samples_.end());
-  return out;
-}
-
 const TrafficSample& TrafficSampler::record(sim::Time now,
                                             const IspMatrix& cumulative,
                                             double neighbor_same_isp_share,
                                             double avg_continuity,
                                             std::uint64_t alive_peers) {
-  if (windowed() && now >= window_end_) {
-    flush();
-    while (window_end_ <= now) window_end_ += window_;
-  }
   TrafficSample s;
   s.t = now;
   s.bytes = cumulative;
@@ -170,7 +138,7 @@ std::vector<TrafficSample> read_samples_ndjson(std::istream& is,
     if (!seen_micros.insert(s.t.as_micros()).second) {
       // Each row holds the full (src_isp, dst_isp) matrix for its time, so
       // a repeated t duplicates every pair cell — the file is corrupt (e.g.
-      // a windowed flush was concatenated twice). Reject it outright.
+      // two runs' files were concatenated). Reject it outright.
       if (error != nullptr)
         *error = "duplicate sample row at t=" + s.t.to_string() +
                  " (same time, src_isp, dst_isp cells already present)";

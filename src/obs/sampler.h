@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -39,62 +38,23 @@ struct TrafficSample {
 std::uint64_t matrix_total(const IspMatrix& m);
 std::uint64_t matrix_intra_isp(const IspMatrix& m);
 
-/// Turns successive cumulative matrices into interval samples. The caller
-/// (the experiment runner's schedule_periodic tick) supplies the swarm
-/// snapshot; the sampler handles the deltas and share arithmetic.
-///
-/// Two storage modes. By default every sample is kept in memory for the
-/// whole run (`samples()`), which is what the figure benches want but is
-/// O(run length). `enable_windowing()` switches to a streaming rollup:
-/// samples accumulate only until sim time crosses the next window boundary,
-/// at which point the window's rows are flushed to the configured stream
-/// (same row format as write_samples_ndjson, so the flushed file is
-/// byte-identical to an end-of-run dump) and only a bounded tail is
-/// retained in memory — O(window + retain), independent of run length.
+/// Turns successive cumulative matrices into interval samples and keeps
+/// the whole series. The caller (the experiment runner's schedule_periodic
+/// tick) supplies the swarm snapshot; the sampler handles the deltas and
+/// share arithmetic. A sample is 264 B, so the series costs about 95 KB per
+/// simulated hour at the 10 s default period.
 class TrafficSampler {
  public:
-  struct WindowOptions {
-    sim::Time window = sim::Time::zero();  // flush cadence in sim time (> 0)
-    std::ostream* out = nullptr;           // flush destination (borrowed)
-    std::size_t retain = 16;               // flushed samples kept in memory
-  };
-
-  /// Must be called before the first record(). Windows end at multiples of
-  /// `window`: a sample at t belongs to the window [k*w, (k+1)*w) and is
-  /// flushed when a later sample lands at or past (k+1)*w, or by flush().
-  void enable_windowing(const WindowOptions& options);
-  bool windowed() const { return window_ > sim::Time::zero(); }
-
   const TrafficSample& record(sim::Time now, const IspMatrix& cumulative,
                               double neighbor_same_isp_share,
                               double avg_continuity,
                               std::uint64_t alive_peers);
 
-  /// Windowed mode only: write out any samples still pending in the open
-  /// window. Call once at end of run so the stream matches the unwindowed
-  /// dump exactly.
-  void flush();
-
-  /// All samples so far. In windowed mode this is only the samples of the
-  /// still-open window (flushed rows have left memory — see tail_samples()).
   const std::vector<TrafficSample>& samples() const { return samples_; }
-
-  /// The bounded in-memory tail: the last `retain` flushed samples plus the
-  /// open window. This is what windowed runs hand to ExperimentResult in
-  /// place of the full series.
-  std::vector<TrafficSample> tail_samples() const;
-
-  std::size_t samples_flushed() const { return flushed_; }
 
  private:
   IspMatrix prev_{};
-  std::vector<TrafficSample> samples_;  // unwindowed: all; windowed: pending
-  sim::Time window_ = sim::Time::zero();
-  sim::Time window_end_ = sim::Time::zero();
-  std::ostream* out_ = nullptr;
-  std::size_t retain_ = 0;
-  std::deque<TrafficSample> retained_;  // flushed tail, bounded by retain_
-  std::size_t flushed_ = 0;
+  std::vector<TrafficSample> samples_;
 };
 
 /// One JSON object per sample per line, keys in a fixed order — byte-stable
@@ -106,8 +66,8 @@ void write_samples_ndjson(std::ostream& os,
 /// Parses rows written by write_samples_ndjson. Malformed lines are
 /// skipped and counted in *dropped (when non-null). A duplicate timestamp —
 /// two rows carrying the same t, and therefore the same (time, src_isp,
-/// dst_isp) matrix cells — means the file was assembled wrong (e.g. a
-/// windowed flush concatenated twice); the whole file is rejected: the
+/// dst_isp) matrix cells — means the file was assembled wrong (e.g. two
+/// runs' files concatenated); the whole file is rejected: the
 /// reader returns an empty vector and describes the offending row in
 /// *error (when non-null).
 std::vector<TrafficSample> read_samples_ndjson(std::istream& is,

@@ -99,14 +99,15 @@ std::vector<ReferralShareBucket> referral_share_series(
 
 class SpanTracker final : public TraceSink {
  public:
+  /// Width of the same-ISP-referral-fraction time-series buckets.
+  static constexpr sim::Time kShareBucket = sim::Time::seconds(60);
+
   struct Options {
     /// Resolves an IP (dotted-quad text, as carried in trace fields) to an
     /// ISP label for lineage records; empty result means "unresolvable".
     /// Must be a pure deterministic function. Unset disables ISP
     /// resolution (every referral reports empty ISPs, same_isp=false).
     std::function<std::string(std::string_view ip)> isp_of;
-    /// Width of the same-ISP-referral-fraction time-series buckets.
-    sim::Time share_bucket = sim::Time::seconds(60);
   };
 
   SpanTracker();
@@ -125,7 +126,7 @@ class SpanTracker final : public TraceSink {
 
   const std::vector<ReferralRecord>& referrals() const { return referrals_; }
   std::vector<ReferralShareBucket> referral_share_series() const {
-    return obs::referral_share_series(referrals_, options_.share_bucket);
+    return obs::referral_share_series(referrals_, kShareBucket);
   }
   LineageSummary lineage() const { return summarize_lineage(referrals_); }
 

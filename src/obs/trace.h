@@ -35,10 +35,10 @@ class NdjsonTraceSink final : public TraceSink {
 };
 
 /// Fans one event stream out to several sinks in a fixed order. Sinks are
-/// borrowed, not owned; null entries are skipped. This is how the flight
-/// recorder / NDJSON sink and the span tracker share one emission stream —
-/// every sink observes the exact same event sequence, a property the sink-
-/// composition tests pin byte-for-byte.
+/// borrowed, not owned; null entries are skipped. This is how the
+/// experiment runner hands the trace sink, the flight recorder and the span
+/// tracker one emission stream — every sink observes the exact same event
+/// sequence, a property the sink-composition tests pin byte-for-byte.
 class TeeTraceSink final : public TraceSink {
  public:
   TeeTraceSink(std::initializer_list<TraceSink*> sinks) : sinks_(sinks) {}

@@ -86,7 +86,6 @@ TEST(CausalExperiment, CausalTracingDoesNotPerturbTheSimulation) {
   ExperimentConfig causal = small_config();
   obs::SpanTracker spans;
   causal.observability.spans = &spans;
-  causal.observability.causal_trace = true;
   const ExperimentResult traced = run_experiment(causal);
 
   // Span ids are bookkeeping on existing messages; no extra sim events,

@@ -144,33 +144,37 @@ TEST(Observability, SamplingDoesNotPerturbTheSimulation) {
   EXPECT_GT(trace.total(), 0u);
 }
 
-TEST(Observability, WindowedStreamingMatchesUnwindowedDumpByteForByte) {
-  // The scale-observatory contract: a windowed run's streamed samples file
-  // must be byte-identical to the end-of-run dump an unwindowed run writes,
-  // while holding only a bounded tail in memory.
+TEST(Observability, SamplesStreamMatchesTheResultSeries) {
+  // The runner writes each sample to the stream as it is recorded. The
+  // stream must end byte-identical to the dump of the result's series, and
+  // that series must be the whole run, as in a run without a stream.
+  const auto ndjson = [](const std::vector<obs::TrafficSample>& samples) {
+    std::ostringstream os;
+    obs::write_samples_ndjson(os, samples);
+    return os.str();
+  };
   ExperimentConfig plain = small_config();
   plain.observability.sample_period = sim::Time::seconds(15);
   const ExperimentResult base = run_experiment(plain);
-  std::ostringstream dump;
-  obs::write_samples_ndjson(dump, base.samples);
 
-  ExperimentConfig windowed = small_config();
+  ExperimentConfig streamed = small_config();
   std::ostringstream stream;
-  windowed.observability.sample_period = sim::Time::seconds(15);
-  windowed.observability.sample_window = sim::Time::seconds(30);
-  windowed.observability.samples_stream = &stream;
-  windowed.observability.sample_retain = 4;
-  const ExperimentResult result = run_experiment(windowed);
+  streamed.observability.sample_period = sim::Time::seconds(15);
+  streamed.observability.samples_stream = &stream;
+  const ExperimentResult result = run_experiment(streamed);
 
-  EXPECT_EQ(stream.str(), dump.str());
-  EXPECT_EQ(result.samples_flushed, base.samples.size());
-  // The in-memory series is the bounded tail, not the full run.
-  EXPECT_LE(result.samples.size(), 4u);
-  ASSERT_FALSE(result.samples.empty());
-  EXPECT_EQ(result.samples.back().t.as_micros(),
-            base.samples.back().t.as_micros());
-  // Windowing is output plumbing only; the simulation is untouched.
+  ASSERT_EQ(result.samples.size(), 12u);  // 3 minutes at 15 s
+  EXPECT_EQ(stream.str(), ndjson(result.samples));
+  EXPECT_EQ(ndjson(result.samples), ndjson(base.samples));
   EXPECT_EQ(base.traffic.bytes, result.traffic.bytes);
+
+  // A stream without a period samples at the 10 s default.
+  ExperimentConfig defaulted = small_config();
+  std::ostringstream default_stream;
+  defaulted.observability.samples_stream = &default_stream;
+  const ExperimentResult by_default = run_experiment(defaulted);
+  ASSERT_EQ(by_default.samples.size(), 18u);
+  EXPECT_EQ(default_stream.str(), ndjson(by_default.samples));
 }
 
 TEST(Observability, ScaleObservatoryDoesNotPerturbTheSimulation) {
@@ -178,7 +182,7 @@ TEST(Observability, ScaleObservatoryDoesNotPerturbTheSimulation) {
   const ExperimentResult base = run_experiment(plain);
 
   // Arm the whole scale observatory: resource probe (with gauges), progress
-  // heartbeat, and windowed streaming.
+  // heartbeat, and the samples stream.
   ExperimentConfig observed_cfg = small_config();
   obs::MetricsRegistry metrics;
   obs::RunProfiler profiler;
@@ -194,7 +198,6 @@ TEST(Observability, ScaleObservatoryDoesNotPerturbTheSimulation) {
   observed_cfg.observability.progress = &meter;
   observed_cfg.observability.progress_period = sim::Time::seconds(30);
   observed_cfg.observability.sample_period = sim::Time::seconds(15);
-  observed_cfg.observability.sample_window = sim::Time::seconds(30);
   observed_cfg.observability.samples_stream = &stream;
   const ExperimentResult observed = run_experiment(observed_cfg);
 
@@ -359,7 +362,6 @@ TEST(Observability, CriticalTripDumpsByteIdenticalPostmortems) {
     options.dir = dir.string();
     obs::FlightRecorder recorder(options);
     config.observability.health_rules = &rules;
-    config.observability.trace = &recorder;
     config.observability.recorder = &recorder;
     const ExperimentResult result = run_experiment(config);
     EXPECT_GE(result.postmortem_dumps, 1u);

@@ -48,18 +48,20 @@ std::string slurp(const std::string& path) {
 }
 
 TEST_F(FlightRecorderTest, ForwardsDownstreamAndBoundsRings) {
+  // The runner's composition: a tee hands every event to the downstream
+  // sink and to the recorder.
   CountingTraceSink downstream;
-  FlightRecorder::Options options;
-  options.ring_capacity = 4;
-  options.downstream = &downstream;
-  FlightRecorder recorder(options);
+  FlightRecorder recorder(FlightRecorder::Options{});
+  TeeTraceSink tee{&downstream, &recorder};
 
-  for (int i = 0; i < 10; ++i) recorder.write(chunk_event(i, i));
-  recorder.write(TraceEvent(sim::Time::seconds(11), "peer_join"));
+  const int chunks = static_cast<int>(FlightRecorder::kRingCapacity) + 10;
+  for (int i = 0; i < chunks; ++i) tee.write(chunk_event(i, i));
+  tee.write(TraceEvent(sim::Time::seconds(chunks), "peer_join"));
 
-  EXPECT_EQ(downstream.total(), 11u);  // tee forwards everything
-  // Ring keeps only the last 4 chunk events, but the rare event survives.
-  EXPECT_EQ(recorder.events_buffered(), 5u);
+  EXPECT_EQ(downstream.total(), static_cast<std::uint64_t>(chunks) + 1);
+  // The ring keeps only the last kRingCapacity chunk events, but the rare
+  // event survives.
+  EXPECT_EQ(recorder.events_buffered(), FlightRecorder::kRingCapacity + 1);
 }
 
 TEST_F(FlightRecorderTest, TriggerDumpsBundleWithSections) {
@@ -107,15 +109,17 @@ TEST_F(FlightRecorderTest, DumpFilenameUsesSimTimeAndSanitizedReason) {
 TEST_F(FlightRecorderTest, DebounceAndBudgetLimitDumps) {
   FlightRecorder::Options options;
   options.dir = dir();
-  options.min_dump_gap = sim::Time::seconds(30);
-  options.max_dumps = 2;
   FlightRecorder recorder(options);
 
-  EXPECT_TRUE(recorder.trigger(sim::Time::seconds(10), "a"));
-  EXPECT_FALSE(recorder.trigger(sim::Time::seconds(20), "b"));  // inside gap
-  EXPECT_TRUE(recorder.trigger(sim::Time::seconds(50), "c"));
-  EXPECT_FALSE(recorder.trigger(sim::Time::seconds(100), "d"));  // budget
-  EXPECT_EQ(recorder.dumps_written(), 2u);
+  const sim::Time gap = FlightRecorder::kMinDumpGap;
+  EXPECT_TRUE(recorder.trigger(gap, "a"));
+  EXPECT_FALSE(recorder.trigger(gap + gap / 2, "b"));  // inside the gap
+  // Triggers one gap apart each dump until the per-run budget is spent.
+  for (std::size_t i = 2; i <= FlightRecorder::kMaxDumps; ++i)
+    EXPECT_TRUE(recorder.trigger(gap * static_cast<std::int64_t>(i), "c"));
+  EXPECT_FALSE(recorder.trigger(
+      gap * static_cast<std::int64_t>(FlightRecorder::kMaxDumps + 1), "d"));
+  EXPECT_EQ(recorder.dumps_written(), FlightRecorder::kMaxDumps);
 }
 
 TEST_F(FlightRecorderTest, NoDirMeansNoDump) {
@@ -128,14 +132,15 @@ TEST_F(FlightRecorderTest, NoDirMeansNoDump) {
 TEST_F(FlightRecorderTest, AutoTriggersOnCrashAndFaultBegin) {
   FlightRecorder::Options options;
   options.dir = dir();
-  options.min_dump_gap = sim::Time::seconds(1);
   FlightRecorder recorder(options);
 
-  recorder.write(TraceEvent(sim::Time::seconds(5), "peer_crash"));
+  // Each event lands one debounce gap after the last.
+  const sim::Time gap = FlightRecorder::kMinDumpGap;
+  recorder.write(TraceEvent(gap, "peer_crash"));
   EXPECT_EQ(recorder.dumps_written(), 1u);
-  recorder.write(TraceEvent(sim::Time::seconds(10), "fault_begin"));
+  recorder.write(TraceEvent(gap * 2, "fault_begin"));
   EXPECT_EQ(recorder.dumps_written(), 2u);
-  recorder.write(TraceEvent(sim::Time::seconds(15), "chunk_delivered"));
+  recorder.write(TraceEvent(gap * 3, "chunk_delivered"));
   EXPECT_EQ(recorder.dumps_written(), 2u);  // ordinary events don't trigger
 }
 
@@ -157,49 +162,6 @@ TEST_F(FlightRecorderTest, SameInputsDumpByteIdenticalBundles) {
   const std::string b = run_once(dir_b.string());
   EXPECT_EQ(fs::path(a).filename(), fs::path(b).filename());
   EXPECT_EQ(slurp(a), slurp(b));
-}
-
-TEST_F(FlightRecorderTest, DumpCapTruncatesPerCategoryWithMarkerRows) {
-  FlightRecorder::Options options;
-  options.dir = dir();
-  options.ring_capacity = 8;        // buffer more than the dump allows
-  options.max_dump_per_category = 3;
-  FlightRecorder recorder(options);
-
-  for (int i = 0; i < 8; ++i) recorder.write(chunk_event(i, i));
-  recorder.write(TraceEvent(sim::Time::seconds(9), "peer_join"));  // under cap
-
-  ASSERT_TRUE(recorder.trigger(sim::Time::seconds(10), "cap-test"));
-  const std::string bundle = slurp(recorder.dump_paths()[0]);
-
-  // Header + section marker count only the kept events and declare the cut.
-  EXPECT_NE(bundle.find("\"events\":4,"), std::string::npos) << bundle;
-  EXPECT_NE(bundle.find("\"section\":\"events\",\"count\":4,\"truncated\":1"),
-            std::string::npos)
-      << bundle;
-  // One marker row for the capped ring; the uncapped one gets none.
-  EXPECT_NE(bundle.find(
-                "{\"truncated\":\"chunk_delivered\",\"kept\":3,\"dropped\":5}"),
-            std::string::npos)
-      << bundle;
-  EXPECT_EQ(bundle.find("\"truncated\":\"peer_join\""), std::string::npos);
-  // The kept events are the newest 3: n=5,6,7 survive, n=4 does not.
-  EXPECT_NE(bundle.find("\"n\":7"), std::string::npos);
-  EXPECT_NE(bundle.find("\"n\":5"), std::string::npos);
-  EXPECT_EQ(bundle.find("\"n\":4"), std::string::npos);
-}
-
-TEST_F(FlightRecorderTest, DefaultDumpCapLeavesBundlesUntouched) {
-  // Default ring capacity == default dump cap, so a default-config bundle
-  // must carry no truncation vocabulary at all — existing consumers and
-  // byte-identity goldens stay valid.
-  FlightRecorder::Options options;
-  options.dir = dir();
-  FlightRecorder recorder(options);
-  for (int i = 0; i < 100; ++i) recorder.write(chunk_event(i, i));
-  ASSERT_TRUE(recorder.trigger(sim::Time::seconds(101), "no-cap"));
-  const std::string bundle = slurp(recorder.dump_paths()[0]);
-  EXPECT_EQ(bundle.find("truncated"), std::string::npos);
 }
 
 }  // namespace

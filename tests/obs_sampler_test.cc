@@ -95,7 +95,7 @@ TEST(SamplesNdjson, RejectsDuplicateTimestampRows) {
   sampler.record(sim::Time::seconds(10), matrix_with(3, 1), 0.1, 0.5, 2);
   std::ostringstream os;
   write_samples_ndjson(os, sampler.samples());
-  write_samples_ndjson(os, sampler.samples());  // the same window twice
+  write_samples_ndjson(os, sampler.samples());  // the same rows twice
 
   std::istringstream is(os.str());
   std::size_t dropped = 0;
@@ -104,64 +104,6 @@ TEST(SamplesNdjson, RejectsDuplicateTimestampRows) {
   EXPECT_TRUE(parsed.empty());
   EXPECT_NE(error.find("duplicate sample row"), std::string::npos) << error;
   EXPECT_NE(error.find("t=10"), std::string::npos) << error;
-}
-
-TEST(TrafficSamplerWindowed, StreamMatchesUnwindowedDumpByteForByte) {
-  // Same sample sequence through both modes; the streamed file (periodic
-  // flushes + final flush) must concatenate to exactly the end-of-run dump.
-  TrafficSampler plain;
-  TrafficSampler windowed;
-  std::ostringstream stream;
-  windowed.enable_windowing(
-      {.window = sim::Time::seconds(30), .out = &stream, .retain = 4});
-
-  for (int i = 1; i <= 10; ++i) {
-    const auto t = sim::Time::seconds(10 * i);
-    const auto m = matrix_with(100 * i, 10 * i);
-    plain.record(t, m, 0.1 * i, 0.5, 2 + i);
-    windowed.record(t, m, 0.1 * i, 0.5, 2 + i);
-  }
-  windowed.flush();
-
-  std::ostringstream dump;
-  write_samples_ndjson(dump, plain.samples());
-  EXPECT_EQ(stream.str(), dump.str());
-  EXPECT_EQ(windowed.samples_flushed(), 10u);
-}
-
-TEST(TrafficSamplerWindowed, KeepsOnlyBoundedTailInMemory) {
-  TrafficSampler sampler;
-  std::ostringstream stream;
-  sampler.enable_windowing(
-      {.window = sim::Time::seconds(20), .out = &stream, .retain = 3});
-  for (int i = 1; i <= 12; ++i)
-    sampler.record(sim::Time::seconds(10 * i), matrix_with(10 * i, i), 0.1,
-                   0.5, 3);
-  sampler.flush();
-
-  // Everything was flushed; memory holds at most `retain` samples.
-  EXPECT_EQ(sampler.samples_flushed(), 12u);
-  EXPECT_TRUE(sampler.samples().empty());
-  const auto tail = sampler.tail_samples();
-  ASSERT_EQ(tail.size(), 3u);
-  EXPECT_EQ(tail.back().t.as_micros(),
-            sim::Time::seconds(120).as_micros());
-  EXPECT_EQ(tail.front().t.as_micros(),
-            sim::Time::seconds(100).as_micros());
-}
-
-TEST(TrafficSamplerWindowed, SampleOnBoundaryFlushesPriorWindow) {
-  TrafficSampler sampler;
-  std::ostringstream stream;
-  sampler.enable_windowing(
-      {.window = sim::Time::seconds(30), .out = &stream, .retain = 8});
-  sampler.record(sim::Time::seconds(10), matrix_with(1, 0), 0, 0.5, 1);
-  sampler.record(sim::Time::seconds(20), matrix_with(2, 0), 0, 0.5, 1);
-  EXPECT_EQ(sampler.samples_flushed(), 0u);  // window [0,30) still open
-  // t=30 starts the next window; the first two rows flush first.
-  sampler.record(sim::Time::seconds(30), matrix_with(3, 0), 0, 0.5, 1);
-  EXPECT_EQ(sampler.samples_flushed(), 2u);
-  EXPECT_EQ(sampler.samples().size(), 1u);  // the t=30 row, still pending
 }
 
 TEST(MatrixHelpers, TotalAndIntra) {

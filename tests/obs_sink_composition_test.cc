@@ -1,7 +1,7 @@
-// Sink-composition contract: when the flight recorder is teed in front of
-// an NDJSON sink and a span tracker, every sink observes the identical
-// event sequence — pinned by byte-comparing the recorder's ring-buffer
-// dump (its events section) against the NDJSON sink's output.
+// Sink-composition contract: when one tee feeds an NDJSON sink, the flight
+// recorder and a span tracker, every sink observes the identical event
+// sequence — pinned by byte-comparing the recorder's ring-buffer dump (its
+// events section) against the NDJSON sink's output.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -35,34 +35,33 @@ TEST(SinkComposition, RecorderTeeAndSpanTrackerSeeIdenticalSequences) {
   std::ostringstream ndjson_os;
   NdjsonTraceSink ndjson(ndjson_os);
   SpanTracker tracker;
-  TeeTraceSink tee{&ndjson, &tracker};
-
   FlightRecorder::Options options;
-  options.ring_capacity = 1024;  // far above the event count: nothing evicts
   options.dir = ::testing::TempDir();
-  options.downstream = &tee;
   FlightRecorder recorder(options);
+  TeeTraceSink tee{&ndjson, &recorder, &tracker};
 
   // A deterministic mixed stream: span-bearing protocol events plus one
-  // peer's startup milestones. All emission goes through the recorder, the
-  // composition the runner builds for --postmortem-dir + --spans-out.
-  recorder.write(TraceEvent(sim::Time::seconds(1), "peer_join")
-                     .field("peer", "10.1.0.1").field("isp", "TELE")
-                     .field("span", std::uint64_t{1}));
+  // peer's startup milestones, through the composition the runner builds
+  // for --trace-out + --postmortem-dir + --spans-out. No event name
+  // reaches the recorder's ring capacity, so nothing evicts.
+  tee.write(TraceEvent(sim::Time::seconds(1), "peer_join")
+                .field("peer", "10.1.0.1").field("isp", "TELE")
+                .field("span", std::uint64_t{1}));
   for (int i = 0; i < 50; ++i) {
-    recorder.write(TraceEvent(sim::Time::seconds(2 + i), "data_request")
-                       .field("peer", "10.1.0.1")
-                       .field("chunk", static_cast<std::uint64_t>(i))
-                       .field("span", static_cast<std::uint64_t>(10 + i))
-                       .field("parent", std::uint64_t{1}));
+    tee.write(TraceEvent(sim::Time::seconds(2 + i), "data_request")
+                  .field("peer", "10.1.0.1")
+                  .field("chunk", static_cast<std::uint64_t>(i))
+                  .field("span", static_cast<std::uint64_t>(10 + i))
+                  .field("parent", std::uint64_t{1}));
   }
-  recorder.write(TraceEvent(sim::Time::seconds(60), "playback_start")
-                     .field("peer", "10.1.0.1")
-                     .field("span", std::uint64_t{99})
-                     .field("parent", std::uint64_t{1}));
+  tee.write(TraceEvent(sim::Time::seconds(60), "playback_start")
+                .field("peer", "10.1.0.1")
+                .field("span", std::uint64_t{99})
+                .field("parent", std::uint64_t{1}));
 
   // Every sink behind the tee saw every event, in order.
   EXPECT_EQ(ndjson.events_written(), 52u);
+  EXPECT_EQ(recorder.events_buffered(), 52u);
   EXPECT_EQ(tracker.events_observed(), 52u);
   EXPECT_EQ(tracker.span_count(), 52u);
   EXPECT_EQ(tracker.parent_of(99), 1u);
@@ -70,8 +69,7 @@ TEST(SinkComposition, RecorderTeeAndSpanTrackerSeeIdenticalSequences) {
   ASSERT_TRUE(recorder.trigger(sim::Time::seconds(61), "test"));
   ASSERT_EQ(recorder.dump_paths().size(), 1u);
   const std::string dumped = events_section(recorder.dump_paths()[0]);
-  // Ring dump vs live sink tail: byte-identical. The recorder buffered
-  // every event (capacity exceeds the stream), so the full sequences match.
+  // Ring dump vs live sink: byte-identical.
   EXPECT_EQ(dumped, ndjson_os.str());
   std::remove(recorder.dump_paths()[0].c_str());
 }

@@ -16,6 +16,7 @@
 #include "baseline/policies.h"
 #include "core/experiment.h"
 #include "faults/plan.h"
+#include "obs/span_tracker.h"
 #include "obs/trace.h"
 #include "obs_testutil.h"
 #include "proto/counters.h"
@@ -267,7 +268,8 @@ TEST(DeterminismTest, MatchesPinnedDigests) {
     config.scenario.seed = c.seed;
     config.probes = {core::tele_probe()};
     config.strategy = c.strategy;
-    config.observability.causal_trace = c.causal;
+    obs::SpanTracker spans;
+    if (c.causal) config.observability.spans = &spans;
     if (c.faults) config.faults.plan = outage_blackout_churn_plan();
     obs::CountingTraceSink events;
     if (c.must_emit != nullptr) config.observability.trace = &events;

@@ -144,22 +144,14 @@ int analyze_postmortem(const std::string& path) {
   std::printf("  trigger: %s at t=%ss\n", reason.c_str(),
               trigger_t.str().c_str());
 
-  // Walk the section markers; count rows and tally event names. Truncated
-  // marker rows (capped rings declare {"truncated":name,"kept":K,
-  // "dropped":D} at the head of the events section) are reported
-  // separately, never tallied as events.
+  // Walk the section markers; count rows and tally event names.
   std::string section;
   std::map<std::string, std::uint64_t> events_by_name;
-  std::map<std::string, std::uint64_t> dropped_by_name;
   std::uint64_t samples = 0, metrics = 0;
   while (std::getline(in, line)) {
     if (obs::read_json_string(line, "section", &section)) continue;
     if (section == "events") {
-      std::string capped, ev;
-      if (obs::read_json_string(line, "truncated", &capped)) {
-        obs::read_json_u64(line, "dropped", &dropped_by_name[capped]);
-        continue;
-      }
+      std::string ev;
       obs::read_json_string(line, "ev", &ev);
       ++events_by_name[ev];
     } else if (section == "samples") {
@@ -173,14 +165,9 @@ int analyze_postmortem(const std::string& path) {
   std::printf("  buffered events: %llu\n",
               static_cast<unsigned long long>(events));
   for (const auto& [name, n] : events_by_name) {
-    std::printf("    %-24s %8llu",
+    std::printf("    %-24s %8llu\n",
                 name.empty() ? "(unnamed)" : name.c_str(),
                 static_cast<unsigned long long>(n));
-    if (const auto it = dropped_by_name.find(name);
-        it != dropped_by_name.end())
-      std::printf("  (+%llu truncated)",
-                  static_cast<unsigned long long>(it->second));
-    std::printf("\n");
   }
   std::printf("  sampler window rows: %llu\n",
               static_cast<unsigned long long>(samples));
