@@ -1,7 +1,6 @@
 #include "core/cli.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -15,6 +14,7 @@
 #include "faults/plan.h"
 #include "faults/resilience.h"
 #include "obs/bench_json.h"
+#include "obs/directive.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/trace.h"
@@ -35,15 +35,6 @@ std::optional<ProbeSpec> probe_by_name(const std::string& name) {
   if (name == "cer") return cer_probe();
   if (name == "mason") return mason_probe();
   return std::nullopt;
-}
-
-/// Parses all of `text` as a base-10 integer in T's range: an empty token,
-/// a sign on an unsigned type, trailing characters and overflow all fail.
-template <typename T>
-bool parse_integer(std::string_view text, T* value) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *value);
-  return ec == std::errc() && ptr == end;
 }
 
 std::optional<baseline::Strategy> strategy_by_name(const std::string& name) {
@@ -134,7 +125,7 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
   auto need_number = [&](int& i, const char* flag, auto* value) {
     auto v = need_value(i, flag);
     if (!v) return false;
-    if (parse_integer(*v, value)) return true;
+    if (obs::parse_directive_integer(*v, value)) return true;
     out.error = std::string("bad value for ") + flag + ": " + *v;
     return false;
   };
@@ -232,8 +223,8 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
       o.progress = true;
     } else if (arg.rfind("--progress=", 0) == 0) {
       o.progress = true;
-      if (!parse_integer(std::string_view(arg).substr(11),
-                         &o.progress_period_s)) {
+      if (!obs::parse_directive_integer(std::string_view(arg).substr(11),
+                                        &o.progress_period_s)) {
         out.error = "bad value for --progress: " + arg.substr(11);
         return out;
       }
@@ -409,7 +400,7 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     ob.metrics = &metrics;
   }
   std::optional<obs::SpanTracker> span_tracker;
-  if (options.causal_trace) {
+  if (options.causal_trace || !options.spans_out.empty()) {
     // ISP resolver over the same standard topology the runner builds, so
     // lineage labels match the rest of the report.
     auto asn_db = std::make_shared<net::AsnDatabase>(

@@ -147,12 +147,10 @@ class Runner : public faults::FaultHost {
   sim::Simulator simulator_;
   proto::PeerNetwork network_;
 
-  // trace_dest_ is where protocol emitters point, resolved once at the top
-  // of run(). Declared before every emitter (peers included) because ~Peer
-  // still emits through it; members below destruct first.
-  obs::TraceSink* trace_dest_ = nullptr;
+  // The run's trace fan-out when two or more sinks are live (run() hands
+  // the simulator the sink to use). Declared before every emitter because
+  // ~Peer still emits through it; members below destruct first.
   std::unique_ptr<obs::TeeTraceSink> trace_tee_;
-  bool causal_ = false;
 
   std::unique_ptr<proto::BootstrapServer> bootstrap_;
   std::vector<std::unique_ptr<proto::TrackerServer>> trackers_;
@@ -186,11 +184,6 @@ class Runner : public faults::FaultHost {
              net::kNumIspCategories>
       matrix_counters_{};
   std::unique_ptr<obs::HealthMonitor> health_;
-  // Stop flag for the periodic sampling chain: schedule_periodic re-arms
-  // under fresh handles, so run() flips this after run_until and any
-  // still-pending tick unschedules itself instead of firing work.
-  bool sampling_active_ = false;
-  bool progress_active_ = false;
 };
 
 void Runner::build_infrastructure() {
@@ -259,19 +252,6 @@ void Runner::build_infrastructure() {
              {"dst_isp", std::string(net::to_string(dst))}});
       }
     }
-  }
-
-  if (obs::TraceSink* trace = trace_dest_) {
-    for (auto& tracker : trackers_) tracker->set_trace_sink(trace);
-    for (auto& source : sources_) source->set_trace_sink(trace);
-    // The bootstrap only emits (bootstrap_serve) under causal tracing, so
-    // wiring its sink here cannot perturb pre-causal trace files.
-    if (causal_) bootstrap_->set_trace_sink(trace);
-  }
-  if (causal_) {
-    bootstrap_->set_causal_tracing(true);
-    for (auto& tracker : trackers_) tracker->set_causal_tracing(true);
-    for (auto& source : sources_) source->set_causal_tracing(true);
   }
 
   network_.set_global_tap([this](const net::Endpoint& from,
@@ -454,8 +434,6 @@ void Runner::spawn_viewer(std::size_t channel_idx, net::IspCategory category,
       simulator_, network_, identity, scenario.channel, bootstrap_->ip(),
       rng.fork(1), peer_config, std::move(policy));
   proto::Peer* raw = peer.get();
-  raw->set_trace_sink(trace_dest_);
-  if (causal_) raw->set_causal_tracing(true);
   peers_.push_back(std::move(peer));
   SessionRecord record;
   record.channel = scenario.channel.id;
@@ -528,8 +506,6 @@ void Runner::schedule_probes() {
           config_.channels[c].scenario.channel, bootstrap_->ip(),
           prng.fork(1), config_.peer_config, std::move(policy));
       proto::Peer* raw = peer.get();
-      raw->set_trace_sink(trace_dest_);
-      if (causal_) raw->set_causal_tracing(true);
       auto trace = capture::attach_sniffer(network_, identity.ip);
       peers_.push_back(std::move(peer));
       probes_.push_back(Probe{spec.label,
@@ -562,8 +538,9 @@ ExperimentResult Runner::run() {
   const ObservabilityConfig& ob = config_.observability;
   assert((ob.trace == nullptr || ob.trace != ob.recorder) &&
          "the runner feeds the recorder every trace row itself");
-  causal_ = ob.spans != nullptr;
-  trace_dest_ = fan_out(trace_tee_, {ob.trace, ob.recorder, ob.spans});
+  simulator_.set_tracing(
+      fan_out(trace_tee_, {ob.trace, ob.recorder, ob.spans}),
+      /*causal=*/ob.spans != nullptr);
   std::unique_ptr<obs::TeeTraceSink> rows_tee;
   std::unique_ptr<obs::SimEventTracer> sim_tracer;
   if (ob.trace_sim_events) {
@@ -601,7 +578,6 @@ ExperimentResult Runner::run() {
         config_.faults.fault_seed != 0
             ? config_.faults.fault_seed
             : sim::hash_combine(config_.seed, 0x6661756C7473ULL);
-    fault_options.trace = trace_dest_;
     fault_options.metrics = ob.metrics;
     fault_driver_ = std::make_unique<faults::FaultDriver>(
         simulator_, impairments_, *this, config_.faults.plan, fault_options);
@@ -613,7 +589,7 @@ ExperimentResult Runner::run() {
 
   if (wants_health) {
     obs::HealthMonitor::Options health_options;
-    health_options.trace = trace_dest_;
+    health_options.trace = simulator_.trace_sink();
     health_options.metrics = ob.metrics;
     health_ = std::make_unique<obs::HealthMonitor>(*ob.health_rules,
                                                    health_options);
@@ -627,11 +603,9 @@ ExperimentResult Runner::run() {
   // Watchdogs, the flight recorder, the resource probe and the samples
   // stream all ride this tick.
   if (sample_period > sim::Time::zero()) {
-    sampling_active_ = true;
     sim::schedule_periodic(
         simulator_, sample_period,
         [this] {
-          if (!sampling_active_) return false;
           collect_sample();
           return true;
         },
@@ -642,11 +616,9 @@ ExperimentResult Runner::run() {
   // sampling one; like the sampler tick it reads but never mutates, so
   // arming it cannot change the simulated trajectory.
   if (obs::ProgressMeter* meter = ob.progress) {
-    progress_active_ = true;
     sim::schedule_periodic(
         simulator_, ob.progress_period,
         [this, meter] {
-          if (!progress_active_) return false;
           obs::ProgressMeter::State state;
           state.now = simulator_.now();
           state.events_executed = simulator_.events_executed();
@@ -661,8 +633,6 @@ ExperimentResult Runner::run() {
   }
 
   simulator_.run_until(config_.duration);
-  sampling_active_ = false;
-  progress_active_ = false;
 
   for (sim::SimObserver* observer : observers)
     if (observer != nullptr) simulator_.remove_observer(observer);

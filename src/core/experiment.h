@@ -38,7 +38,9 @@ namespace ppsim::core {
 ///  * Trace fan-out: protocol, fault and health events go to `trace`,
 ///    `recorder` and `spans`; sim_event rows go to `trace` and `recorder`
 ///    only (the span tracker has no use for them). `trace` must not be the
-///    recorder: the runner feeds the recorder itself.
+///    recorder: the runner feeds the recorder itself. The fan-out and the
+///    causal switch go to the simulator in one sim::Simulator::set_tracing
+///    call; every protocol entity and the fault driver read them there.
 ///  * Dispatch counts: with `health_rules` and `metrics` both set, the
 ///    runner attaches its own untimed obs::RunProfiler and exports its
 ///    sim_events_dispatched{category} / sim_peak_queue_depth at run end.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/trace.h"
+
 namespace ppsim::faults {
 
 FaultDriver::FaultDriver(sim::Simulator& simulator,
@@ -116,7 +118,8 @@ void FaultDriver::revert(std::size_t index) {
 
 void FaultDriver::emit(const char* event, std::size_t index,
                        std::uint64_t affected) {
-  if (options_.trace == nullptr) return;
+  obs::TraceSink* trace = simulator_.trace_sink();
+  if (trace == nullptr) return;
   const FaultWindow& w = plan_.windows[index];
   obs::TraceEvent ev(simulator_.now(), event);
   ev.field("window", static_cast<std::uint64_t>(index))
@@ -144,7 +147,7 @@ void FaultDriver::emit(const char* event, std::size_t index,
       break;
   }
   if (!w.label.empty()) ev.field("label", w.label);
-  options_.trace->write(ev);
+  trace->write(ev);
 }
 
 }  // namespace ppsim::faults

@@ -7,7 +7,6 @@
 #include "net/impairment.h"
 #include "net/ip.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -45,7 +44,6 @@ struct FaultDriverOptions {
   /// brownouts). The caller derives it from the run seed when the user
   /// didn't pin one, so same (seed, plan) => same victims.
   std::uint64_t seed = 0;
-  obs::TraceSink* trace = nullptr;          // may be nullptr
   obs::MetricsRegistry* metrics = nullptr;  // may be nullptr
 };
 
@@ -54,9 +52,10 @@ struct FaultDriverOptions {
 /// happens up front in arm(), so a driven run stays a pure function of
 /// (run seed, fault seed, plan).
 ///
-/// Every window boundary emits a "fault_begin"/"fault_end" trace event and
-/// bumps the fault metrics (when sinks are wired), so recovery analysis can
-/// line the obs time-series up against the schedule.
+/// Every window boundary emits a "fault_begin"/"fault_end" event to the
+/// simulator's trace sink and bumps the fault metrics (when a registry is
+/// given), so recovery analysis can line the obs time-series up against
+/// the schedule.
 class FaultDriver {
  public:
   using Options = FaultDriverOptions;

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <charconv>
 #include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 #include "sim/time.h"
 
@@ -27,6 +29,16 @@ std::string read_directives(
 /// Value parsers: the whole value must parse, and numbers must be finite.
 bool parse_directive_double(std::string_view s, double* out);
 bool parse_directive_int(std::string_view s, int* out);
+
+/// A base-10 integer in T's range (std::from_chars): an empty value, a sign
+/// on an unsigned type, a space, trailing characters and overflow all fail.
+/// Also reads command-line flag values.
+template <typename T>
+bool parse_directive_integer(std::string_view s, T* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 /// A non-negative duration given in units of 1/per_second seconds (1 for
 /// seconds, 1000 for milliseconds) that fits sim::Time.

@@ -15,8 +15,9 @@
 namespace ppsim::obs {
 
 /// Causal tracing (docs/OBSERVABILITY.md, "Causal tracing"): when the
-/// protocol entities run with set_causal_tracing(true), their trace events
-/// carry span/parent ids allocated from the simulator's monotonic counter.
+/// simulator runs with causal tracing on (sim::Simulator::set_tracing), the
+/// protocol entities' trace events carry span/parent ids allocated from its
+/// monotonic counter.
 /// SpanTracker is a TraceSink — a peer of the flight recorder, typically
 /// teed off the same stream — that reconstructs the span trees online and
 /// distils the two artifacts the locality analysis needs:

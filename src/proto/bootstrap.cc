@@ -1,5 +1,7 @@
 #include "proto/bootstrap.h"
 
+#include "sim/trace.h"
+
 namespace ppsim::proto {
 
 BootstrapServer::BootstrapServer(sim::Simulator& simulator,
@@ -52,16 +54,17 @@ void BootstrapServer::handle(const PeerTransport::Delivery& delivery) {
       r.trackers.push_back(group[rot % group.size()]);
     }
     ++joins_served_;
-    if (causal_)
-      r.span = SpanContext{simulator_.allocate_span_id(), join->span.id};
-    if (trace_ != nullptr) {
+    r.span = SpanContext{simulator_.allocate_span_id(), join->span.id};
+    sim::TraceSink* trace = simulator_.trace_sink();
+    if (trace != nullptr && simulator_.causal_tracing()) {
       sim::TraceEvent ev(simulator_.now(), "bootstrap_serve");
       ev.field("bootstrap", identity_.ip.to_string())
           .field("to", delivery.from.to_string())
           .field("channel", static_cast<std::uint64_t>(r.channel))
-          .field("trackers", static_cast<std::uint64_t>(r.trackers.size()));
-      if (causal_) ev.field("span", r.span.id).field("parent", r.span.parent);
-      trace_->write(ev);
+          .field("trackers", static_cast<std::uint64_t>(r.trackers.size()))
+          .field("span", r.span.id)
+          .field("parent", r.span.parent);
+      trace->write(ev);
     }
     reply(delivery.from, Message{std::move(r)});
   }

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "net/ip.h"
-#include "sim/trace.h"
 #include "proto/host.h"
 #include "proto/message.h"
 #include "proto/tracker.h"
@@ -17,6 +16,11 @@ namespace ppsim::proto {
 /// Serves the active channel list, and for a chosen channel returns the
 /// playlink (the channel's stream source address) and one tracker address
 /// per tracker group, exactly as the paper describes the join sequence.
+///
+/// Under causal tracing (Simulator::set_tracing) join replies carry a span
+/// id parented on the query's span, and each answered join emits a
+/// "bootstrap_serve" event with span/parent fields: a causal-only milestone,
+/// so a plain trace has none.
 class BootstrapServer {
  public:
   struct ChannelEntry {
@@ -40,15 +44,6 @@ class BootstrapServer {
   net::IpAddress ip() const { return identity_.ip; }
   std::uint64_t joins_served() const { return joins_served_; }
 
-  /// Emits one "bootstrap_serve" event per answered join to `sink`; nullptr
-  /// (the default) disables tracing. Purely observational.
-  void set_trace_sink(sim::TraceSink* sink) { trace_ = sink; }
-
-  /// Enables causal tracing: join replies carry a span id parented on the
-  /// incoming query's span, and bootstrap_serve events gain span/parent
-  /// fields. Off by default so untraced runs stay byte-identical.
-  void set_causal_tracing(bool on) { causal_ = on; }
-
   /// Fault-injection seam: a dark bootstrap drops every request silently;
   /// joining clients keep retrying until the window closes.
   void set_dark(bool dark) { dark_ = dark; }
@@ -64,8 +59,6 @@ class BootstrapServer {
   sim::Time processing_delay_;
   // Ordered so the channel list is served in a stable order.
   std::map<ChannelId, ChannelEntry> channels_;
-  sim::TraceSink* trace_ = nullptr;
-  bool causal_ = false;
   bool dark_ = false;
   std::uint64_t rotation_ = 0;
   std::uint64_t joins_served_ = 0;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "sim/trace.h"
+
 namespace ppsim::proto {
 
 namespace {
@@ -37,13 +39,13 @@ void Peer::leave() {
   for (const auto& [ip, nb] : neighbors_) {
     send(ip, Message{Goodbye{channel_.id}}, /*with_processing_delay=*/false);
   }
-  if (trace_ != nullptr) {
+  if (sim::TraceSink* trace = simulator_.trace_sink()) {
     sim::TraceEvent ev(simulator_.now(), "peer_leave");
     ev.field("peer", identity_.ip.to_string())
         .field("bytes_down", counters_.bytes_downloaded)
         .field("bytes_up", counters_.bytes_uploaded)
         .field("continuity", counters_.continuity());
-    trace_->write(ev);
+    trace->write(ev);
   }
   alive_ = false;
   // Detach after the goodbyes were handed to the uplink; the network keeps
@@ -53,12 +55,12 @@ void Peer::leave() {
 
 void Peer::crash() {
   if (!alive_) return;
-  if (trace_ != nullptr) {
+  if (sim::TraceSink* trace = simulator_.trace_sink()) {
     sim::TraceEvent ev(simulator_.now(), "peer_crash");
     ev.field("peer", identity_.ip.to_string())
         .field("bytes_down", counters_.bytes_downloaded)
         .field("continuity", counters_.continuity());
-    trace_->write(ev);
+    trace->write(ev);
   }
   // No goodbyes: neighbors learn of the crash only through their idle
   // timeouts, which is what makes correlated crash bursts stressful.
@@ -69,15 +71,15 @@ void Peer::crash() {
 void Peer::join() {
   if (!alive_ || joined_) return;
   joined_ = true;
-  if (causal_) join_span_ = simulator_.allocate_span_id();
-  if (trace_ != nullptr) {
+  join_span_ = simulator_.allocate_span_id();
+  if (sim::TraceSink* trace = simulator_.trace_sink()) {
     sim::TraceEvent ev(simulator_.now(), "peer_join");
     ev.field("peer", identity_.ip.to_string())
         .field("isp", net::to_string(identity_.category))
         .field("channel", static_cast<std::uint64_t>(channel_.id))
         .field("nat", config_.behind_nat);
-    if (causal_) ev.field("span", join_span_);
-    trace_->write(ev);
+    if (simulator_.causal_tracing()) ev.field("span", join_span_);
+    trace->write(ev);
   }
   // DNS resolution of the bootstrap/channel server names.
   const sim::Time dns = sim::Time::micros(rng_.uniform_int(
@@ -88,8 +90,7 @@ void Peer::join() {
 void Peer::contact_bootstrap() {
   if (!alive_) return;
   JoinQuery q{channel_.id};
-  if (causal_)
-    q.span = SpanContext{simulator_.allocate_span_id(), join_span_};
+  q.span = SpanContext{simulator_.allocate_span_id(), join_span_};
   send(bootstrap_, Message{q});
   // Retry until the join reply arrives (UDP may drop it).
   simulator_.schedule(
@@ -104,15 +105,15 @@ void Peer::on_join_reply(const JoinReply& r) {
   if (!trackers_.empty()) return;  // duplicate reply (retry raced)
   source_ = r.source;
   trackers_ = r.trackers;
-  if (causal_) {
+  if (simulator_.causal_tracing()) {
     join_reply_span_ = r.span.id;
-    if (trace_ != nullptr) {
+    if (sim::TraceSink* trace = simulator_.trace_sink()) {
       sim::TraceEvent ev(simulator_.now(), "join_reply");
       ev.field("peer", identity_.ip.to_string())
           .field("trackers", static_cast<std::uint64_t>(trackers_.size()))
           .field("span", r.span.id)
           .field("parent", r.span.parent);
-      trace_->write(ev);
+      trace->write(ev);
     }
   }
 
@@ -262,16 +263,16 @@ void Peer::query_trackers(bool all) {
   // One span per round: the queries of a sweep are copies of the same
   // operation, so each reply parents back to the round that asked.
   TrackerQuery q{channel_.id};
-  if (causal_)
-    q.span = SpanContext{simulator_.allocate_span_id(), join_reply_span_};
-  if (trace_ != nullptr) {
+  q.span = SpanContext{simulator_.allocate_span_id(), join_reply_span_};
+  if (sim::TraceSink* trace = simulator_.trace_sink()) {
     sim::TraceEvent ev(simulator_.now(), "tracker_query");
     ev.field("peer", identity_.ip.to_string())
         .field("all", all)
         .field("trackers",
                static_cast<std::uint64_t>(all ? trackers_.size() : 1));
-    if (causal_) ev.field("span", q.span.id).field("parent", q.span.parent);
-    trace_->write(ev);
+    if (simulator_.causal_tracing())
+      ev.field("span", q.span.id).field("parent", q.span.parent);
+    trace->write(ev);
   }
   if (all) {
     for (const auto& t : trackers_) {
@@ -302,7 +303,7 @@ void Peer::learn_candidates(const std::vector<net::IpAddress>& ips,
     pool_fifo_.push_back(ip);
     while (candidate_pool_size() > limit) {
       const net::IpAddress evicted = pool_fifo_[pool_head_++];
-      if (causal_) origins_.erase(evicted);
+      if (simulator_.causal_tracing()) origins_.erase(evicted);
       pool_sorted_.erase(
           std::lower_bound(pool_sorted_.begin(), pool_sorted_.end(), evicted));
     }
@@ -318,7 +319,7 @@ void Peer::learn_candidates(const std::vector<net::IpAddress>& ips,
 void Peer::note_origins(const std::vector<net::IpAddress>& ips,
                         const char* via, net::IpAddress introducer,
                         std::uint64_t span) {
-  if (!causal_) return;
+  if (!simulator_.causal_tracing()) return;
   for (const auto& ip : ips) {
     if (ip == identity_.ip || ip.is_unspecified()) continue;
     origins_.emplace(ip, CandidateOrigin{span, introducer, via});
@@ -369,24 +370,24 @@ void Peer::try_connect(const std::vector<net::IpAddress>& targets) {
     ++counters_.connects_attempted;
     ConnectQuery q{channel_.id};
     CandidateOrigin origin;
-    if (causal_) {
+    if (simulator_.causal_tracing()) {
       if (auto it = origins_.find(ip); it != origins_.end())
         origin = it->second;
       q.span = SpanContext{simulator_.allocate_span_id(),
                            origin.span != 0 ? origin.span : join_span_};
       pending_connect_spans_[ip] = PendingConnectSpan{q.span.id, origin};
     }
-    if (trace_ != nullptr) {
+    if (sim::TraceSink* trace = simulator_.trace_sink()) {
       sim::TraceEvent ev(simulator_.now(), "connect_attempt");
       ev.field("peer", identity_.ip.to_string())
           .field("to", ip.to_string());
-      if (causal_) {
+      if (simulator_.causal_tracing()) {
         ev.field("span", q.span.id)
             .field("parent", q.span.parent)
             .field("via", origin.via)
             .field("introducer", origin.introducer.to_string());
       }
-      trace_->write(ev);
+      trace->write(ev);
     }
     send(ip, Message{q});
   }
@@ -418,14 +419,14 @@ void Peer::gossip_round() {
       std::move(ips),
       static_cast<std::size_t>(std::max(config_.gossip_fanout, 1)));
   PeerListQuery q{channel_.id, my_peer_list()};
-  if (causal_)
-    q.span = SpanContext{simulator_.allocate_span_id(), join_span_};
-  if (trace_ != nullptr) {
+  q.span = SpanContext{simulator_.allocate_span_id(), join_span_};
+  if (sim::TraceSink* trace = simulator_.trace_sink()) {
     sim::TraceEvent ev(simulator_.now(), "gossip_query");
     ev.field("peer", identity_.ip.to_string())
         .field("fanout", static_cast<std::uint64_t>(picked.size()));
-    if (causal_) ev.field("span", q.span.id).field("parent", q.span.parent);
-    trace_->write(ev);
+    if (simulator_.causal_tracing())
+      ev.field("span", q.span.id).field("parent", q.span.parent);
+    trace->write(ev);
   }
   for (const auto& ip : picked) {
     ++counters_.gossip_queries_sent;
@@ -441,12 +442,12 @@ void Peer::sweep_timeouts() {
   for (auto it = pending_connects_.begin(); it != pending_connects_.end();) {
     if (now - it->second > config_.connect_timeout) {
       ++counters_.connects_timed_out;
-      if (trace_ != nullptr) {
+      if (sim::TraceSink* trace = simulator_.trace_sink()) {
         sim::TraceEvent ev(now, "connect_result");
         ev.field("peer", identity_.ip.to_string())
             .field("from", it->first.to_string())
             .field("outcome", "timeout");
-        if (causal_) {
+        if (simulator_.causal_tracing()) {
           PendingConnectSpan pcs;
           if (auto ps = pending_connect_spans_.find(it->first);
               ps != pending_connect_spans_.end())
@@ -455,9 +456,9 @@ void Peer::sweep_timeouts() {
               .field("via", pcs.origin.via)
               .field("introducer", pcs.origin.introducer.to_string());
         }
-        trace_->write(ev);
+        trace->write(ev);
       }
-      if (causal_) pending_connect_spans_.erase(it->first);
+      if (simulator_.causal_tracing()) pending_connect_spans_.erase(it->first);
       it = pending_connects_.erase(it);
     } else {
       ++it;
@@ -504,12 +505,12 @@ void Peer::sweep_timeouts() {
         now - last_reacquire_ >= config_.reacquire_cooldown) {
       last_reacquire_ = now;
       ++emergency_reacquires_;
-      if (trace_ != nullptr) {
+      if (sim::TraceSink* trace = simulator_.trace_sink()) {
         sim::TraceEvent ev(now, "peer_reacquire");
         ev.field("peer", identity_.ip.to_string())
             .field("isolated_s", (now - isolated_since_).as_seconds())
             .field("pool", static_cast<std::uint64_t>(candidate_pool_size()));
-        trace_->write(ev);
+        trace->write(ev);
       }
       query_trackers(/*all=*/true);
       try_connect(policy_->choose(
@@ -536,14 +537,15 @@ void Peer::maybe_start_playback() {
         live_edge_ > buffer_chunks ? live_edge_ - buffer_chunks : 1;
   }
   playback_started_ = true;
-  if (causal_ && trace_ != nullptr) {
+  sim::TraceSink* trace = simulator_.trace_sink();
+  if (simulator_.causal_tracing() && trace != nullptr) {
     sim::TraceEvent ev(simulator_.now(), "playback_start");
     ev.field("peer", identity_.ip.to_string())
         .field("position", static_cast<std::uint64_t>(playback_next_))
         .field("edge", static_cast<std::uint64_t>(live_edge_))
         .field("span", simulator_.allocate_span_id())
         .field("parent", join_span_);
-    trace_->write(ev);
+    trace->write(ev);
   }
   schedule_periodic(simulator_, channel_.chunk_duration(),
                     [this] {
@@ -607,20 +609,21 @@ void Peer::request_tick() {
     ++counters_.data_requests_sent;
     ++issued;
     DataQuery q{channel_.id, seq};
-    if (causal_) {
+    if (simulator_.causal_tracing()) {
       // Parent on the handshake that established the serving neighbor, so
       // the data plane chains back to the referral that made it possible.
       q.span = SpanContext{
           simulator_.allocate_span_id(),
           nb.intro_span != 0 ? nb.intro_span : join_span_};
     }
-    if (trace_ != nullptr) {
+    if (sim::TraceSink* trace = simulator_.trace_sink()) {
       sim::TraceEvent ev(simulator_.now(), "data_request");
       ev.field("peer", identity_.ip.to_string())
           .field("to", target.to_string())
           .field("chunk", static_cast<std::uint64_t>(seq));
-      if (causal_) ev.field("span", q.span.id).field("parent", q.span.parent);
-      trace_->write(ev);
+      if (simulator_.causal_tracing())
+        ev.field("span", q.span.id).field("parent", q.span.parent);
+      trace->write(ev);
     }
     send(target, Message{q}, /*with_processing_delay=*/false);
   }
@@ -752,14 +755,14 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
     if (tr->channel != channel_.id) return;
     ++counters_.tracker_replies;
     tracker_silent_rounds_ = 0;  // the region answers; stop backing off
-    if (trace_ != nullptr) {
+    if (sim::TraceSink* trace = simulator_.trace_sink()) {
       sim::TraceEvent ev(simulator_.now(), "tracker_reply");
       ev.field("peer", identity_.ip.to_string())
           .field("from", from.to_string())
           .field("peers", static_cast<std::uint64_t>(tr->peers.size()));
-      if (causal_)
+      if (simulator_.causal_tracing())
         ev.field("span", tr->span.id).field("parent", tr->span.parent);
-      trace_->write(ev);
+      trace->write(ev);
     }
     note_origins(tr->peers, "tracker", from, tr->span.id);
     learn_candidates(tr->peers, /*from_tracker=*/true);
@@ -783,7 +786,7 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
       if (!neighbors_.contains(from)) {
         add_neighbor(from, /*initial_latency_s=*/0.6, BufferMap{});
         ++counters_.inbound_accepted;
-        if (causal_) {
+        if (simulator_.causal_tracing()) {
           Neighbor& n = neighbors_[from];
           n.intro_span = cq->span.id;
           n.intro_via = "inbound";
@@ -804,8 +807,7 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
                                        : store_.base());
       r.map = store_.snapshot(base);
     }
-    if (causal_)
-      r.span = SpanContext{simulator_.allocate_span_id(), cq->span.id};
+    r.span = SpanContext{simulator_.allocate_span_id(), cq->span.id};
     send(from, Message{std::move(r)});
     return;
   }
@@ -818,7 +820,7 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
         (simulator_.now() - pending->second).as_seconds();
     pending_connects_.erase(pending);
     PendingConnectSpan pcs;
-    if (causal_) {
+    if (simulator_.causal_tracing()) {
       if (auto ps = pending_connect_spans_.find(from);
           ps != pending_connect_spans_.end()) {
         pcs = ps->second;
@@ -826,19 +828,20 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
       }
     }
     const auto trace_connect = [&](const char* outcome) {
-      if (trace_ == nullptr) return;
+      sim::TraceSink* trace = simulator_.trace_sink();
+      if (trace == nullptr) return;
       sim::TraceEvent ev(simulator_.now(), "connect_result");
       ev.field("peer", identity_.ip.to_string())
           .field("from", from.to_string())
           .field("outcome", outcome)
           .field("handshake_s", handshake_s);
-      if (causal_) {
+      if (simulator_.causal_tracing()) {
         ev.field("span", cr->span.id)
             .field("parent", cr->span.parent)
             .field("via", pcs.origin.via)
             .field("introducer", pcs.origin.introducer.to_string());
       }
-      trace_->write(ev);
+      trace->write(ev);
     };
     if (!cr->accepted) {
       ++counters_.connects_rejected;
@@ -855,7 +858,7 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
     ++counters_.connects_accepted;
     trace_connect("accepted");
     add_neighbor(from, handshake_s, cr->map);
-    if (causal_) {
+    if (simulator_.causal_tracing()) {
       Neighbor& n = neighbors_[from];
       n.intro_span = pcs.span;
       n.intro_via = pcs.origin.via;
@@ -868,8 +871,7 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
       ++counters_.gossip_queries_sent;
       pending_list_[from] = simulator_.now();
       PeerListQuery plq{channel_.id, my_peer_list()};
-      if (causal_)
-        plq.span = SpanContext{simulator_.allocate_span_id(), cr->span.id};
+      plq.span = SpanContext{simulator_.allocate_span_id(), cr->span.id};
       send(from, Message{std::move(plq)});
     }
     return;
@@ -884,8 +886,7 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
     if (auto it = neighbors_.find(from); it != neighbors_.end())
       it->second.last_seen = simulator_.now();
     PeerListReply r{channel_.id, my_peer_list()};
-    if (causal_)
-      r.span = SpanContext{simulator_.allocate_span_id(), plq->span.id};
+    r.span = SpanContext{simulator_.allocate_span_id(), plq->span.id};
     send(from, Message{std::move(r)});
     return;
   }
@@ -893,14 +894,14 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
   if (const auto* plr = std::get_if<PeerListReply>(&delivery.payload)) {
     if (plr->channel != channel_.id) return;
     ++counters_.gossip_replies_received;
-    if (trace_ != nullptr) {
+    if (sim::TraceSink* trace = simulator_.trace_sink()) {
       sim::TraceEvent ev(simulator_.now(), "gossip_reply");
       ev.field("peer", identity_.ip.to_string())
           .field("from", from.to_string())
           .field("peers", static_cast<std::uint64_t>(plr->peers.size()));
-      if (causal_)
+      if (simulator_.causal_tracing())
         ev.field("span", plr->span.id).field("parent", plr->span.parent);
-      trace_->write(ev);
+      trace->write(ev);
     }
     if (auto it = neighbors_.find(from); it != neighbors_.end()) {
       it->second.last_seen = simulator_.now();
@@ -940,16 +941,16 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
     counters_.bytes_uploaded += channel_.chunk_bytes();
     DataReply r{channel_.id, dq->chunk, channel_.subpieces_per_chunk,
                 channel_.chunk_bytes()};
-    if (causal_)
-      r.span = SpanContext{simulator_.allocate_span_id(), dq->span.id};
-    if (trace_ != nullptr) {
+    r.span = SpanContext{simulator_.allocate_span_id(), dq->span.id};
+    if (sim::TraceSink* trace = simulator_.trace_sink()) {
       sim::TraceEvent ev(simulator_.now(), "data_serve");
       ev.field("peer", identity_.ip.to_string())
           .field("to", from.to_string())
           .field("chunk", static_cast<std::uint64_t>(dq->chunk))
           .field("bytes", channel_.chunk_bytes());
-      if (causal_) ev.field("span", r.span.id).field("parent", r.span.parent);
-      trace_->write(ev);
+      if (simulator_.causal_tracing())
+        ev.field("span", r.span.id).field("parent", r.span.parent);
+      trace->write(ev);
     }
     send(from, Message{r});
     return;
@@ -975,14 +976,15 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
     if (store_.insert(dr->chunk)) {
       counters_.bytes_downloaded += dr->payload_bytes;
       live_edge_ = std::max(live_edge_, dr->chunk);
-      if (causal_ && trace_ != nullptr) {
+      sim::TraceSink* trace = simulator_.trace_sink();
+      if (simulator_.causal_tracing() && trace != nullptr) {
         sim::TraceEvent ev(simulator_.now(), "chunk_delivered");
         ev.field("peer", identity_.ip.to_string())
             .field("from", from.to_string())
             .field("chunk", static_cast<std::uint64_t>(dr->chunk))
             .field("span", dr->span.id)
             .field("parent", dr->span.parent);
-        trace_->write(ev);
+        trace->write(ev);
       }
     } else {
       ++counters_.duplicate_chunks;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "net/ip.h"
-#include "sim/trace.h"
 #include "proto/channel.h"
 #include "proto/chunk_store.h"
 #include "proto/counters.h"
@@ -44,6 +43,12 @@ namespace ppsim::proto {
 /// first responders win the neighbor slots, and referral then compounds the
 /// bias ("triangle construction").
 ///
+/// Tracing follows the simulator (Simulator::set_tracing): protocol events
+/// go to the run's trace sink; under causal tracing (docs/OBSERVABILITY.md)
+/// messages carry span ids, events gain span/parent and referral fields,
+/// and the startup milestones (join_reply, chunk_delivered, playback_start)
+/// are emitted. Purely observational.
+///
 /// Lifetime: a Peer attaches to the network in its constructor and detaches
 /// in leave() / destructor. Timer callbacks hold `this`, so a Peer must
 /// outlive the simulator run (or be leave()d first and destroyed only after
@@ -71,21 +76,6 @@ class Peer {
   /// out via their own idle timeouts. Idempotent, same lifetime rules as
   /// leave().
   void crash();
-
-  /// Routes this client's protocol trace events (tracker queries, gossip,
-  /// connect races, chunk request/serve) to `sink`. nullptr (the default)
-  /// disables tracing at the cost of one branch per would-be event. Set
-  /// before join() to capture the join sequence. Purely observational —
-  /// behaviour is identical with or without a sink.
-  void set_trace_sink(sim::TraceSink* sink) { trace_ = sink; }
-
-  /// Enables causal tracing (docs/OBSERVABILITY.md): outgoing discovery and
-  /// data messages carry span ids allocated from the simulator's monotonic
-  /// counter, existing trace events gain span/parent (and, for connects,
-  /// referral-provenance) fields, and the startup milestones emit
-  /// join_reply / chunk_delivered / playback_start events. Off by default
-  /// so untraced runs stay byte-identical. Set before join().
-  void set_causal_tracing(bool on) { causal_ = on; }
 
   bool alive() const { return alive_; }
   net::IpAddress ip() const { return identity_.ip; }
@@ -213,10 +203,7 @@ class Peer {
   PeerConfig config_;
   std::unique_ptr<SelectionPolicy> policy_;
 
-  sim::TraceSink* trace_ = nullptr;
-  bool causal_ = false;
-
-  // --- causal-tracing state (populated only when causal_) ---
+  // --- causal-tracing state (populated only under causal tracing) ---
   /// How a candidate was introduced: the introducing message's span and the
   /// referrer, kept so the eventual ConnectQuery can be parented on it.
   /// First introduction wins — lineage answers "who told us about this peer

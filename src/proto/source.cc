@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/trace.h"
+
 namespace ppsim::proto {
 
 StreamSource::StreamSource(sim::Simulator& simulator, PeerTransport& network,
@@ -122,8 +124,7 @@ void StreamSource::handle(const PeerTransport::Delivery& delivery) {
                                        : store_.base());
       r.map = store_.snapshot(base);
     }
-    if (causal_)
-      r.span = SpanContext{simulator_.allocate_span_id(), connect->span.id};
+    r.span = SpanContext{simulator_.allocate_span_id(), connect->span.id};
     send(from, Message{std::move(r)}, sim::Time::zero());
     return;
   }
@@ -139,8 +140,7 @@ void StreamSource::handle(const PeerTransport::Delivery& delivery) {
       if (r.peers.size() >= static_cast<std::size_t>(config_.max_list_size))
         break;
     }
-    if (causal_)
-      r.span = SpanContext{simulator_.allocate_span_id(), q->span.id};
+    r.span = SpanContext{simulator_.allocate_span_id(), q->span.id};
     send(from, Message{std::move(r)}, sim::Time::zero());
     return;
   }
@@ -152,16 +152,16 @@ void StreamSource::handle(const PeerTransport::Delivery& delivery) {
     ++requests_served_;
     DataReply r{channel_.id, dq->chunk, channel_.subpieces_per_chunk,
                 channel_.chunk_bytes()};
-    if (causal_)
-      r.span = SpanContext{simulator_.allocate_span_id(), dq->span.id};
-    if (trace_ != nullptr) {
+    r.span = SpanContext{simulator_.allocate_span_id(), dq->span.id};
+    if (sim::TraceSink* trace = simulator_.trace_sink()) {
       sim::TraceEvent ev(simulator_.now(), "source_serve");
       ev.field("source", identity_.ip.to_string())
           .field("to", from.to_string())
           .field("chunk", static_cast<std::uint64_t>(dq->chunk))
           .field("bytes", channel_.chunk_bytes());
-      if (causal_) ev.field("span", r.span.id).field("parent", r.span.parent);
-      trace_->write(ev);
+      if (simulator_.causal_tracing())
+        ev.field("span", r.span.id).field("parent", r.span.parent);
+      trace->write(ev);
     }
     send(from, Message{r}, sim::Time::zero());
     return;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "net/ip.h"
-#include "sim/trace.h"
 #include "proto/channel.h"
 #include "proto/chunk_store.h"
 #include "proto/host.h"
@@ -33,6 +32,10 @@ struct SourceConfig {
   std::uint32_t chunk_retention = 512;
 };
 
+/// Each served data request emits a "source_serve" event to the
+/// simulator's trace sink; under causal tracing every reply carries a span
+/// id parented on the incoming message's span, and the event gains
+/// span/parent fields.
 class StreamSource {
  public:
   using Config = SourceConfig;
@@ -50,15 +53,6 @@ class StreamSource {
   void start();
   /// Stops producing (the channel "ends"); the host stays attached.
   void stop();
-
-  /// Emits one "source_serve" event per served data request to `sink`;
-  /// nullptr (the default) disables tracing. Purely observational.
-  void set_trace_sink(sim::TraceSink* sink) { trace_ = sink; }
-
-  /// Enables causal tracing: replies carry a span id parented on the
-  /// incoming message's span, and source_serve events gain span/parent
-  /// fields. Off by default so untraced runs stay byte-identical.
-  void set_causal_tracing(bool on) { causal_ = on; }
 
   net::IpAddress ip() const { return identity_.ip; }
   ChunkSeq live_edge() const { return store_.highest(); }
@@ -81,8 +75,6 @@ class StreamSource {
   std::vector<net::IpAddress> trackers_;
   sim::Rng rng_;
   Config config_;
-  sim::TraceSink* trace_ = nullptr;
-  bool causal_ = false;
 
   bool running_ = false;
   ChunkStore store_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/trace.h"
+
 namespace ppsim::proto {
 
 TrackerServer::TrackerServer(sim::Simulator& simulator, PeerTransport& network,
@@ -85,15 +87,16 @@ void TrackerServer::handle(const PeerTransport::Delivery& delivery) {
   }
   refresh(channel, delivery.from);
   ++queries_served_;
-  if (causal_) reply.span = SpanContext{simulator_.allocate_span_id(), query->span.id};
-  if (trace_ != nullptr) {
+  reply.span = SpanContext{simulator_.allocate_span_id(), query->span.id};
+  if (sim::TraceSink* trace = simulator_.trace_sink()) {
     sim::TraceEvent ev(simulator_.now(), "tracker_serve");
     ev.field("tracker", identity_.ip.to_string())
         .field("to", delivery.from.to_string())
         .field("channel", static_cast<std::uint64_t>(channel))
         .field("peers", static_cast<std::uint64_t>(reply.peers.size()));
-    if (causal_) ev.field("span", reply.span.id).field("parent", reply.span.parent);
-    trace_->write(ev);
+    if (simulator_.causal_tracing())
+      ev.field("span", reply.span.id).field("parent", reply.span.parent);
+    trace->write(ev);
   }
 
   const std::uint64_t bytes = wire_size(Message{reply});

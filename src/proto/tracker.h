@@ -7,7 +7,6 @@
 #include "net/asn_db.h"
 #include "net/ip.h"
 #include "net/transport.h"
-#include "sim/trace.h"
 #include "proto/host.h"
 #include "proto/message.h"
 #include "sim/rng.h"
@@ -36,6 +35,9 @@ struct TrackerConfig {
   const net::AsnDatabase* locality_db = nullptr;
 };
 
+/// Each answered query emits a "tracker_serve" event to the simulator's
+/// trace sink; under causal tracing the reply carries a span id parented on
+/// the query's span, and the event gains span/parent fields.
 class TrackerServer {
  public:
   using Config = TrackerConfig;
@@ -50,15 +52,6 @@ class TrackerServer {
   TrackerServer& operator=(const TrackerServer&) = delete;
 
   net::IpAddress ip() const { return identity_.ip; }
-
-  /// Emits one "tracker_serve" event per answered query to `sink`; nullptr
-  /// (the default) disables tracing. Purely observational.
-  void set_trace_sink(sim::TraceSink* sink) { trace_ = sink; }
-
-  /// Enables causal tracing: replies carry a span id parented on the
-  /// incoming query's span, and tracker_serve events gain span/parent
-  /// fields. Off by default so untraced runs stay byte-identical.
-  void set_causal_tracing(bool on) { causal_ = on; }
 
   /// Fault-injection seam: a dark tracker silently drops every query — the
   /// server is unreachable, exactly as a client experiences a regional
@@ -86,8 +79,6 @@ class TrackerServer {
   HostIdentity identity_;
   sim::Rng rng_;
   Config config_;
-  sim::TraceSink* trace_ = nullptr;
-  bool causal_ = false;
   bool dark_ = false;
   std::uint64_t queries_served_ = 0;
   // channel -> member entries (channel populations are small enough that

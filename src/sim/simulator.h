@@ -10,6 +10,7 @@
 namespace ppsim::sim {
 
 class SimObserver;
+class TraceSink;
 
 /// Opaque handle to a scheduled event; lets callers cancel pending timers.
 /// Carries the event's arena slot and its unique sequence number: the slot
@@ -112,13 +113,27 @@ class Simulator {
     return queue_.size() * sizeof(Key) + slots_.size() * sizeof(Slot);
   }
 
+  /// Sets the run's protocol trace: every entity driven by this simulator
+  /// writes its trace events to `sink` (nullptr, the default, disables
+  /// them at one branch per would-be event) and, with `causal` on, stamps
+  /// span ids and emits the causal-only milestones (docs/OBSERVABILITY.md).
+  /// Set once, before the first entity emits; purely observational, so the
+  /// simulated trajectory is identical either way. The sink must outlive
+  /// every entity that may still emit (a Peer emits from its destructor).
+  void set_tracing(TraceSink* sink, bool causal) {
+    trace_sink_ = sink;
+    causal_tracing_ = causal;
+  }
+  TraceSink* trace_sink() const { return trace_sink_; }
+  bool causal_tracing() const { return causal_tracing_; }
+
   /// Allocates the next causal-tracing span id: a plain monotonic counter,
-  /// deterministic by construction (no RNG draw, no wall clock). Callers
-  /// must only allocate when causal tracing is enabled so that runs without
-  /// it stay byte-identical — allocation itself never perturbs event order,
-  /// but unused ids would still change emitted traces.
-  std::uint64_t allocate_span_id() { return ++last_span_id_; }
-  std::uint64_t spans_allocated() const { return last_span_id_; }
+  /// deterministic by construction (no RNG draw, no wall clock). Returns 0
+  /// (no span) when causal tracing is off, so runs without it never consume
+  /// ids and stay byte-identical.
+  std::uint64_t allocate_span_id() {
+    return causal_tracing_ ? ++last_span_id_ : 0;
+  }
 
   /// Registers an observer notified around every executed event. Observers
   /// are purely passive (see SimObserver); with none registered the event
@@ -160,6 +175,8 @@ class Simulator {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<SimObserver*> observers_;
+  TraceSink* trace_sink_ = nullptr;
+  bool causal_tracing_ = false;
 };
 
 /// Convenience: runs `tick` every `period` until it returns false. Returns

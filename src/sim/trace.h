@@ -72,8 +72,9 @@ class TraceEvent {
   std::vector<Field> fields_;
 };
 
-/// Receiver of trace events. Emitters hold a TraceSink* that is nullptr by
-/// default, so a disabled trace costs one branch per would-be event.
+/// Receiver of trace events. Protocol emitters read the run's sink from
+/// their Simulator (Simulator::set_tracing); it is nullptr by default, so a
+/// disabled trace costs one branch per would-be event.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

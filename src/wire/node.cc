@@ -119,7 +119,8 @@ NodeReport run_node(const NodeConfig& config,
     }
   });
 
-  // --- the entity this process hosts ---
+  // --- the entity this process hosts (traced without causal spans) ---
+  simulator.set_tracing(trace_sink.get(), /*causal=*/false);
   std::unique_ptr<proto::BootstrapServer> bootstrap;
   std::unique_ptr<proto::TrackerServer> tracker;
   std::unique_ptr<proto::StreamSource> source;
@@ -137,10 +138,6 @@ NodeReport run_node(const NodeConfig& config,
       entry.source = config.source;
       entry.tracker_groups = {{config.tracker}};
       bootstrap->register_channel(std::move(entry));
-      if (trace_sink != nullptr) {
-        bootstrap->set_trace_sink(trace_sink.get());
-        tracker->set_trace_sink(trace_sink.get());
-      }
       break;
     }
     case NodeRole::kSource: {
@@ -148,7 +145,6 @@ NodeReport run_node(const NodeConfig& config,
           simulator, transport, loopback_identity(registry, db, config.ip),
           config.channel, std::vector<net::IpAddress>{config.tracker},
           rng.fork(2));
-      if (trace_sink != nullptr) source->set_trace_sink(trace_sink.get());
       source->start();
       break;
     }
@@ -156,7 +152,6 @@ NodeReport run_node(const NodeConfig& config,
       peer = std::make_unique<proto::Peer>(
           simulator, transport, loopback_identity(registry, db, config.ip),
           config.channel, config.bootstrap, rng.fork(3));
-      if (trace_sink != nullptr) peer->set_trace_sink(trace_sink.get());
       peer->join();
       break;
     }

@@ -97,6 +97,26 @@ TEST(RunCliTest, UnwritableOutputFailsBeforeTheRun) {
   }
 }
 
+TEST(RunCliTest, SpansOutAloneWritesTheSpansFile) {
+  // parse_cli sets causal_trace with --spans-out; a program that calls
+  // run_cli directly may set spans_out alone.
+  auto options = tiny_options();
+  options.minutes = 1;
+  options.spans_out = ::testing::TempDir() + "/ppsim_cli_spans_only.ndjson";
+  std::ostringstream out;
+  ASSERT_EQ(run_cli(options, out), 0);
+  EXPECT_NE(out.str().find("spans written:"), std::string::npos);
+
+  std::ifstream spans(options.spans_out);
+  std::string header;
+  ASSERT_TRUE(std::getline(spans, header));
+  EXPECT_EQ(header.rfind(R"({"spans_schema":"ppsim-spans-v1")", 0), 0u)
+      << header;
+  std::uint64_t span_count = 0;
+  ASSERT_TRUE(obs::read_json_u64(header, "spans", &span_count)) << header;
+  EXPECT_GT(span_count, 0u);
+}
+
 TEST(RunCliTest, FaultTimelineMatchesTheSamplesFile) {
   // The report's timeline is computed in process, ppsim-analyze's from the
   // samples file; both must read the same whole series.

@@ -239,8 +239,8 @@ TEST(FaultDriverTest, EmitsTraceEventsAndMetrics) {
   std::ostringstream trace_text;
   obs::NdjsonTraceSink sink(trace_text);
   obs::MetricsRegistry metrics;
+  simulator.set_tracing(&sink, /*causal=*/false);
   FaultDriver::Options options;
-  options.trace = &sink;
   options.metrics = &metrics;
   FaultDriver driver(simulator, overlay, host, plan, options);
   driver.arm();

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <variant>
+#include <vector>
+
 #include "proto/bootstrap.h"
 #include "proto/source.h"
 #include "proto_testutil.h"
+#include "sim/trace.h"
 
 namespace ppsim::proto {
 namespace {
@@ -89,6 +94,47 @@ TEST(BootstrapTest, TrackerGroupRotation) {
   auto replies = c.received<JoinReply>();
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_NE(replies[0].trackers[0], replies[1].trackers[0]);
+}
+
+TEST(BootstrapTest, ServeEventIsCausalOnly) {
+  // bootstrap_serve is a causal-only milestone (docs/OBSERVABILITY.md): a
+  // traced join emits it only when the simulator runs causal tracing.
+  struct RecordingSink final : sim::TraceSink {
+    std::vector<sim::TraceEvent> events;
+    void write(const sim::TraceEvent& e) override { events.push_back(e); }
+  };
+  for (const bool causal : {false, true}) {
+    SCOPED_TRACE(causal ? "causal" : "plain");
+    RecordingSink sink;
+    MiniWorld world;
+    world.simulator().set_tracing(&sink, causal);
+    RawClient c(world, net::IspCategory::kCnc);
+    JoinQuery q{world.channel().id};
+    q.span = SpanContext{42, 0};
+    c.send(world.bootstrap().ip(), Message{q});
+    world.simulator().run_until(sim::Time::seconds(1));
+
+    const auto replies = c.received<JoinReply>();
+    ASSERT_EQ(replies.size(), 1u);
+    std::vector<sim::TraceEvent> serves;
+    for (const auto& e : sink.events)
+      if (e.name() == "bootstrap_serve") serves.push_back(e);
+    if (!causal) {
+      EXPECT_TRUE(serves.empty());
+      EXPECT_EQ(replies[0].span.id, 0u);
+      continue;
+    }
+    ASSERT_EQ(serves.size(), 1u);
+    std::vector<std::string> keys;
+    for (const auto& f : serves[0].fields()) keys.push_back(f.key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"bootstrap", "to", "channel",
+                                              "trackers", "span", "parent"}));
+    EXPECT_NE(replies[0].span.id, 0u);
+    EXPECT_EQ(replies[0].span.parent, 42u);
+    EXPECT_EQ(std::get<std::uint64_t>(serves[0].fields()[4].value),
+              replies[0].span.id);
+    EXPECT_EQ(std::get<std::uint64_t>(serves[0].fields()[5].value), 42u);
+  }
 }
 
 TEST(SourceTest, ProducesChunksAtStreamRate) {

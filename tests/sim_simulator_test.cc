@@ -151,6 +151,19 @@ TEST(SimulatorTest, CancelTwiceReturnsFalse) {
   EXPECT_FALSE(simulator.cancel(h));
 }
 
+TEST(SimulatorTest, SpanIdsOnlyUnderCausalTracing) {
+  Simulator sim;
+  EXPECT_EQ(sim.trace_sink(), nullptr);
+  EXPECT_FALSE(sim.causal_tracing());
+  EXPECT_EQ(sim.allocate_span_id(), 0u);  // no span, and no id consumed
+  sim.set_tracing(nullptr, /*causal=*/true);
+  EXPECT_TRUE(sim.causal_tracing());
+  EXPECT_EQ(sim.allocate_span_id(), 1u);
+  EXPECT_EQ(sim.allocate_span_id(), 2u);
+  sim.set_tracing(nullptr, /*causal=*/false);
+  EXPECT_EQ(sim.allocate_span_id(), 0u);
+}
+
 TEST(SimulatorTest, CancelInvalidHandle) {
   Simulator simulator;
   TimerHandle h;

@@ -1,4 +1,4 @@
-// wire::NodeRunner shutdown ordering (docs/WIRE.md): a node stopped
+// wire::run_node shutdown ordering (docs/WIRE.md): a node stopped
 // mid-run (the SIGTERM path — signal handlers set a flag the run loop
 // polls, exactly what the `stop` callback models) must ship its closing
 // telemetry snapshot and flush the metrics/samples sinks before the final

@@ -9,9 +9,10 @@
 //                  Simulator::now().
 //
 //   unordered-iter range-for over a std::unordered_* in a file that also
-//                  schedules events, allocates span ids, or writes traces —
-//                  hash-order traversal feeding the scheduler makes event
-//                  order depend on the hash seed / load factors.
+//                  holds the simulator, schedules events, allocates span
+//                  ids, or writes traces — hash-order traversal feeding the
+//                  scheduler makes event order depend on the hash seed /
+//                  load factors.
 //
 //   pointer-key    std::map/std::set (or sim::FlatMap) keyed on a pointer
 //                  type: iteration order is allocation-address order,
@@ -122,10 +123,12 @@ void check_wall_clock(const SourceFile& f, std::vector<Finding>* findings) {
 void check_unordered_iteration(const SourceFile& f,
                                const std::set<std::string>& registry,
                                std::vector<Finding>* findings) {
-  // Only files that schedule events, allocate span ids, or emit to a trace
-  // sink can convert hash order into event/span/serialization order; pure
-  // data-analysis code may iterate however it likes.
-  if (f.stripped.find("schedule") == std::string::npos &&
+  // Only files that hold the simulator (which carries the run's trace sink
+  // and span counter), schedule events, allocate span ids, or emit to a
+  // trace sink can convert hash order into event/span/serialization order;
+  // pure data-analysis code may iterate however it likes.
+  if (f.stripped.find("Simulator") == std::string::npos &&
+      f.stripped.find("schedule") == std::string::npos &&
       f.stripped.find("allocate_span_id") == std::string::npos &&
       f.stripped.find("TraceSink") == std::string::npos)
     return;

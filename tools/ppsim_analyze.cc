@@ -37,6 +37,7 @@
 // its fold code so both produce byte-identical artifacts.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -330,28 +331,34 @@ int main(int argc, char** argv) {
   std::vector<std::string> sections;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--probe-ip" && i + 1 < argc) {
-      probe_ip_text = argv[++i];
-    } else if (arg == "--section" && i + 1 < argc) {
-      sections.push_back(argv[++i]);
-    } else if (arg == "--samples" && i + 1 < argc) {
-      samples_path = argv[++i];
-    } else if (arg == "--fault-plan" && i + 1 < argc) {
-      fault_plan_path = argv[++i];
-    } else if (arg == "--health" && i + 1 < argc) {
-      health_path = argv[++i];
-    } else if (arg == "--postmortem" && i + 1 < argc) {
-      postmortem_path = argv[++i];
-    } else if (arg == "--spans" && i + 1 < argc) {
-      spans_path = argv[++i];
+    // A valued option reads the next argument; none left is a usage error.
+    const auto value = [&]() -> std::string {
+      if (i + 1 < argc) return argv[++i];
+      std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+      std::exit(2);
+    };
+    if (arg == "--probe-ip") {
+      probe_ip_text = value();
+    } else if (arg == "--section") {
+      sections.push_back(value());
+    } else if (arg == "--samples") {
+      samples_path = value();
+    } else if (arg == "--fault-plan") {
+      fault_plan_path = value();
+    } else if (arg == "--health") {
+      health_path = value();
+    } else if (arg == "--postmortem") {
+      postmortem_path = value();
+    } else if (arg == "--spans") {
+      spans_path = value();
     } else if (arg == "--fleet") {
       fleet = true;
-    } else if (arg == "--node" && i + 1 < argc) {
-      fleet_nodes.push_back(argv[++i]);
-    } else if (arg == "--fleet-metrics-out" && i + 1 < argc) {
-      fleet_metrics_out = argv[++i];
-    } else if (arg == "--fleet-matrix-out" && i + 1 < argc) {
-      fleet_matrix_out = argv[++i];
+    } else if (arg == "--node") {
+      fleet_nodes.push_back(value());
+    } else if (arg == "--fleet-metrics-out") {
+      fleet_metrics_out = value();
+    } else if (arg == "--fleet-matrix-out") {
+      fleet_matrix_out = value();
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: ppsim-analyze <trace-file> [--probe-ip A.B.C.D] "

@@ -26,6 +26,7 @@
 #include <iostream>
 #include <string>
 
+#include "flag_values.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "wire/clock.h"
@@ -55,13 +56,14 @@ int main(int argc, char** argv) {
   using ppsim::sim::Time;
 
   std::string bind_spec;
-  double heartbeat_timeout_s = 10.0;
-  double summary_period_s = 2.0;
-  double duration_s = 0.0;
+  Time heartbeat_timeout = Time::seconds(10);
+  Time summary_period = Time::seconds(2);
+  Time duration;
   std::size_t expect_closed = 0;
   std::string fleet_samples_out;
   std::string fleet_metrics_out;
   std::string fleet_matrix_out;
+  const ppsim::tools::FlagValues flags("ppsim-collect");
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -71,13 +73,13 @@ int main(int argc, char** argv) {
     if (key == "--bind") {
       bind_spec = value;
     } else if (key == "--heartbeat-timeout-s") {
-      heartbeat_timeout_s = std::stod(value);
+      heartbeat_timeout = flags.seconds(key, value);
     } else if (key == "--summary-period-s") {
-      summary_period_s = std::stod(value);
+      summary_period = flags.seconds(key, value);
     } else if (key == "--duration-s") {
-      duration_s = std::stod(value);
+      duration = flags.seconds(key, value);
     } else if (key == "--expect-closed") {
-      expect_closed = std::stoul(value);
+      expect_closed = flags.integer<std::size_t>(key, value);
     } else if (key == "--fleet-samples-out") {
       fleet_samples_out = value;
     } else if (key == "--fleet-metrics-out") {
@@ -145,7 +147,7 @@ int main(int argc, char** argv) {
 
   std::ofstream samples_os;
   ppsim::wire::Collector::Config config;
-  config.heartbeat_timeout = Time::from_seconds(heartbeat_timeout_s);
+  config.heartbeat_timeout = heartbeat_timeout;
   config.events_out = &std::cerr;
   if (!fleet_samples_out.empty()) {
     samples_os.open(fleet_samples_out);
@@ -154,8 +156,6 @@ int main(int argc, char** argv) {
   ppsim::wire::Collector collector(config);
 
   ppsim::wire::WallClock clock;
-  const Time duration = Time::from_seconds(duration_s);
-  const Time summary_period = Time::from_seconds(summary_period_s);
   Time next_summary = summary_period;
   char buf[65536];
   while (g_stop == 0) {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <string>
 
+#include "flag_values.h"
 #include "wire/node.h"
 #include "wire/telemetry.h"
 
@@ -54,6 +55,7 @@ int main(int argc, char** argv) {
   NodeConfig config;
   config.channel.id = 1;
   config.channel.name = "wire";
+  const ppsim::tools::FlagValues flags("ppsim-node");
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -74,17 +76,17 @@ int main(int argc, char** argv) {
     } else if (key == "--source") {
       config.source = parse_ip("--source", value);
     } else if (key == "--port") {
-      config.port = static_cast<std::uint16_t>(std::stoul(value));
+      config.port = flags.integer<std::uint16_t>(key, value);
     } else if (key == "--epoch") {
-      config.epoch = static_cast<std::uint16_t>(std::stoul(value));
+      config.epoch = flags.integer<std::uint16_t>(key, value);
     } else if (key == "--channel") {
-      config.channel.id = static_cast<std::uint32_t>(std::stoul(value));
+      config.channel.id = flags.integer<std::uint32_t>(key, value);
     } else if (key == "--bitrate-bps") {
-      config.channel.bitrate_bps = std::stod(value);
+      config.channel.bitrate_bps = flags.positive(key, value);
     } else if (key == "--duration-s") {
-      config.duration = ppsim::sim::Time::from_seconds(std::stod(value));
+      config.duration = flags.seconds(key, value);
     } else if (key == "--seed") {
-      config.seed = std::stoull(value);
+      config.seed = flags.integer<std::uint64_t>(key, value);
     } else if (key == "--metrics-out") {
       config.metrics_out = value;
     } else if (key == "--samples-out") {
@@ -92,7 +94,7 @@ int main(int argc, char** argv) {
     } else if (key == "--trace-out") {
       config.trace_out = value;
     } else if (key == "--sample-period-s") {
-      config.sample_period = ppsim::sim::Time::from_seconds(std::stod(value));
+      config.sample_period = flags.seconds(key, value);
     } else if (key == "--telemetry-to") {
       ppsim::net::IpAddress collect_ip;
       std::uint16_t collect_port = 0;
@@ -103,8 +105,7 @@ int main(int argc, char** argv) {
       }
       config.telemetry_to = value;
     } else if (key == "--telemetry-period-s") {
-      config.telemetry_period =
-          ppsim::sim::Time::from_seconds(std::stod(value));
+      config.telemetry_period = flags.seconds(key, value);
     } else if (key == "--help" || key == "-h") {
       usage();
       return 0;
