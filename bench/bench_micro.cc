@@ -87,36 +87,6 @@ void BM_SimulatorSelfScheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSelfScheduling);
 
-// The cancel path: schedule the spread workload, cancel every other event,
-// run the rest. Cancelled keys stay queued and are skipped when popped, so
-// this prices cancel() plus the stale-key skip.
-void schedule_spread_cancel_half(sim::Simulator& simulator,
-                                 std::vector<sim::TimerHandle>& handles) {
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    handles[i] = simulator.schedule(
-        sim::Time::micros(static_cast<std::int64_t>(i * 7919 % 100000)),
-        [] {});
-  }
-  for (std::size_t i = 0; i < handles.size(); i += 2)
-    simulator.cancel(handles[i]);
-}
-
-void BM_SimulatorScheduleCancel(benchmark::State& state) {
-  std::vector<sim::TimerHandle> handles(
-      static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    sim::Simulator simulator;
-    schedule_spread_cancel_half(simulator, handles);
-    benchmark::DoNotOptimize(simulator.run());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.counters["peak_queue_depth"] =
-      replay_peak_queue_depth([&handles](sim::Simulator& s) {
-        schedule_spread_cancel_half(s, handles);
-      });
-}
-BENCHMARK(BM_SimulatorScheduleCancel)->Arg(100000);
-
 // Same loop as BM_SimulatorScheduleRun but with category-tagged events and
 // no observer attached: the disabled-observability baseline. CI's bench
 // guard compares this against the untagged variant — the two must be within

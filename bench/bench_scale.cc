@@ -10,8 +10,7 @@
 // call with no observer attached, so ns/event is the simulator's own cost,
 // not an instrument's. Events and peak queue depth come from the run's
 // SwarmStats. The peak is the scheduler's high-water mark of pending events
-// (Simulator::peak_pending_events), which excludes cancelled events whose
-// heap keys are still queued; RunProfiler::max_queue_depth counts those.
+// (Simulator::peak_pending_events).
 // Peak RSS is process-wide and monotone, which is why the sweep always runs
 // in ascending peer order: each point's reading is attributable to the
 // largest run so far, i.e. its own.

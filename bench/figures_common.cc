@@ -1,31 +1,53 @@
 #include "figures_common.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <ostream>
 
+#include "obs/directive.h"
+
 namespace ppsim::bench {
+
+std::string parse_flags(int argc, const char* const* argv, Scale* scale) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string flag = argv[i];
+    if (flag != "--viewers" && flag != "--minutes" && flag != "--seed" &&
+        flag != "--bench-json")
+      return "unknown option: " + flag;
+    if (i + 1 >= argc) return "missing value for " + flag;
+    const std::string value = argv[++i];
+    const std::string bad = "bad value for " + flag + ": " + value;
+    if (flag == "--seed") {
+      if (!obs::parse_directive_integer(value, &scale->seed)) return bad;
+    } else if (flag == "--bench-json") {
+      scale->bench_json = value;
+    } else {
+      int n = 0;
+      if (!obs::parse_directive_integer(value, &n) || n <= 0) return bad;
+      if (flag == "--minutes") {
+        scale->minutes = n;
+      } else {
+        scale->popular_viewers = n;
+        scale->unpopular_viewers =
+            static_cast<int>(std::max<std::int64_t>(30, n * 64LL / 300));
+      }
+    }
+  }
+  return "";
+}
 
 Scale parse_flags(int argc, char** argv) {
   Scale scale;
-  for (int i = 1; i < argc; ++i) {
-    auto intval = [&](const char* name) -> long {
-      return (i + 1 < argc && std::strcmp(argv[i], name) == 0)
-                 ? std::strtol(argv[++i], nullptr, 10)
-                 : -1;
-    };
-    if (long v = intval("--viewers"); v > 0) {
-      scale.popular_viewers = static_cast<int>(v);
-      scale.unpopular_viewers = std::max(30, static_cast<int>(v * 64 / 300));
-    } else if (long m = intval("--minutes"); m > 0) {
-      scale.minutes = static_cast<int>(m);
-    } else if (long s = intval("--seed"); s > 0) {
-      scale.seed = static_cast<std::uint64_t>(s);
-    } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      scale.bench_json = argv[++i];
-    }
+  if (const std::string error = parse_flags(argc, argv, &scale);
+      !error.empty()) {
+    std::fprintf(stderr,
+                 "error: %s\nusage: %s [--viewers N] [--minutes M] "
+                 "[--seed S] [--bench-json F]\n",
+                 error.c_str(), argv[0]);
+    std::exit(2);
   }
   return scale;
 }

@@ -8,10 +8,13 @@
 //                   the unpopular channel gets a proportional share)
 //   --minutes M     capture duration in simulated minutes (default 10;
 //                   the paper captured 2-hour sessions — pass 120 to match)
-//   --seed S        reproducible run seed
+//   --seed S        reproducible run seed, any uint64
 //   --bench-json F  append-free machine-readable telemetry: write the
 //                   run's BENCH entries to F (schema "ppsim-bench-v1",
 //                   docs/OBSERVABILITY.md)
+//
+// N and M are positive. Any other argument, a missing value or a value
+// that is not a whole number in range is a usage error (exit 2).
 
 #include <cstdint>
 #include <iosfwd>
@@ -31,6 +34,13 @@ struct Scale {
   std::string bench_json;         // telemetry output path; empty = off
 };
 
+/// Reads the flags above into `scale`, each value as a whole token.
+/// Returns "" or the error: "unknown option: --viewer", "missing value for
+/// --minutes" or "bad value for --viewers: abc".
+std::string parse_flags(int argc, const char* const* argv, Scale* scale);
+
+/// The same, for a bench's main(): on an error, prints it with the usage
+/// line to stderr and exits 2.
 Scale parse_flags(int argc, char** argv);
 
 /// Shared --bench-json emitter: writes `entries` to `path` via

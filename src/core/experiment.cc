@@ -32,17 +32,10 @@ ProbeSpec mason_probe() {
                    "Mason"};
 }
 
-std::uint64_t TrafficMatrix::total() const {
-  std::uint64_t t = 0;
-  for (const auto& row : bytes)
-    for (auto b : row) t += b;
-  return t;
-}
+std::uint64_t TrafficMatrix::total() const { return obs::matrix_total(bytes); }
 
 std::uint64_t TrafficMatrix::intra_isp() const {
-  std::uint64_t t = 0;
-  for (std::size_t i = 0; i < bytes.size(); ++i) t += bytes[i][i];
-  return t;
+  return obs::matrix_intra_isp(bytes);
 }
 
 double TrafficMatrix::locality() const {

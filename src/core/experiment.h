@@ -208,7 +208,7 @@ struct SwarmStats {
   std::uint64_t packets_dropped = 0;
   std::uint64_t events_executed = 0;
   /// Peak number of simultaneously pending events
-  /// (sim::Simulator::peak_pending_events; cancelled events excluded).
+  /// (sim::Simulator::peak_pending_events).
   std::uint64_t peak_queue_depth = 0;
 };
 

@@ -11,7 +11,7 @@ namespace ppsim::sim {
 /// (tracing, profiling) that must never influence the run itself.
 ///
 /// Observers are invoked synchronously around each executed event, so they
-/// may read simulator state but must not schedule, cancel, or otherwise
+/// may read simulator state but must not schedule events or otherwise
 /// mutate it — an observer that feeds back into the event queue would break
 /// the determinism contract the whole tree is built on. `category` is the
 /// label the scheduling site attached to the event ("" when untagged); it

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <memory>
 #include <utility>
 
 #include "sim/observer.h"
@@ -11,8 +10,7 @@
 
 namespace ppsim::sim {
 
-TimerHandle Simulator::schedule_at(Time when, Callback cb,
-                                   const char* category) {
+void Simulator::schedule_at(Time when, Callback cb, const char* category) {
   assert(cb);
   if (when < now_) when = now_;
   if (when > latest_scheduled_) latest_scheduled_ = when;
@@ -24,20 +22,10 @@ TimerHandle Simulator::schedule_at(Time when, Callback cb,
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  const std::uint64_t seq = next_seq_++;
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
   s.category = category;
-  s.seq = seq;
-  queue_.push(Key{when, seq, slot});
-  return TimerHandle{slot, seq};
-}
-
-Simulator::Callback Simulator::take(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.seq = 0;
-  free_slots_.push_back(slot);
-  return std::exchange(s.cb, nullptr);
+  queue_.push(Key{when, next_seq_++, slot});
 }
 
 void Simulator::add_observer(SimObserver* observer) {
@@ -51,16 +39,6 @@ void Simulator::remove_observer(SimObserver* observer) {
       observers_.end());
 }
 
-bool Simulator::cancel(TimerHandle h) {
-  // Once the handle's event fired or was cancelled, its slot is free
-  // (seq 0) or holds a later event, so the sequence no longer matches.
-  if (!h.valid() || h.slot_ >= slots_.size() ||
-      slots_[h.slot_].seq != h.seq_)
-    return false;
-  take(h.slot_);
-  return true;
-}
-
 std::uint64_t Simulator::run_until(Time until) {
   std::uint64_t ran = 0;
   stop_requested_ = false;
@@ -68,10 +46,11 @@ std::uint64_t Simulator::run_until(Time until) {
     const Key key = queue_.top();
     if (key.when > until) break;
     queue_.pop();
-    if (slots_[key.slot].seq != key.seq) continue;  // cancelled
-    const char* category = slots_[key.slot].category;
-    // Free the slot before running so the callback may schedule and cancel.
-    const Callback cb = take(key.slot);
+    Slot& slot = slots_[key.slot];
+    const char* category = slot.category;
+    // Free the slot before running so the callback may schedule into it.
+    const Callback cb = std::exchange(slot.cb, nullptr);
+    free_slots_.push_back(key.slot);
     now_ = key.when;
     if (observers_.empty()) {
       cb();
@@ -99,33 +78,34 @@ std::uint64_t Simulator::run() {
   return run_until(Time::micros(INT64_MAX));
 }
 
-TimerHandle schedule_periodic(Simulator& simulator, Time period,
-                              std::function<bool()> tick,
-                              const char* category) {
+namespace {
+
+/// One periodic chain. The closure is the chain's only state: each firing
+/// runs the tick and, if it returns true, moves the closure into the next
+/// event, so the re-arm takes its sequence number after the tick has run.
+/// When a tick declines to re-arm, or the simulator is destroyed with the
+/// event still queued, the chain goes with its callback.
+struct Periodic {
+  Simulator* sim;
+  Time period;
+  std::function<bool()> tick;
+  const char* category;
+
+  void operator()() {
+    // Moving leaves the trivially copyable members as they were, so the
+    // order in which the arguments are read does not matter.
+    if (tick()) sim->schedule(period, std::move(*this), category);
+  }
+};
+
+}  // namespace
+
+void schedule_periodic(Simulator& simulator, Time period,
+                       std::function<bool()> tick, const char* category) {
   assert(period > Time::zero());
-  // Self-rescheduling chain; stops when tick() returns false. Ownership is
-  // one-directional: each pending event's callback holds the shared state,
-  // and the state holds nothing that refers back to the callback. When a
-  // tick declines to re-arm (or the event is cancelled, or the simulator is
-  // destroyed with the event still queued), the callback's destruction
-  // releases the last reference and the state is freed — a closure that
-  // captured its own shared_ptr would instead form a cycle and leak.
-  struct State {
-    Simulator* sim;
-    Time period;
-    std::function<bool()> tick;
-    const char* category;
-    static TimerHandle arm(const std::shared_ptr<State>& state) {
-      return state->sim->schedule(
-          state->period,
-          [state] {
-            if (state->tick()) arm(state);
-          },
-          state->category);
-    }
-  };
-  return State::arm(std::make_shared<State>(
-      State{&simulator, period, std::move(tick), category}));
+  simulator.schedule(period,
+                     Periodic{&simulator, period, std::move(tick), category},
+                     category);
 }
 
 std::string Time::to_string() const {

@@ -12,35 +12,19 @@ namespace ppsim::sim {
 class SimObserver;
 class TraceSink;
 
-/// Opaque handle to a scheduled event; lets callers cancel pending timers.
-/// Carries the event's arena slot and its unique sequence number: the slot
-/// says where the event lives, the sequence says whether the slot still
-/// holds it (a fired or cancelled event's slot is freed and may be reused).
-class TimerHandle {
- public:
-  TimerHandle() = default;
-  bool valid() const { return seq_ != 0; }
-
- private:
-  friend class Simulator;
-  TimerHandle(std::uint32_t slot, std::uint64_t seq)
-      : slot_(slot), seq_(seq) {}
-  std::uint32_t slot_ = 0;
-  std::uint64_t seq_ = 0;
-};
-
 /// Single-threaded discrete-event simulator.
 ///
 /// Events are callbacks ordered by (time, insertion sequence), giving a total
 /// deterministic order: two events at the same instant fire in the order they
 /// were scheduled. The simulator owns no domain state; protocol entities
-/// capture what they need in their callbacks.
+/// capture what they need in their callbacks. Nothing cancels an event:
+/// a periodic task stops by returning false, and a one-shot timer whose
+/// owner may have stopped checks the owner's own flag when it fires.
 ///
 /// Pending events live in a slot arena: each callback and its category sit
 /// in a slot reused through a free list, and a binary heap orders small
-/// {when, seq, slot} keys. A slot is freed when its event fires or is
-/// cancelled; a popped key whose sequence no longer matches its slot is
-/// skipped. No per-event hashing, no tombstone sets.
+/// {when, seq, slot} keys. A slot is freed when its event fires. No
+/// per-event hashing.
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -56,25 +40,13 @@ class Simulator {
   /// `category` labels the event for observers (tracing/profiling); it must
   /// point at storage outliving the simulator — in practice a string
   /// literal — and has no effect on the run itself.
-  TimerHandle schedule(Time delay, Callback cb,
-                       const char* category = nullptr) {
-    return schedule_at(delay.is_negative() ? now_ : now_ + delay,
-                       std::move(cb), category);
+  void schedule(Time delay, Callback cb, const char* category = nullptr) {
+    schedule_at(delay.is_negative() ? now_ : now_ + delay, std::move(cb),
+                category);
   }
 
   /// Schedules `cb` at an absolute time (clamped to `now()` if in the past).
-  TimerHandle schedule_at(Time when, Callback cb,
-                          const char* category = nullptr);
-
-  /// Cancels a pending event. Returns true if the event had not yet fired.
-  /// O(1): the handle's slot must still carry the handle's sequence, so a
-  /// handle whose event already fired or was cancelled — including one
-  /// whose slot a later event now occupies — reports false. An event
-  /// cancelling itself from inside its own callback reports false too: its
-  /// slot is freed before the callback runs. A successful cancel releases
-  /// the callback (and what it captured) immediately; the event's heap key
-  /// stays queued until popped, and is then skipped.
-  bool cancel(TimerHandle h);
+  void schedule_at(Time when, Callback cb, const char* category = nullptr);
 
   /// Runs events until the queue is empty or `until` is reached; events
   /// scheduled exactly at `until` do fire. Returns the number of events run.
@@ -87,28 +59,24 @@ class Simulator {
   void request_stop() { stop_requested_ = true; }
 
   std::uint64_t events_executed() const { return events_executed_; }
-  std::size_t pending_events() const {
-    return slots_.size() - free_slots_.size();
-  }
+  std::size_t pending_events() const { return queue_.size(); }
 
   /// Peak of pending_events() over the simulator's lifetime. The arena only
   /// grows when no freed slot is available, so its size is this high-water
-  /// mark at no extra cost. Excludes cancelled events whose keys still wait
-  /// in the heap, which RunProfiler::max_queue_depth (the heap size the
-  /// observers see) counts.
+  /// mark at no extra cost.
   std::size_t peak_pending_events() const { return slots_.size(); }
 
   /// Latest firing time ever scheduled (clamp-adjusted), even if that event
-  /// has since fired or been cancelled. `latest_scheduled() - now()` is the
-  /// scheduler's event horizon: how far into the simulated future the
-  /// pending work currently reaches. Tracked as a two-comparison max in
-  /// schedule_at, so the accounting costs nothing measurable per event.
+  /// has since fired. `latest_scheduled() - now()` is the scheduler's event
+  /// horizon: how far into the simulated future the pending work currently
+  /// reaches. Tracked as a two-comparison max in schedule_at, so the
+  /// accounting costs nothing measurable per event.
   Time latest_scheduled() const { return latest_scheduled_; }
 
-  /// Approximate heap footprint of the scheduler: queued heap keys
-  /// (cancelled ones included until popped) plus arena slots, counted by
-  /// size(), not capacity(). std::function captures are not visible from
-  /// here. For the resource-probe gauges, not for exact accounting.
+  /// Approximate heap footprint of the scheduler: queued heap keys plus
+  /// arena slots, counted by size(), not capacity(). std::function captures
+  /// are not visible from here. For the resource-probe gauges, not for exact
+  /// accounting.
   std::size_t approx_queue_bytes() const {
     return queue_.size() * sizeof(Key) + slots_.size() * sizeof(Slot);
   }
@@ -154,16 +122,11 @@ class Simulator {
     }
   };
 
-  /// One pending event's payload; seq == 0 marks a free slot.
+  /// One pending event's payload; a free slot holds an empty callback.
   struct Slot {
     Callback cb;
     const char* category = nullptr;  // observer label; nullptr = untagged
-    std::uint64_t seq = 0;
   };
-
-  /// Frees `slot` and hands back its callback. The arena is consistent
-  /// before the caller destroys (or runs) what is returned.
-  Callback take(std::uint32_t slot);
 
   Time now_;
   Time latest_scheduled_;
@@ -179,14 +142,11 @@ class Simulator {
   bool causal_tracing_ = false;
 };
 
-/// Convenience: runs `tick` every `period` until it returns false. Returns
-/// the handle of the *first* firing: cancelling it before that firing stops
-/// the whole chain, but once the first tick has fired the chain re-arms
-/// under fresh handles, so periodic tasks that must stay stoppable should
-/// keep their own flag (and return false from `tick`). `category` labels
-/// every firing of the chain for observers.
-TimerHandle schedule_periodic(Simulator& simulator, Time period,
-                              std::function<bool()> tick,
-                              const char* category = nullptr);
+/// Convenience: runs `tick` every `period` until it returns false, the only
+/// way to stop the chain. `category` labels every firing of the chain for
+/// observers.
+void schedule_periodic(Simulator& simulator, Time period,
+                       std::function<bool()> tick,
+                       const char* category = nullptr);
 
 }  // namespace ppsim::sim

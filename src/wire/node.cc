@@ -105,17 +105,19 @@ NodeReport run_node(const NodeConfig& config,
   probe.bind_metrics(&metrics);
   obs::TrafficSampler sampler;
   obs::IspMatrix traffic{};
+  const auto delivered_locality = [&] {
+    const std::uint64_t total = obs::matrix_total(traffic);
+    return total == 0 ? 0.0
+                      : static_cast<double>(obs::matrix_intra_isp(traffic)) /
+                            static_cast<double>(total);
+  };
 
-  std::uint64_t payload_total = 0;
-  std::uint64_t payload_same_isp = 0;
   const net::IspCategory own_category = db.category_or_foreign(config.ip);
   transport.set_delivery_tap([&](const UdpTransport::Delivery& d) {
     if (const auto* dr = std::get_if<proto::DataReply>(&d.payload)) {
       const auto src = static_cast<std::size_t>(db.category_or_foreign(d.from));
       const auto dst = static_cast<std::size_t>(db.category_or_foreign(d.to));
       traffic[src][dst] += dr->payload_bytes;
-      payload_total += dr->payload_bytes;
-      if (src == dst) payload_same_isp += dr->payload_bytes;
     }
   });
 
@@ -185,11 +187,7 @@ NodeReport run_node(const NodeConfig& config,
           });
       metrics.gauge("continuity").set(counters.continuity());
     }
-    metrics.gauge("delivered_locality")
-        .set(payload_total == 0
-                 ? 0.0
-                 : static_cast<double>(payload_same_isp) /
-                       static_cast<double>(payload_total));
+    metrics.gauge("delivered_locality").set(delivered_locality());
   };
   const auto sample_resources = [&](sim::Time wall) {
     obs::ResourceProbe::Inputs in;
@@ -332,10 +330,7 @@ NodeReport run_node(const NodeConfig& config,
   if (tracker != nullptr) report.queries_served = tracker->queries_served();
   if (bootstrap != nullptr) report.joins_served = bootstrap->joins_served();
   report.samples_recorded = sampler.samples().size();
-  report.delivered_locality =
-      payload_total == 0 ? 0.0
-                         : static_cast<double>(payload_same_isp) /
-                               static_cast<double>(payload_total);
+  report.delivered_locality = delivered_locality();
   if (telemetry != nullptr) {
     report.telemetry_seq =
         telemetry_next_seq == 0 ? 0 : telemetry_next_seq - 1;

@@ -33,11 +33,35 @@ TEST(BenchFlagsTest, MinutesAndSeed) {
   Scale scale = parse({"--minutes", "25", "--seed", "777"});
   EXPECT_EQ(scale.minutes, 25);
   EXPECT_EQ(scale.seed, 777u);
+  // A seed is any uint64.
+  EXPECT_EQ(parse({"--seed", "0"}).seed, 0u);
+  EXPECT_EQ(parse({"--seed", "18446744073709551615"}).seed,
+            18446744073709551615u);
 }
 
-TEST(BenchFlagsTest, UnknownFlagsIgnored) {
-  Scale scale = parse({"--bogus", "1", "--minutes", "7"});
-  EXPECT_EQ(scale.minutes, 7);
+TEST(BenchFlagsTest, RejectsUnknownMissingAndBadValues) {
+  const auto error = [](std::initializer_list<const char*> args) {
+    std::vector<const char*> argv = {"bench"};
+    argv.insert(argv.end(), args);
+    Scale scale;
+    return parse_flags(static_cast<int>(argv.size()), argv.data(), &scale);
+  };
+  EXPECT_EQ(error({"--minutes", "7", "--seed", "3"}), "");
+  EXPECT_EQ(error({"--viewer", "40"}), "unknown option: --viewer");
+  EXPECT_EQ(error({"--viewers=40"}), "unknown option: --viewers=40");
+  EXPECT_EQ(error({"--viewers", "40", "--minutes"}),
+            "missing value for --minutes");
+  EXPECT_EQ(error({"--bench-json"}), "missing value for --bench-json");
+  for (const char* bad : {"abc", "12x", "1.5", "", " 3", "0", "-4",
+                          "99999999999"}) {
+    EXPECT_EQ(error({"--viewers", bad}),
+              std::string("bad value for --viewers: ") + bad);
+    EXPECT_EQ(error({"--minutes", bad}),
+              std::string("bad value for --minutes: ") + bad);
+  }
+  for (const char* bad : {"abc", "-1", "18446744073709551616"})
+    EXPECT_EQ(error({"--seed", bad}),
+              std::string("bad value for --seed: ") + bad);
 }
 
 TEST(BenchConfigTest, PopularAndUnpopularDiffer) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/observer.h"
+#include "sim/rng.h"
 #include "sim/time.h"
 
 namespace ppsim::sim {
@@ -82,75 +87,6 @@ TEST(SimulatorTest, EventsCanScheduleEvents) {
   EXPECT_EQ(simulator.now(), Time::millis(50));
 }
 
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator simulator;
-  bool ran = false;
-  auto h = simulator.schedule(Time::seconds(1), [&] { ran = true; });
-  EXPECT_TRUE(simulator.cancel(h));
-  simulator.run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(SimulatorTest, CancelAfterFireReturnsFalse) {
-  Simulator simulator;
-  bool ran = false;
-  auto h = simulator.schedule(Time::seconds(1), [&] { ran = true; });
-  simulator.run();
-  EXPECT_TRUE(ran);
-  // The event already fired; cancelling its handle must report failure and
-  // must not disturb later events.
-  EXPECT_FALSE(simulator.cancel(h));
-  bool later = false;
-  simulator.schedule(Time::seconds(1), [&] { later = true; });
-  simulator.run();
-  EXPECT_TRUE(later);
-}
-
-TEST(SimulatorTest, CancelAfterFireDoesNotTombstoneLaterEvents) {
-  Simulator simulator;
-  int fired = 0;
-  auto h = simulator.schedule(Time::seconds(1), [&] { ++fired; });
-  // Keep the queue non-empty across the cancel so stale tombstones would
-  // survive into the next pop if cancel() planted one.
-  simulator.schedule(Time::seconds(3), [&] { ++fired; });
-  simulator.run_until(Time::seconds(2));
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(simulator.cancel(h));
-  simulator.run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(SimulatorTest, CancelDuringCallbackSuppressesSameInstantEvent) {
-  Simulator simulator;
-  bool b_ran = false;
-  TimerHandle b;
-  simulator.schedule(Time::seconds(1), [&] {
-    EXPECT_TRUE(simulator.cancel(b));
-  });
-  b = simulator.schedule(Time::seconds(1), [&] { b_ran = true; });
-  simulator.run();
-  EXPECT_FALSE(b_ran);
-  EXPECT_EQ(simulator.pending_events(), 0u);
-}
-
-TEST(SimulatorTest, CancelledEventsLeavePendingCount) {
-  Simulator simulator;
-  auto h = simulator.schedule(Time::seconds(1), [] {});
-  simulator.schedule(Time::seconds(2), [] {});
-  EXPECT_EQ(simulator.pending_events(), 2u);
-  EXPECT_TRUE(simulator.cancel(h));
-  EXPECT_EQ(simulator.pending_events(), 1u);
-  simulator.run();
-  EXPECT_EQ(simulator.pending_events(), 0u);
-}
-
-TEST(SimulatorTest, CancelTwiceReturnsFalse) {
-  Simulator simulator;
-  auto h = simulator.schedule(Time::seconds(1), [] {});
-  EXPECT_TRUE(simulator.cancel(h));
-  EXPECT_FALSE(simulator.cancel(h));
-}
-
 TEST(SimulatorTest, SpanIdsOnlyUnderCausalTracing) {
   Simulator sim;
   EXPECT_EQ(sim.trace_sink(), nullptr);
@@ -164,58 +100,6 @@ TEST(SimulatorTest, SpanIdsOnlyUnderCausalTracing) {
   EXPECT_EQ(sim.allocate_span_id(), 0u);
 }
 
-TEST(SimulatorTest, CancelInvalidHandle) {
-  Simulator simulator;
-  TimerHandle h;
-  EXPECT_FALSE(simulator.cancel(h));
-}
-
-TEST(SimulatorTest, StaleHandleOnReusedSlotCannotCancel) {
-  Simulator simulator;
-  const TimerHandle first = simulator.schedule(Time::seconds(1), [] {});
-  simulator.run();
-  // The fired event freed its slot and the next event takes it over: the
-  // arena never holds more than one slot.
-  bool second_ran = false;
-  simulator.schedule(Time::seconds(1), [&] { second_ran = true; });
-  EXPECT_EQ(simulator.peak_pending_events(), 1u);
-  EXPECT_FALSE(simulator.cancel(first));
-  EXPECT_EQ(simulator.pending_events(), 1u);
-  simulator.run();
-  EXPECT_TRUE(second_ran);
-}
-
-TEST(SimulatorTest, CancelOwnEventFromItsCallbackReturnsFalse) {
-  Simulator simulator;
-  TimerHandle self;
-  bool cancelled = true;
-  self = simulator.schedule(Time::seconds(1),
-                            [&] { cancelled = simulator.cancel(self); });
-  EXPECT_EQ(simulator.run(), 1u);
-  EXPECT_FALSE(cancelled);
-}
-
-TEST(SimulatorTest, ScheduleCancelChurnKeepsArenaBounded) {
-  // 10^5 operations (one cancel and one schedule per step) with at most 64
-  // events live at once: freed slots are recycled, so memory stays bounded.
-  Simulator simulator;
-  std::vector<TimerHandle> live(64);
-  int fired = 0;
-  int cancelled = 0;
-  for (int i = 0; i < 50000; ++i) {
-    TimerHandle& h = live[static_cast<std::size_t>(i % 64)];
-    if (simulator.cancel(h)) ++cancelled;
-    h = simulator.schedule(Time::micros(1 + i % 50), [&fired] { ++fired; });
-    if (i % 16 == 0) simulator.run_until(simulator.now() + Time::micros(5));
-  }
-  simulator.run();
-  EXPECT_LE(simulator.peak_pending_events(), 64u);
-  EXPECT_EQ(simulator.pending_events(), 0u);
-  EXPECT_GT(cancelled, 0);
-  EXPECT_GT(fired, 0);
-  EXPECT_EQ(fired + cancelled, 50000);
-}
-
 TEST(SimulatorTest, QueueBytesCountKeysAndSlotsBySize) {
   Simulator simulator;
   EXPECT_EQ(simulator.approx_queue_bytes(), 0u);
@@ -223,12 +107,9 @@ TEST(SimulatorTest, QueueBytesCountKeysAndSlotsBySize) {
   const std::size_t per_event = simulator.approx_queue_bytes();
   ASSERT_GT(per_event, 0u);
   simulator.schedule(Time::seconds(2), [] {});
-  const TimerHandle third = simulator.schedule(Time::seconds(3), [] {});
+  simulator.schedule(Time::seconds(3), [] {});
   // Three events, not the four a capacity-based count would see once the
   // containers grew past two.
-  EXPECT_EQ(simulator.approx_queue_bytes(), 3 * per_event);
-  // A cancelled event's key stays queued until it is popped.
-  EXPECT_TRUE(simulator.cancel(third));
   EXPECT_EQ(simulator.approx_queue_bytes(), 3 * per_event);
   simulator.run();
   // Drained: no keys are left, but the arena keeps its three slots...
@@ -238,15 +119,6 @@ TEST(SimulatorTest, QueueBytesCountKeysAndSlotsBySize) {
   // ...which the next three events reuse.
   for (int i = 0; i < 3; ++i) simulator.schedule(Time::seconds(1), [] {});
   EXPECT_EQ(simulator.approx_queue_bytes(), 3 * per_event);
-}
-
-TEST(SimulatorTest, CancelledEventsNotCounted) {
-  Simulator simulator;
-  auto h = simulator.schedule(Time::seconds(1), [] {});
-  simulator.schedule(Time::seconds(2), [] {});
-  simulator.cancel(h);
-  EXPECT_EQ(simulator.run(), 1u);
-  EXPECT_EQ(simulator.events_executed(), 1u);
 }
 
 TEST(SimulatorTest, RequestStopHaltsLoop) {
@@ -412,37 +284,6 @@ TEST(SimulatorObserver, MultipleObserversAllNotified) {
   EXPECT_EQ(b.begins.size(), 1u);
 }
 
-TEST(SimulatorTest, PeriodicReturnsHandleOfFirstFiring) {
-  Simulator simulator;
-  int ticks = 0;
-  TimerHandle h = schedule_periodic(simulator, Time::seconds(10), [&] {
-    ++ticks;
-    return true;
-  });
-  // Cancelling before the first firing stops the whole chain: no tick ever
-  // runs and nothing is left pending.
-  EXPECT_TRUE(simulator.cancel(h));
-  simulator.run();
-  EXPECT_EQ(ticks, 0);
-  EXPECT_EQ(simulator.pending_events(), 0u);
-}
-
-TEST(SimulatorTest, PeriodicHandleStaleAfterFirstFiring) {
-  Simulator simulator;
-  int ticks = 0;
-  TimerHandle h = schedule_periodic(simulator, Time::seconds(10), [&] {
-    ++ticks;
-    return ticks < 3;
-  });
-  simulator.run_until(Time::seconds(10));
-  EXPECT_EQ(ticks, 1);
-  // After the first firing the chain re-arms under fresh handles, so the
-  // returned handle is stale: cancel fails and the chain keeps ticking.
-  EXPECT_FALSE(simulator.cancel(h));
-  simulator.run();
-  EXPECT_EQ(ticks, 3);
-}
-
 TEST(SimulatorTest, PeriodicCarriesItsCategoryToObservers) {
   Simulator simulator;
   RecordingObserver obs;
@@ -475,6 +316,62 @@ TEST(SimulatorTest, ManyEventsStressOrdering) {
   simulator.run();
   EXPECT_TRUE(monotonic);
   EXPECT_EQ(simulator.events_executed(), 10000u);
+}
+
+TEST(SimulatorTest, MatchesSortedReferenceOnRandomWorkload) {
+  // A seeded workload of kCap events: each callback schedules 0-2
+  // successors through schedule() or schedule_at(), at zero (same-instant),
+  // negative or short positive delays (so many events share an instant),
+  // and the run advances in random slices. The reference is every scheduled
+  // event sorted by (when, insertion order); its counts are kept here,
+  // outside the simulator's arena.
+  constexpr std::size_t kCap = 20000;
+  Simulator simulator;
+  Rng rng(20081012);
+  std::vector<std::pair<Time, std::size_t>> scheduled;  // (when, order)
+  std::vector<std::size_t> executed;
+  std::size_t peak = 0;  // most events scheduled but not yet started
+
+  std::function<void(Time)> spawn = [&](Time delay) {
+    const Time now = simulator.now();
+    const std::size_t order = scheduled.size();
+    scheduled.emplace_back(std::max(now, now + delay), order);
+    peak = std::max(peak, scheduled.size() - executed.size());
+    auto fire = [&, order] {
+      executed.push_back(order);
+      const std::uint64_t roll = rng.next_below(4);  // 0, 1, 2, 2
+      const std::uint64_t successors = roll == 3 ? 2 : roll;
+      for (std::uint64_t i = 0; i < successors && scheduled.size() < kCap;
+           ++i) {
+        switch (rng.next_below(4)) {
+          case 0: spawn(Time::zero()); break;
+          case 1: spawn(Time::micros(rng.uniform_int(-30, -1))); break;
+          default: spawn(Time::micros(rng.uniform_int(1, 40)));
+        }
+      }
+    };
+    if (rng.chance(0.5)) {
+      simulator.schedule(delay, fire);
+    } else {
+      simulator.schedule_at(now + delay, fire);
+    }
+  };
+  for (int i = 0; i < 64; ++i) spawn(Time::micros(rng.uniform_int(0, 50)));
+
+  while (simulator.pending_events() > 0) {
+    simulator.run_until(simulator.now() + Time::micros(rng.uniform_int(0, 60)));
+    ASSERT_EQ(simulator.pending_events(), scheduled.size() - executed.size());
+  }
+
+  ASSERT_EQ(scheduled.size(), kCap);
+  std::sort(scheduled.begin(), scheduled.end());
+  std::vector<std::size_t> expected;
+  for (const auto& [when, order] : scheduled) expected.push_back(order);
+  EXPECT_EQ(executed, expected);
+  EXPECT_EQ(simulator.events_executed(), kCap);
+  EXPECT_EQ(simulator.peak_pending_events(), peak);
+  // Freed slots are reused: the arena stays well under the run's size.
+  EXPECT_LT(peak, kCap / 2);
 }
 
 }  // namespace
