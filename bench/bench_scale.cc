@@ -25,13 +25,13 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
 #include "figures_common.h"
 #include "obs/bench_json.h"
+#include "obs/directive.h"
 #include "obs/resource_probe.h"
 #include "workload/scenario.h"
 
@@ -44,44 +44,36 @@ struct ScaleFlags {
   std::string bench_json;
 };
 
-ScaleFlags parse_scale_flags(int argc, char** argv) {
-  ScaleFlags f;
+/// Reads the flags into `flags`, with the figure benches' rules and
+/// messages (bench::parse_flags): every value must be a whole integer, and
+/// N and M positive. Returns the error, or "" when every flag parsed.
+std::string parse_scale_flags(int argc, char** argv, ScaleFlags* flags) {
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--peers") {
-      const int n = std::atoi(value());
-      if (n <= 0) {
-        std::fprintf(stderr, "--peers must be positive\n");
-        std::exit(2);
-      }
-      f.peers.push_back(n);
-    } else if (arg == "--minutes") {
-      f.minutes = std::atoi(value());
-      if (f.minutes <= 0) {
-        std::fprintf(stderr, "--minutes must be positive\n");
-        std::exit(2);
-      }
-    } else if (arg == "--seed") {
-      f.seed = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--bench-json") {
-      f.bench_json = value();
+    const std::string flag = argv[i];
+    if (flag != "--peers" && flag != "--minutes" && flag != "--seed" &&
+        flag != "--bench-json")
+      return "unknown option: " + flag;
+    if (i + 1 >= argc) return "missing value for " + flag;
+    const std::string value = argv[++i];
+    const std::string bad = "bad value for " + flag + ": " + value;
+    if (flag == "--seed") {
+      if (!ppsim::obs::parse_directive_integer(value, &flags->seed))
+        return bad;
+    } else if (flag == "--bench-json") {
+      flags->bench_json = value;
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_scale [--peers N]... [--minutes M] "
-                   "[--seed S] [--bench-json F]\n");
-      std::exit(2);
+      int n = 0;
+      if (!ppsim::obs::parse_directive_integer(value, &n) || n <= 0)
+        return bad;
+      if (flag == "--minutes")
+        flags->minutes = n;
+      else
+        flags->peers.push_back(n);
     }
   }
-  if (f.peers.empty()) f.peers = {1000, 5000, 20000};
-  std::sort(f.peers.begin(), f.peers.end());
-  return f;
+  if (flags->peers.empty()) flags->peers = {1000, 5000, 20000};
+  std::sort(flags->peers.begin(), flags->peers.end());
+  return "";
 }
 
 /// "scale/peers:01000" — zero-padded so the writer's sort-by-name order is
@@ -95,7 +87,15 @@ std::string row_name(int peers) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ScaleFlags flags = parse_scale_flags(argc, argv);
+  ScaleFlags flags;
+  if (const std::string error = parse_scale_flags(argc, argv, &flags);
+      !error.empty()) {
+    std::fprintf(stderr,
+                 "error: %s\nusage: bench_scale [--peers N]... [--minutes M] "
+                 "[--seed S] [--bench-json F]\n",
+                 error.c_str());
+    return 2;
+  }
 
   std::printf("BENCH_scale: peer-count sweep, popular multi-ISP channel, "
               "%d sim-minutes, seed %" PRIu64 "\n\n",

@@ -7,6 +7,13 @@
 
 namespace ppsim::analysis {
 
+namespace {
+// The grid fit_stretched_exponential searches `c` over.
+constexpr double kStretchMin = 0.05;
+constexpr double kStretchMax = 1.0;
+constexpr double kStretchStep = 0.05;
+}  // namespace
+
 LinearFit least_squares(std::span<const double> xs,
                         std::span<const double> ys) {
   LinearFit fit;
@@ -63,8 +70,7 @@ double StretchedExpFit::predict(double rank) const {
   return std::pow(yc, 1.0 / c);
 }
 
-StretchedExpFit fit_stretched_exponential(std::span<const double> ranked,
-                                          StretchedExpOptions opts) {
+StretchedExpFit fit_stretched_exponential(std::span<const double> ranked) {
   StretchedExpFit best;
   best.r2 = -1e300;
   if (ranked.size() < 2) {
@@ -85,7 +91,7 @@ StretchedExpFit fit_stretched_exponential(std::span<const double> ranked,
     return best;
   }
   std::vector<double> yc(positive.size());
-  for (double c = opts.c_min; c <= opts.c_max + 1e-9; c += opts.c_step) {
+  for (double c = kStretchMin; c <= kStretchMax + 1e-9; c += kStretchStep) {
     for (std::size_t i = 0; i < positive.size(); ++i)
       yc[i] = std::pow(positive[i], c);
     LinearFit lin = least_squares(log_rank, yc);

@@ -34,8 +34,8 @@ ZipfFit fit_zipf(std::span<const double> ranked);
 ///
 /// i.e. the data is a straight line when the y axis is raised to the
 /// power c and the x axis is logarithmic (the "SE scale"). The CCDF of
-/// such data is Weibull. `c` is selected by grid search to maximize R²
-/// of the inner linear fit in (log i, y^c) space.
+/// such data is Weibull. `c` is selected by grid search over 0.05, 0.10,
+/// ..., 1.0 to maximize R² of the inner linear fit in (log i, y^c) space.
 struct StretchedExpFit {
   double c = 0;   // stretch exponent, typically 0.2-0.4 in the paper
   double a = 0;   // slope magnitude (paper's `a`)
@@ -47,15 +47,8 @@ struct StretchedExpFit {
   double predict(double rank) const;
 };
 
-struct StretchedExpOptions {
-  double c_min = 0.05;
-  double c_max = 1.0;
-  double c_step = 0.05;
-};
-
 /// `ranked` must be sorted descending with positive values.
-StretchedExpFit fit_stretched_exponential(std::span<const double> ranked,
-                                          StretchedExpOptions opts = {});
+StretchedExpFit fit_stretched_exponential(std::span<const double> ranked);
 
 /// Generates an n-point synthetic rank distribution that follows the
 /// stretched-exponential model exactly (y_n = 1 boundary condition, so

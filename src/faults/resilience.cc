@@ -60,7 +60,7 @@ std::vector<WindowResilience> analyze_resilience(
     // Walk forward from the window start: track the worst continuity until
     // the series climbs back over the recovery threshold after the window
     // closed.
-    const double threshold = options.recover_fraction * r.baseline_continuity;
+    const double threshold = kRecoverFraction * r.baseline_continuity;
     double worst = 2.0;
     bool any_in_flight = false;
     for (const auto& s : samples) {

@@ -29,7 +29,7 @@ struct WindowResilience {
   double dip_depth = 0;            // baseline - min (clamped at 0)
   bool recovered = false;
   /// Seconds from window end until continuity first reached
-  /// recover_fraction * baseline (0 when it never dipped below it).
+  /// kRecoverFraction * baseline (0 when it never dipped below it).
   double time_to_recover_s = 0;
 
   /// Intra-ISP share of interval traffic (same_isp_share_interval), averaged
@@ -39,12 +39,13 @@ struct WindowResilience {
   double share_after = 0;
 };
 
+/// Recovery threshold relative to baseline continuity.
+inline constexpr double kRecoverFraction = 0.95;
+
 struct ResilienceOptions {
   /// Averaging horizon before the window (baseline) and after it (the
   /// "after" share column).
   sim::Time lookback = sim::Time::seconds(60);
-  /// Recovery threshold relative to baseline continuity.
-  double recover_fraction = 0.95;
 };
 
 /// Lines each plan window up against the sampled time-series. Samples must

@@ -6,12 +6,8 @@ namespace ppsim::proto {
 
 BootstrapServer::BootstrapServer(sim::Simulator& simulator,
                                  PeerTransport& network,
-                                 const HostIdentity& identity,
-                                 sim::Time processing_delay)
-    : simulator_(simulator),
-      network_(network),
-      identity_(identity),
-      processing_delay_(processing_delay) {
+                                 const HostIdentity& identity)
+    : simulator_(simulator), network_(network), identity_(identity) {
   network_.attach(identity_.ip, identity_.isp, identity_.category,
                   identity_.profile,
                   [this](const PeerTransport::Delivery& d) { handle(d); });
@@ -25,7 +21,7 @@ void BootstrapServer::register_channel(ChannelEntry entry) {
 
 void BootstrapServer::reply(net::IpAddress to, Message m) {
   const std::uint64_t bytes = wire_size(m);
-  simulator_.schedule(processing_delay_,
+  simulator_.schedule(kProcessingDelay,
                       [this, to, m = std::move(m), bytes]() mutable {
                         network_.send(identity_.ip, to, std::move(m), bytes);
                       });

@@ -31,9 +31,10 @@ class BootstrapServer {
     std::vector<std::vector<net::IpAddress>> tracker_groups;
   };
 
+  static constexpr sim::Time kProcessingDelay = sim::Time::millis(3);
+
   BootstrapServer(sim::Simulator& simulator, PeerTransport& network,
-                  const HostIdentity& identity,
-                  sim::Time processing_delay = sim::Time::millis(3));
+                  const HostIdentity& identity);
   ~BootstrapServer();
 
   BootstrapServer(const BootstrapServer&) = delete;
@@ -56,7 +57,6 @@ class BootstrapServer {
   sim::Simulator& simulator_;
   PeerTransport& network_;
   HostIdentity identity_;
-  sim::Time processing_delay_;
   // Ordered so the channel list is served in a stable order.
   std::map<ChannelId, ChannelEntry> channels_;
   bool dark_ = false;

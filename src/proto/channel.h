@@ -10,14 +10,6 @@ namespace ppsim::proto {
 using ChannelId = std::uint32_t;
 using ChunkSeq = std::uint64_t;
 
-/// PPLive offers both live broadcast and on-demand playback (paper
-/// Section 2); the paper's measurements cover live, but the simulator
-/// supports both so VoD-style studies can reuse the substrate.
-enum class StreamMode : std::uint8_t {
-  kLive = 0,  // source produces chunks in real time; viewers chase the edge
-  kVod = 1,   // the whole program exists up front; viewers start at chunk 1
-};
-
 /// Static description of one live streaming channel.
 ///
 /// The stream is chopped into chunks; each chunk is carried on the wire as
@@ -32,9 +24,6 @@ struct ChannelSpec {
   double bitrate_bps = 400e3;           // typical PPLive live rate in 2008
   std::uint32_t subpiece_bytes = 1380;  // paper: 1380 or 690 bytes
   std::uint32_t subpieces_per_chunk = 4;
-  StreamMode mode = StreamMode::kLive;
-  /// Program length in chunks; only meaningful for kVod.
-  ChunkSeq vod_chunks = 0;
 
   std::uint32_t chunk_bytes() const {
     return subpiece_bytes * subpieces_per_chunk;

@@ -35,6 +35,10 @@ struct BufferMap {
 /// advertised or served.
 class ChunkStore {
  public:
+  /// How far below the newest chunk an advertised map reaches: peers and
+  /// the source advertise the newest kAdvertisedBehind + 1 = 65 chunks.
+  static constexpr ChunkSeq kAdvertisedBehind = 64;
+
   explicit ChunkStore(std::uint32_t retention = 256) : retention_(retention) {}
 
   /// Marks a chunk received. Returns false if it was already present or has
@@ -58,6 +62,14 @@ class ChunkStore {
   /// Snapshot for advertising; covers [from, highest] intersected with the
   /// retained window.
   BufferMap snapshot(ChunkSeq from) const;
+
+  /// The map a holder advertises in handshakes and announcements: the
+  /// newest chunks, at most kAdvertisedBehind + 1 of them (empty when the
+  /// store is).
+  BufferMap advertised() const {
+    return snapshot(highest_ > kAdvertisedBehind ? highest_ - kAdvertisedBehind
+                                                 : base_);
+  }
 
  private:
   void evict_below(ChunkSeq new_base);

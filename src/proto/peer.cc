@@ -25,7 +25,7 @@ Peer::Peer(sim::Simulator& simulator, PeerTransport& network,
       rng_(rng),
       config_(config),
       policy_(policy ? std::move(policy) : make_default_policy()),
-      store_(config.chunk_retention) {
+      store_(kChunkRetention) {
   network_.attach(identity_.ip, identity_.isp, identity_.category,
                   identity_.profile,
                   [this](const PeerTransport::Delivery& d) { handle(d); });
@@ -82,8 +82,8 @@ void Peer::join() {
     trace->write(ev);
   }
   // DNS resolution of the bootstrap/channel server names.
-  const sim::Time dns = sim::Time::micros(rng_.uniform_int(
-      config_.dns_delay_min.as_micros(), config_.dns_delay_max.as_micros()));
+  const sim::Time dns = sim::Time::micros(
+      rng_.uniform_int(kDnsDelayMin.as_micros(), kDnsDelayMax.as_micros()));
   simulator_.schedule(dns, [this] { contact_bootstrap(); }, "peer.join");
 }
 
@@ -133,21 +133,21 @@ void Peer::on_join_reply(const JoinReply& r) {
                       return true;
                     },
                     "peer.gossip");
-  schedule_periodic(simulator_, config_.topup_period,
+  schedule_periodic(simulator_, kTopupPeriod,
                     [this] {
                       if (!alive_) return false;
                       topup_connections();
                       return true;
                     },
                     "peer.topup");
-  schedule_periodic(simulator_, config_.request_tick,
+  schedule_periodic(simulator_, kRequestTick,
                     [this] {
                       if (!alive_) return false;
                       request_tick();
                       return true;
                     },
                     "peer.request");
-  schedule_periodic(simulator_, config_.buffermap_period,
+  schedule_periodic(simulator_, kBuffermapPeriod,
                     [this] {
                       if (!alive_) return false;
                       announce_buffer_maps();
@@ -230,17 +230,16 @@ void Peer::optimize_neighborhood() {
 void Peer::schedule_tracker_round() {
   const bool healthy =
       neighbors_.size() >= static_cast<std::size_t>(config_.healthy_neighbors);
-  sim::Time period = healthy ? config_.tracker_period_steady
-                             : config_.tracker_period_initial;
+  sim::Time period = healthy ? kTrackerPeriodSteady : kTrackerPeriodInitial;
   // Dark-tracker backoff: once several consecutive all-group sweeps have
   // gone unanswered (the region is unreachable, not just lossy), probe at
   // an exponentially growing period instead of hammering the initial
   // cadence. Any tracker reply resets the streak.
   if (tracker_silent_rounds_ >= config_.tracker_backoff_after) {
-    const double factor = std::pow(
-        config_.tracker_backoff_factor,
-        tracker_silent_rounds_ - config_.tracker_backoff_after + 1);
-    period = std::min(sim::scale(period, factor), config_.tracker_backoff_max);
+    const double factor =
+        std::pow(kTrackerBackoffFactor,
+                 tracker_silent_rounds_ - config_.tracker_backoff_after + 1);
+    period = std::min(sim::scale(period, factor), kTrackerBackoffMax);
   }
   simulator_.schedule(
       period,
@@ -440,7 +439,7 @@ void Peer::sweep_timeouts() {
 
   // Handshakes that never completed.
   for (auto it = pending_connects_.begin(); it != pending_connects_.end();) {
-    if (now - it->second > config_.connect_timeout) {
+    if (now - it->second > kConnectTimeout) {
       ++counters_.connects_timed_out;
       if (sim::TraceSink* trace = simulator_.trace_sink()) {
         sim::TraceEvent ev(now, "connect_result");
@@ -468,7 +467,7 @@ void Peer::sweep_timeouts() {
   // Data requests that never came back: free the slot so the chunk can be
   // rescheduled to another neighbor on the next tick.
   for (auto it = pending_data_.begin(); it != pending_data_.end();) {
-    if (now - it->second.sent_at > config_.request_timeout) {
+    if (now - it->second.sent_at > kRequestTimeout) {
       auto nb = neighbors_.find(it->second.target);
       if (nb != neighbors_.end()) {
         nb->second.in_flight = std::max(0, nb->second.in_flight - 1);
@@ -501,8 +500,8 @@ void Peer::sweep_timeouts() {
       isolated_ = true;
       isolated_since_ = now;
     }
-    if (isolated_ && now - isolated_since_ >= config_.reacquire_timeout &&
-        now - last_reacquire_ >= config_.reacquire_cooldown) {
+    if (isolated_ && now - isolated_since_ >= kReacquireTimeout &&
+        now - last_reacquire_ >= kReacquireCooldown) {
       last_reacquire_ = now;
       ++emergency_reacquires_;
       if (sim::TraceSink* trace = simulator_.trace_sink()) {
@@ -524,18 +523,11 @@ void Peer::sweep_timeouts() {
 
 void Peer::maybe_start_playback() {
   if (playback_started_ || live_edge_ == 0) return;
-  if (channel_.mode == StreamMode::kVod) {
-    // On demand: always from the beginning of the program.
-    playback_next_ = 1;
-  } else {
-    const std::uint64_t buffer_chunks = static_cast<std::uint64_t>(
-        config_.startup_buffer.as_seconds() /
-        channel_.chunk_duration().as_seconds());
-    // Begin behind the live edge by the startup buffer (or at chunk 1
-    // early in the broadcast when less history exists).
-    playback_next_ =
-        live_edge_ > buffer_chunks ? live_edge_ - buffer_chunks : 1;
-  }
+  const std::uint64_t buffer_chunks = static_cast<std::uint64_t>(
+      kStartupBuffer.as_seconds() / channel_.chunk_duration().as_seconds());
+  // Begin behind the live edge by the startup buffer (or at chunk 1 early
+  // in the broadcast when less history exists).
+  playback_next_ = live_edge_ > buffer_chunks ? live_edge_ - buffer_chunks : 1;
   playback_started_ = true;
   sim::TraceSink* trace = simulator_.trace_sink();
   if (simulator_.causal_tracing() && trace != nullptr) {
@@ -558,10 +550,6 @@ void Peer::maybe_start_playback() {
 
 void Peer::playback_tick() {
   if (playback_next_ == 0) playback_next_ = 1;
-  // A VoD viewing ends at the last chunk of the program.
-  if (channel_.mode == StreamMode::kVod &&
-      playback_next_ > channel_.vod_chunks)
-    return;
   // Never play past the live edge; if we catch up (edge stalled), wait.
   if (playback_next_ > live_edge_) return;
   if (store_.has(playback_next_))
@@ -576,8 +564,8 @@ void Peer::request_tick() {
   if (!playback_started_) return;
 
   const ChunkSeq from = playback_next_ == 0 ? 1 : playback_next_;
-  const ChunkSeq to = std::min(
-      live_edge_, from + static_cast<ChunkSeq>(config_.window_chunks));
+  const ChunkSeq to =
+      std::min(live_edge_, from + static_cast<ChunkSeq>(kWindowChunks));
 
   int issued = 0;
   const int kMaxPerTick = 10;
@@ -588,7 +576,7 @@ void Peer::request_tick() {
     std::vector<net::IpAddress> holders;
     std::vector<double> weights;
     for (auto& [ip, nb] : neighbors_) {
-      if (nb.in_flight >= config_.pipeline_per_neighbor) continue;
+      if (nb.in_flight >= kPipelinePerNeighbor) continue;
       if (!nb.map.has(seq)) continue;
       holders.push_back(ip);
       // Latency-based preference: the fastest neighbors get most requests.
@@ -631,13 +619,7 @@ void Peer::request_tick() {
 
 void Peer::announce_buffer_maps() {
   if (store_.empty() || neighbors_.empty()) return;
-  // Live viewers advertise a recent window; VoD viewers advertise their
-  // whole retained range (positions differ wildly across the audience).
-  const ChunkSeq base = channel_.mode == StreamMode::kVod
-                            ? store_.base()
-                            : (store_.highest() > 64 ? store_.highest() - 64
-                                                     : store_.base());
-  BufferMapAnnounce ann{channel_.id, store_.snapshot(base)};
+  BufferMapAnnounce ann{channel_.id, store_.advertised()};
   for (const auto& [ip, nb] : neighbors_) {
     send(ip, Message{ann}, /*with_processing_delay=*/false);
   }
@@ -799,14 +781,7 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
     ConnectReply r;
     r.channel = channel_.id;
     r.accepted = accept;
-    if (accept && !store_.empty()) {
-      const ChunkSeq base = channel_.mode == StreamMode::kVod
-                                ? store_.base()
-                                : (store_.highest() > 64
-                                       ? store_.highest() - 64
-                                       : store_.base());
-      r.map = store_.snapshot(base);
-    }
+    if (accept) r.map = store_.advertised();
     r.span = SpanContext{simulator_.allocate_span_id(), cq->span.id};
     send(from, Message{std::move(r)});
     return;

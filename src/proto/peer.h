@@ -263,7 +263,7 @@ class Peer {
   // far one at the default and evicts on the tie-break.
   sim::FlatMap<net::IpAddress, double> recent_rtt_;
 
-  // Resilience state (see the matching PeerConfig knobs): tracker-query
+  // Resilience state (see the matching knobs in peer_config.h): tracker-query
   // backoff while a tracker region is dark, and emergency re-acquisition
   // after a blackout empties the neighborhood.
   int tracker_silent_rounds_ = 0;

@@ -8,19 +8,14 @@ namespace ppsim::proto {
 
 StreamSource::StreamSource(sim::Simulator& simulator, PeerTransport& network,
                            const HostIdentity& identity, ChannelSpec channel,
-                           std::vector<net::IpAddress> trackers, sim::Rng rng,
-                           Config config)
+                           std::vector<net::IpAddress> trackers, sim::Rng rng)
     : simulator_(simulator),
       network_(network),
       identity_(identity),
       channel_(std::move(channel)),
       trackers_(std::move(trackers)),
       rng_(rng),
-      config_(config),
-      store_(channel_.mode == StreamMode::kVod &&
-                     channel_.vod_chunks > config.chunk_retention
-                 ? static_cast<std::uint32_t>(channel_.vod_chunks)
-                 : config.chunk_retention) {
+      store_(kChunkRetention) {
   network_.attach(identity_.ip, identity_.isp, identity_.category,
                   identity_.profile,
                   [this](const PeerTransport::Delivery& d) { handle(d); });
@@ -31,23 +26,15 @@ StreamSource::~StreamSource() { network_.detach(identity_.ip); }
 void StreamSource::start() {
   if (running_) return;
   running_ = true;
-  if (channel_.mode == StreamMode::kVod) {
-    // The whole program exists up front; no real-time production.
-    for (ChunkSeq seq = 1; seq <= channel_.vod_chunks; ++seq) {
-      ++chunks_produced_;
-      store_.insert(seq);
-    }
-  } else {
-    produce_chunk();  // chunk 1 exists immediately; 0 is reserved as "none"
-  }
-  schedule_periodic(simulator_, config_.announce_period,
+  produce_chunk();  // chunk 1 exists immediately; 0 is reserved as "none"
+  schedule_periodic(simulator_, kAnnouncePeriod,
                     [this] {
                       if (running_) announce_maps();
                       return running_;
                     },
                     "source.announce");
   refresh_trackers();
-  schedule_periodic(simulator_, config_.tracker_refresh,
+  schedule_periodic(simulator_, kTrackerRefresh,
                     [this] {
                       if (running_) refresh_trackers();
                       return running_;
@@ -57,10 +44,10 @@ void StreamSource::start() {
 
 void StreamSource::stop() { running_ = false; }
 
-void StreamSource::send(net::IpAddress to, Message m, sim::Time extra_delay) {
+void StreamSource::send(net::IpAddress to, Message m) {
   const std::uint64_t bytes = wire_size(m);
   simulator_.schedule(
-      config_.processing_delay + extra_delay,
+      kProcessingDelay,
       [this, to, m = std::move(m), bytes]() mutable {
         network_.send(identity_.ip, to, std::move(m), bytes);
       },
@@ -81,21 +68,15 @@ void StreamSource::announce_maps() {
   neighbors_.erase_if(
       [cutoff](const auto& kv) { return kv.second.last_seen < cutoff; });
   if (store_.empty()) return;
-  // Live sources advertise a recent window; a VoD source holds (and
-  // advertises) the whole program.
-  const ChunkSeq from = channel_.mode == StreamMode::kVod
-                            ? store_.base()
-                            : (store_.highest() > 64 ? store_.highest() - 64
-                                                     : store_.base());
-  BufferMapAnnounce ann{channel_.id, store_.snapshot(from)};
+  BufferMapAnnounce ann{channel_.id, store_.advertised()};
   for (const auto& [ip, nb] : neighbors_) {
-    send(ip, Message{ann}, sim::Time::zero());
+    send(ip, Message{ann});
   }
 }
 
 void StreamSource::refresh_trackers() {
   for (const auto& tracker : trackers_) {
-    send(tracker, Message{TrackerQuery{channel_.id}}, sim::Time::zero());
+    send(tracker, Message{TrackerQuery{channel_.id}});
   }
 }
 
@@ -111,21 +92,14 @@ void StreamSource::handle(const PeerTransport::Delivery& delivery) {
     if (connect->channel != channel_.id) return;
     const bool accept =
         neighbors_.contains(from) ||
-        neighbors_.size() < static_cast<std::size_t>(config_.max_neighbors);
+        neighbors_.size() < static_cast<std::size_t>(kMaxNeighbors);
     if (accept) neighbors_[from] = Neighbor{simulator_.now()};
     ConnectReply r;
     r.channel = channel_.id;
     r.accepted = accept;
-    if (accept && !store_.empty()) {
-      const ChunkSeq base = channel_.mode == StreamMode::kVod
-                                ? store_.base()
-                                : (store_.highest() > 64
-                                       ? store_.highest() - 64
-                                       : store_.base());
-      r.map = store_.snapshot(base);
-    }
+    if (accept) r.map = store_.advertised();
     r.span = SpanContext{simulator_.allocate_span_id(), connect->span.id};
-    send(from, Message{std::move(r)}, sim::Time::zero());
+    send(from, Message{std::move(r)});
     return;
   }
 
@@ -137,11 +111,11 @@ void StreamSource::handle(const PeerTransport::Delivery& delivery) {
     for (const auto& [ip, nb] : neighbors_) {
       if (ip == from) continue;
       r.peers.push_back(ip);
-      if (r.peers.size() >= static_cast<std::size_t>(config_.max_list_size))
+      if (r.peers.size() >= static_cast<std::size_t>(kMaxListSize))
         break;
     }
     r.span = SpanContext{simulator_.allocate_span_id(), q->span.id};
-    send(from, Message{std::move(r)}, sim::Time::zero());
+    send(from, Message{std::move(r)});
     return;
   }
 
@@ -163,7 +137,7 @@ void StreamSource::handle(const PeerTransport::Delivery& delivery) {
         ev.field("span", r.span.id).field("parent", r.span.parent);
       trace->write(ev);
     }
-    send(from, Message{r}, sim::Time::zero());
+    send(from, Message{r});
     return;
   }
 

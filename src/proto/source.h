@@ -23,27 +23,23 @@ namespace ppsim::proto {
 /// Its upload link is deliberately modest relative to the swarm's demand —
 /// PPLive channels are overwhelmingly peer-served, which is precisely why
 /// *peer* selection determines the traffic matrix the paper measures.
-struct SourceConfig {
-  int max_neighbors = 48;
-  int max_list_size = 60;
-  sim::Time announce_period = sim::Time::seconds(5);
-  sim::Time tracker_refresh = sim::Time::seconds(60);
-  sim::Time processing_delay = sim::Time::millis(2);
-  std::uint32_t chunk_retention = 512;
-};
-
+///
 /// Each served data request emits a "source_serve" event to the
 /// simulator's trace sink; under causal tracing every reply carries a span
 /// id parented on the incoming message's span, and the event gains
 /// span/parent fields.
 class StreamSource {
  public:
-  using Config = SourceConfig;
+  static constexpr int kMaxNeighbors = 48;
+  static constexpr int kMaxListSize = 60;
+  static constexpr sim::Time kAnnouncePeriod = sim::Time::seconds(5);
+  static constexpr sim::Time kTrackerRefresh = sim::Time::seconds(60);
+  static constexpr sim::Time kProcessingDelay = sim::Time::millis(2);
+  static constexpr std::uint32_t kChunkRetention = 512;
 
   StreamSource(sim::Simulator& simulator, PeerTransport& network,
                const HostIdentity& identity, ChannelSpec channel,
-               std::vector<net::IpAddress> trackers, sim::Rng rng,
-               Config config = {});
+               std::vector<net::IpAddress> trackers, sim::Rng rng);
   ~StreamSource();
 
   StreamSource(const StreamSource&) = delete;
@@ -65,7 +61,7 @@ class StreamSource {
   void produce_chunk();
   void announce_maps();
   void refresh_trackers();
-  void send(net::IpAddress to, Message m, sim::Time extra_delay);
+  void send(net::IpAddress to, Message m);
   void touch_neighbor(net::IpAddress ip);
 
   sim::Simulator& simulator_;
@@ -74,7 +70,6 @@ class StreamSource {
   ChannelSpec channel_;
   std::vector<net::IpAddress> trackers_;
   sim::Rng rng_;
-  Config config_;
 
   bool running_ = false;
   ChunkStore store_;

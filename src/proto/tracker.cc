@@ -36,7 +36,7 @@ void TrackerServer::refresh(ChannelId channel, net::IpAddress member) {
 void TrackerServer::expire(ChannelId channel) {
   auto it = members_.find(channel);
   if (it == members_.end()) return;
-  const sim::Time cutoff = simulator_.now() - config_.entry_ttl;
+  const sim::Time cutoff = simulator_.now() - kEntryTtl;
   std::erase_if(it->second,
                 [cutoff](const Entry& e) { return e.last_seen < cutoff; });
 }
@@ -101,7 +101,7 @@ void TrackerServer::handle(const PeerTransport::Delivery& delivery) {
 
   const std::uint64_t bytes = wire_size(Message{reply});
   simulator_.schedule(
-      config_.processing_delay,
+      kProcessingDelay,
       [this, to = delivery.from, reply = std::move(reply), bytes]() mutable {
         network_.send(identity_.ip, to, Message{std::move(reply)}, bytes);
       },

@@ -24,8 +24,6 @@ namespace ppsim::proto {
 /// group.
 struct TrackerConfig {
   int max_reply_peers = 60;
-  sim::Time entry_ttl = sim::Time::minutes(3);
-  sim::Time processing_delay = sim::Time::millis(2);
 
   /// When set, the tracker becomes ISP-aware (the design the paper's
   /// related-work section attributes to Wu et al. [28]): replies list
@@ -41,6 +39,9 @@ struct TrackerConfig {
 class TrackerServer {
  public:
   using Config = TrackerConfig;
+
+  static constexpr sim::Time kEntryTtl = sim::Time::minutes(3);
+  static constexpr sim::Time kProcessingDelay = sim::Time::millis(2);
 
   /// Attaches itself to the network under `identity`.
   TrackerServer(sim::Simulator& simulator, PeerTransport& network,

@@ -50,10 +50,10 @@ void UdpTransport::attach(net::IpAddress ip, net::IspId /*isp*/,
   assert(fd >= 0 && "socket() failed");
   // Data bursts (several 5.6 kB DataReplies back to back) overflow the
   // default buffers long before the protocol is actually overloaded.
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &config_.socket_buffer_bytes,
-               sizeof(config_.socket_buffer_bytes));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.socket_buffer_bytes,
-               sizeof(config_.socket_buffer_bytes));
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kSocketBufferBytes,
+               sizeof(kSocketBufferBytes));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kSocketBufferBytes,
+               sizeof(kSocketBufferBytes));
   sockaddr_in sa = make_sockaddr(ip, config_.port);
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0) {
     // Loud on every build: a node that cannot bind its address has no

@@ -43,8 +43,8 @@ class UdpTransport final : public proto::PeerTransport {
     std::uint16_t port = 0;        // shared deployment port; != 0 to bind
     std::uint16_t epoch = 1;       // channel epoch stamped into every packet
     std::size_t rx_queue_limit = 4096;
-    int socket_buffer_bytes = 1 << 20;  // SO_RCVBUF/SO_SNDBUF request
   };
+  static constexpr int kSocketBufferBytes = 1 << 20;  // SO_RCVBUF/SO_SNDBUF
 
   /// Datagrams rejected by the codec before reaching any handler, one
   /// counter per WireError. A healthy same-version deployment keeps all of

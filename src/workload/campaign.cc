@@ -19,11 +19,11 @@ ScenarioSpec day_scenario(const ScenarioSpec& base,
 
   double scale = rng.lognormal_median(1.0, config.audience_sigma);
   const int dow = (day - 1) % 7;  // 0 = Monday
-  if (dow >= 5) scale *= config.weekend_boost;
+  if (dow >= 5) scale *= kWeekendBoost;
   s.viewers = std::max(30, static_cast<int>(std::lround(base.viewers * scale)));
 
   // Foreign audience swings independently of the Chinese audience.
-  const double foreign_mult = rng.lognormal_median(1.0, config.foreign_sigma);
+  const double foreign_mult = rng.lognormal_median(1.0, kForeignSigma);
   s.mix[net::IspCategory::kForeign] = std::clamp(
       base.mix[net::IspCategory::kForeign] * foreign_mult, 0.002, 0.45);
 
@@ -33,8 +33,8 @@ ScenarioSpec day_scenario(const ScenarioSpec& base,
 std::vector<ScenarioSpec> campaign_scenarios(const ScenarioSpec& base,
                                              const CampaignConfig& config) {
   std::vector<ScenarioSpec> out;
-  out.reserve(static_cast<std::size_t>(config.days));
-  for (int day = 1; day <= config.days; ++day)
+  out.reserve(static_cast<std::size_t>(kCampaignDays));
+  for (int day = 1; day <= kCampaignDays; ++day)
     out.push_back(day_scenario(base, config, day));
   return out;
 }

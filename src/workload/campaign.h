@@ -16,23 +16,24 @@ namespace ppsim::workload {
 ///    program popular in China is not necessarily popular abroad — this is
 ///    the paper's explanation for the Mason probe's unstable locality.
 struct CampaignConfig {
-  int days = 28;
   /// Log-space sigma of the day's overall audience scale factor.
   double audience_sigma = 0.18;
-  /// Log-space sigma of the day's foreign-share multiplier (large on
-  /// purpose; see above).
-  double foreign_sigma = 0.85;
-  /// Weekend audiences are this much larger (day 1 = Monday).
-  double weekend_boost = 1.25;
   std::uint64_t seed = 42;
 };
+
+inline constexpr int kCampaignDays = 28;
+/// Log-space sigma of the day's foreign-share multiplier (large on
+/// purpose; see CampaignConfig).
+inline constexpr double kForeignSigma = 0.85;
+/// Weekend audiences are this much larger (day 1 = Monday).
+inline constexpr double kWeekendBoost = 1.25;
 
 /// Derives the concrete scenario measured on `day` (1-based) from the base
 /// scenario. Deterministic in (config.seed, day).
 ScenarioSpec day_scenario(const ScenarioSpec& base,
                           const CampaignConfig& config, int day);
 
-/// All 28 (or config.days) daily scenarios.
+/// All kCampaignDays daily scenarios.
 std::vector<ScenarioSpec> campaign_scenarios(const ScenarioSpec& base,
                                              const CampaignConfig& config);
 

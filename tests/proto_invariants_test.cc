@@ -1,6 +1,6 @@
 // Protocol-invariant sweeps: run small worlds under varied configurations
 // and assert wire-level invariants via the global tap (list caps, no
-// self-references, payload sizing, channel isolation).
+// self-references, payload sizing, buffer-map width, channel isolation).
 
 #include <gtest/gtest.h>
 
@@ -38,6 +38,9 @@ TEST_P(ProtocolInvariants, WireLevelInvariantsHold) {
   bool list_cap_ok = true;
   bool no_self_reference = true;
   bool data_sized_ok = true;
+  bool map_width_ok = true;
+  bool saw_peer_map = false;
+  bool saw_source_map = false;
   const auto chunk_bytes = world.channel().chunk_bytes();
   const net::IpAddress source_ip = world.source().ip();
   world.network().set_global_tap(
@@ -64,6 +67,14 @@ TEST_P(ProtocolInvariants, WireLevelInvariantsHold) {
         if (const auto* d = std::get_if<DataReply>(&m)) {
           if (d->payload_bytes != chunk_bytes) data_sized_ok = false;
         }
+        // Peers and the source advertise the newest 65 chunks at most.
+        const BufferMap* map = nullptr;
+        if (const auto* a = std::get_if<BufferMapAnnounce>(&m)) map = &a->map;
+        if (const auto* c = std::get_if<ConnectReply>(&m)) map = &c->map;
+        if (map != nullptr) {
+          if (map->have.size() > 65) map_width_ok = false;
+          (from.ip == source_ip ? saw_source_map : saw_peer_map) = true;
+        }
       });
 
   for (auto* p : peers) p->join();
@@ -72,6 +83,9 @@ TEST_P(ProtocolInvariants, WireLevelInvariantsHold) {
   EXPECT_TRUE(list_cap_ok) << "a peer list exceeded the configured cap";
   EXPECT_TRUE(no_self_reference) << "a peer listed itself";
   EXPECT_TRUE(data_sized_ok) << "a data reply had the wrong payload size";
+  EXPECT_TRUE(map_width_ok) << "a buffer map covered more than 65 chunks";
+  EXPECT_TRUE(saw_peer_map && saw_source_map)
+      << "no map from a peer or from the source reached the tap";
 
   // Neighborhood bound: max_neighbors plus the inbound slack of 4.
   for (auto* p : peers) {

@@ -357,6 +357,16 @@ TEST(PeerTest, PlaybackLagsLiveEdge) {
   EXPECT_GT(world.source().chunks_produced(), a.playback_position());
 }
 
+TEST(PeerTest, PlaybackStartsNearLiveEdge) {
+  MiniWorld world;
+  Peer& viewer = world.add_peer(net::IspCategory::kTele);
+  viewer.join();
+  world.simulator().run_until(sim::Time::minutes(2));
+  ASSERT_TRUE(viewer.playback_started());
+  // A live viewer's playback point is near the edge, far from chunk 1.
+  EXPECT_GT(viewer.playback_position(), 100u);
+}
+
 TEST(PeerTest, LiveEdgeIsMonotoneMaxOfAdvertisedAndStored) {
   MiniWorld world;
   Peer& a = world.add_peer(net::IspCategory::kTele);

@@ -129,7 +129,7 @@ TEST(CampaignTest, WeekendBoost) {
   auto sat = day_scenario(base, cfg, 6);
   EXPECT_GT(sat.viewers, mon.viewers);
   EXPECT_NEAR(static_cast<double>(sat.viewers) / mon.viewers,
-              cfg.weekend_boost, 0.02);
+              kWeekendBoost, 0.02);
 }
 
 }  // namespace

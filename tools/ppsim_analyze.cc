@@ -36,14 +36,17 @@
 // the global traffic matrix — the offline twin of ppsim-collect, sharing
 // its fold code so both produce byte-identical artifacts.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <memory>
@@ -63,6 +66,11 @@
 #include "wire/collector.h"
 
 namespace {
+
+// The report sections a trace analysis prints (--section).
+constexpr std::string_view kSections[] = {"returned", "sources", "data",
+                                          "response", "contrib", "rtt",
+                                          "all"};
 
 int analyze_samples(const std::string& path, const std::string& plan_path) {
   using namespace ppsim;
@@ -340,7 +348,13 @@ int main(int argc, char** argv) {
     if (arg == "--probe-ip") {
       probe_ip_text = value();
     } else if (arg == "--section") {
-      sections.push_back(value());
+      const std::string name = value();
+      if (std::find(std::begin(kSections), std::end(kSections), name) ==
+          std::end(kSections)) {
+        std::fprintf(stderr, "unknown section: %s\n", name.c_str());
+        return 2;
+      }
+      sections.push_back(name);
     } else if (arg == "--samples") {
       samples_path = value();
     } else if (arg == "--fault-plan") {
