@@ -1,15 +1,20 @@
 // BENCH_scale: the macro-bench that pins the simulator's scale trajectory
 // (ROADMAP item 1). Sweeps peer counts over the multi-ISP popular channel
 // and records, per sweep point, the whole-run wall clock, peak RSS, events
-// executed, and peak scheduler queue depth — written in the shared
-// ppsim-bench-v1 schema (with the macro-only rss_peak_bytes / wall_s
-// fields) so the committed bench/BENCH_scale.json diffs cleanly and CI can
-// guard its coverage like BENCH_micro.json.
+// executed, heap allocations per event and peak scheduler queue depth —
+// written in the shared ppsim-bench-v1 schema (with the macro-only
+// rss_peak_bytes / wall_s / allocs_per_op fields) so the committed
+// bench/BENCH_scale.json diffs cleanly and CI can guard it like
+// BENCH_micro.json.
 //
 // Wall time is one steady_clock read on each side of a bare run_experiment
 // call with no observer attached, so ns/event is the simulator's own cost,
-// not an instrument's. Events and peak queue depth come from the run's
-// SwarmStats. The peak is the scheduler's high-water mark of pending events
+// not an instrument's, apart from the allocation counter: one relaxed
+// atomic add per operator new call (alloc_counter.cc). Allocations per
+// event count every operator new call of the run, setup included, divided
+// by events executed; for a given standard-library build the count repeats
+// exactly. Events and peak queue depth come from the run's SwarmStats. The
+// peak is the scheduler's high-water mark of pending events
 // (Simulator::peak_pending_events).
 // Peak RSS is process-wide and monotone, which is why the sweep always runs
 // in ascending peer order: each point's reading is attributable to the
@@ -28,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "core/experiment.h"
 #include "figures_common.h"
 #include "obs/bench_json.h"
@@ -100,8 +106,8 @@ int main(int argc, char** argv) {
   std::printf("BENCH_scale: peer-count sweep, popular multi-ISP channel, "
               "%d sim-minutes, seed %" PRIu64 "\n\n",
               flags.minutes, flags.seed);
-  std::printf("%8s %14s %9s %12s %10s %10s\n", "peers", "events", "wall_s",
-              "events/s", "rss_peak", "queue_pk");
+  std::printf("%8s %14s %9s %12s %10s %10s %10s\n", "peers", "events",
+              "wall_s", "events/s", "rss_peak", "queue_pk", "allocs/ev");
 
   std::vector<ppsim::obs::BenchEntry> entries;
   for (const int peers : flags.peers) {
@@ -111,12 +117,15 @@ int main(int argc, char** argv) {
     config.scenario.duration = ppsim::sim::Time::minutes(flags.minutes);
     config.scenario.seed = flags.seed;
 
+    const std::uint64_t allocs_before = ppsim::bench::allocations();
     const auto start = std::chrono::steady_clock::now();
     const ppsim::core::ExperimentResult result =
         ppsim::core::run_experiment(config);
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
+    const std::uint64_t allocs =
+        ppsim::bench::allocations() - allocs_before;
     const std::uint64_t rss_peak =
         ppsim::obs::ResourceProbe::peak_rss_bytes();
     const std::uint64_t events = result.swarm.events_executed;
@@ -129,13 +138,17 @@ int main(int argc, char** argv) {
     e.peak_queue_depth = result.swarm.peak_queue_depth;
     e.rss_peak_bytes = rss_peak;
     e.wall_s = wall;
+    e.allocs_per_op = events == 0 ? 0.0
+                                  : static_cast<double>(allocs) /
+                                        static_cast<double>(events);
     entries.push_back(e);
 
-    std::printf("%8d %14" PRIu64 " %9.2f %12.0f %8.1fMB %10" PRIu64 "\n",
+    std::printf("%8d %14" PRIu64 " %9.2f %12.0f %8.1fMB %10" PRIu64
+                " %10.3f\n",
                 peers, events, wall,
                 wall > 0 ? static_cast<double>(events) / wall : 0.0,
                 static_cast<double>(rss_peak) / (1024.0 * 1024.0),
-                e.peak_queue_depth);
+                e.peak_queue_depth, e.allocs_per_op);
     std::fflush(stdout);
   }
 

@@ -60,8 +60,9 @@ int main() {
   entry.tracker_groups = {{tracker_ip}};
   bootstrap.register_channel(std::move(entry));
 
+  rng.next_u64();  // keeps the peers' forks below where they were
   proto::StreamSource source(simulator, transport, identity(source_ip),
-                             channel, {tracker_ip}, rng.fork(2));
+                             channel, {tracker_ip});
   source.start();
 
   proto::Peer peer_a(simulator, transport, identity(peer_a_ip), channel,

@@ -217,10 +217,12 @@ void Runner::build_infrastructure() {
                                          net::AccessClass::kDatacenter,
                                          infra_rng);
     source_identity.profile.up_bps = 8e6;  // seeds ~20 streams
+    // A source draws nothing, but this draw keeps every later
+    // infrastructure draw (and so every pinned output) where it is.
+    infra_rng.next_u64();
     auto source = std::make_unique<proto::StreamSource>(
         simulator_, network_, source_identity,
-        config_.channels[c].scenario.channel, tracker_list,
-        infra_rng.fork(0x737263 + c));
+        config_.channels[c].scenario.channel, tracker_list);
 
     proto::BootstrapServer::ChannelEntry entry;
     entry.channel = config_.channels[c].scenario.channel.id;

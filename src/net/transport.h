@@ -3,18 +3,19 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "net/bandwidth.h"
 #include "net/impairment.h"
 #include "net/interconnect.h"
 #include "net/ip.h"
+#include "net/ip_index.h"
 #include "net/isp.h"
 #include "net/latency.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "sim/slab.h"
 #include "sim/time.h"
 
 namespace ppsim::net {
@@ -103,6 +104,20 @@ class DatagramTransport {
 ///
 /// A per-host *tap* observes every sent and received datagram; the capture
 /// library uses it to record Wireshark-style traces at probe hosts.
+///
+/// Storage. Hosts live in a slab of slots with stable addresses; attach
+/// takes a free slot and stamps it with a fresh epoch from a run-wide
+/// counter (epochs start at 1), and detach clears the slot and sets its
+/// epoch to 0. One open-addressing index (IpIndex) maps an attached IP to
+/// its slot; send, attach and detach go through it. A packet that passes
+/// the send-time checks takes a slot in a second slab of in-flight packets
+/// and records its source and destination slots and epochs, so transit and
+/// delivery find both hosts without a lookup, and the events they schedule
+/// capture only {this, packet slot}, which std::function stores without
+/// allocating. Delivery moves the payload out and frees the packet slot
+/// before any tap or handler runs. Since nothing moves while a handler runs,
+/// a handler may send and may attach hosts. Payload must be default
+/// constructible: packet slots are constructed with their slab chunk.
 template <typename Payload>
 class Network : public DatagramTransport<Payload> {
  public:
@@ -138,23 +153,34 @@ class Network : public DatagramTransport<Payload> {
   void attach(IpAddress ip, IspId isp, IspCategory category,
               const AccessProfile& profile, Handler handler) override {
     assert(!ip.is_unspecified());
-    auto [it, inserted] = hosts_.try_emplace(ip);
-    assert(inserted && "IP already attached");
-    Host& h = it->second;
+    assert(!attached(ip) && "IP already attached");
+    const std::uint32_t slot = hosts_.acquire();
+    Host& h = hosts_[slot];
     h.endpoint = Endpoint{ip, isp, category};
     h.link = AccessLink(profile, max_backlog_);
     h.handler = std::move(handler);
     h.epoch = ++epoch_counter_;
+    index_.insert(ip, slot);
   }
 
   /// Detaches a host (peer leaves). In-flight packets to it are dropped on
   /// arrival; a later re-attach of the same IP is a distinct host (packets
   /// addressed to the old incarnation are not delivered to the new one).
-  void detach(IpAddress ip) override { hosts_.erase(ip); }
+  void detach(IpAddress ip) override {
+    const std::uint32_t slot = index_.erase(ip);
+    if (slot == IpIndex::kNone) return;
+    Host& h = hosts_[slot];
+    h.handler = nullptr;
+    h.tap = nullptr;
+    h.epoch = 0;
+    hosts_.release(slot);
+  }
 
-  bool attached(IpAddress ip) const override { return hosts_.contains(ip); }
+  bool attached(IpAddress ip) const override {
+    return index_.find(ip) != IpIndex::kNone;
+  }
 
-  std::size_t host_count() const { return hosts_.size(); }
+  std::size_t host_count() const { return index_.size(); }
 
   void set_global_tap(GlobalTap tap) { global_tap_ = std::move(tap); }
 
@@ -180,23 +206,11 @@ class Network : public DatagramTransport<Payload> {
   const ImpairmentOverlay* impairments() const { return impairments_; }
 
   /// Installs (or clears, with nullptr) the capture tap for a host.
-  void set_tap(IpAddress ip, Tap tap) {
-    auto it = hosts_.find(ip);
-    assert(it != hosts_.end());
-    it->second.tap = std::move(tap);
-  }
+  void set_tap(IpAddress ip, Tap tap) { host(ip).tap = std::move(tap); }
 
-  const Endpoint& endpoint(IpAddress ip) const {
-    auto it = hosts_.find(ip);
-    assert(it != hosts_.end());
-    return it->second.endpoint;
-  }
+  const Endpoint& endpoint(IpAddress ip) const { return host(ip).endpoint; }
 
-  const AccessLink& link(IpAddress ip) const {
-    auto it = hosts_.find(ip);
-    assert(it != hosts_.end());
-    return it->second.link;
-  }
+  const AccessLink& link(IpAddress ip) const { return host(ip).link; }
 
   /// Ground-truth RTT between two attached hosts (for tests/validation).
   sim::Time true_rtt(IpAddress a, IpAddress b) const {
@@ -209,9 +223,9 @@ class Network : public DatagramTransport<Payload> {
   /// observe them, as in real life.
   bool send(IpAddress from, IpAddress to, Payload payload,
             std::uint64_t wire_bytes) override {
-    auto sit = hosts_.find(from);
-    if (sit == hosts_.end()) return false;
-    Host& sender = sit->second;
+    const std::uint32_t src_slot = index_.find(from);
+    if (src_slot == IpIndex::kNone) return false;
+    Host& sender = hosts_[src_slot];
     ++stats_.packets_sent;
     stats_.bytes_sent += wire_bytes;
     if (sender.tap)
@@ -226,10 +240,10 @@ class Network : public DatagramTransport<Payload> {
     // Core propagation is computed against the destination's *current*
     // endpoint; if the destination is gone we still charge the sender's
     // uplink (already done) and drop.
-    Host* dst = live_host_or_count_drop(to, kAnyEpoch);
+    const std::uint32_t dst_slot = index_.find(to);
+    Host* dst = live_host_or_count_drop(dst_slot, kAnyEpoch);
     if (dst == nullptr) return true;  // left the sender successfully
     const Endpoint dst_ep = dst->endpoint;
-    const std::uint64_t dst_epoch = dst->epoch;
 
     // Scheduled fault impairments, if armed. Checked before the baseline
     // loss draw so an impairment drop never consumes the baseline's random
@@ -278,22 +292,27 @@ class Network : public DatagramTransport<Payload> {
                                                     rng_);
     if (degraded != nullptr) propagation = propagation + degraded->extra_one_way;
     const sim::Time core_arrival = core_entry + propagation;
-    const sim::Time sent_at = simulator_.now();
 
+    const std::uint32_t p = packets_.acquire();
+    Packet& packet = packets_[p];
+    packet.payload = std::move(payload);
+    packet.from = from;
+    packet.to = to;
+    packet.src_slot = src_slot;
+    packet.dst_slot = dst_slot;
+    packet.src_epoch = sender.epoch;
+    packet.dst_epoch = dst->epoch;
+    packet.sent_at = simulator_.now();
+    packet.wire_bytes = wire_bytes;
     simulator_.schedule_at(
-        core_arrival,
-        [this, from, to, dst_epoch, sent_at, wire_bytes,
-         payload = std::move(payload)]() mutable {
-          deliver(from, to, dst_epoch, sent_at, wire_bytes,
-                  std::move(payload));
-        },
-        "net.transit");
+        core_arrival, [this, p] { transit(p); }, "net.transit");
     return true;
   }
 
   const Stats& stats() const override { return stats_; }
 
  private:
+  /// One host slot. A free slot has epoch 0 and no handler or tap.
   struct Host {
     Endpoint endpoint;
     AccessLink link;
@@ -302,67 +321,113 @@ class Network : public DatagramTransport<Payload> {
     std::uint64_t epoch = 0;
   };
 
-  /// Sentinel for live_host_or_count_drop: accept any incarnation of the
-  /// destination IP. Real epochs start at 1 (epoch_counter_ pre-increments),
-  /// so 0 can never pin a concrete incarnation.
+  /// One in-flight packet, from the send that admits it to its delivery or
+  /// drop. The slots and epochs pin the two host incarnations it was sent
+  /// between.
+  struct Packet {
+    Payload payload;
+    IpAddress from;
+    IpAddress to;
+    std::uint32_t src_slot = 0;
+    std::uint32_t dst_slot = 0;
+    std::uint64_t src_epoch = 0;
+    std::uint64_t dst_epoch = 0;
+    sim::Time sent_at;  // when the sender handed it to its uplink
+    std::uint64_t wire_bytes = 0;
+  };
+
+  const Host& host(IpAddress ip) const {
+    const std::uint32_t slot = index_.find(ip);
+    assert(slot != IpIndex::kNone);
+    return hosts_[slot];
+  }
+  Host& host(IpAddress ip) {
+    return const_cast<Host&>(std::as_const(*this).host(ip));
+  }
+
+  /// Sentinel for live_host_or_count_drop: accept any incarnation in the
+  /// slot. Real epochs start at 1 (epoch_counter_ pre-increments), so 0 can
+  /// never pin a concrete incarnation.
   static constexpr std::uint64_t kAnyEpoch = 0;
 
   /// The single definition of a dead-destination drop. A packet dies here
-  /// when its destination IP is unattached, or — once the packet has been
-  /// bound to an incarnation (`epoch != kAnyEpoch`, i.e. after the send-time
-  /// lookup) — when the IP was re-attached by a different host since. Each
-  /// packet traverses at most one of the three call sites per lifetime
-  /// (send-time lookup, core arrival, downlink exit); a drop ends the
-  /// packet, so the categories are mutually exclusive by construction.
-  Host* live_host_or_count_drop(IpAddress to, std::uint64_t epoch) {
-    auto it = hosts_.find(to);
-    if (it == hosts_.end() ||
-        (epoch != kAnyEpoch && it->second.epoch != epoch)) {
+  /// when its destination IP is unattached at send time (`slot` is
+  /// IpIndex::kNone), or, once the packet has been bound to a slot and an
+  /// incarnation (`epoch != kAnyEpoch`, i.e. after the send-time lookup),
+  /// when that slot's epoch has changed since: the host detached (a free
+  /// slot has epoch 0) or the slot now holds a later attach, of this IP or
+  /// another. Each packet traverses at most one of the three call sites per
+  /// lifetime (send-time lookup, core arrival, downlink exit); a drop ends
+  /// the packet, so the categories are mutually exclusive by construction.
+  Host* live_host_or_count_drop(std::uint32_t slot, std::uint64_t epoch) {
+    if (slot == IpIndex::kNone ||
+        (epoch != kAnyEpoch && hosts_[slot].epoch != epoch)) {
       ++stats_.dead_destination_drops;
       return nullptr;
     }
-    return &it->second;
+    return &hosts_[slot];
   }
 
-  void deliver(IpAddress from, IpAddress to, std::uint64_t dst_epoch,
-               sim::Time sent_at, std::uint64_t wire_bytes, Payload payload) {
-    Host* hostp = live_host_or_count_drop(to, dst_epoch);
-    if (hostp == nullptr) return;
-    Host& host = *hostp;
-    auto admission = host.link.down().enqueue(simulator_.now(), wire_bytes);
+  /// Core arrival: the packet queues at the destination's downlink.
+  void transit(std::uint32_t p) {
+    Packet& packet = packets_[p];
+    Host* dst = live_host_or_count_drop(packet.dst_slot, packet.dst_epoch);
+    if (dst == nullptr) {
+      packets_.release(p);
+      return;
+    }
+    auto admission =
+        dst->link.down().enqueue(simulator_.now(), packet.wire_bytes);
     if (!admission.admitted) {
       ++stats_.downlink_drops;
+      packets_.release(p);
       return;
     }
     simulator_.schedule_at(
-        admission.departure,
-        [this, from, to, dst_epoch, sent_at, wire_bytes,
-         payload = std::move(payload)]() mutable {
-          Host* hp = live_host_or_count_drop(to, dst_epoch);
-          if (hp == nullptr) return;
-          Host& h = *hp;
-          ++stats_.packets_delivered;
-          if (global_tap_) {
-            auto fit = hosts_.find(from);
-            // Sender may have churned out; use its endpoint if still known.
-            if (fit != hosts_.end())
-              global_tap_(fit->second.endpoint, h.endpoint, payload,
-                          wire_bytes);
-          }
-          if (h.tap)
-            h.tap(Direction::kIncoming, to, from, payload, wire_bytes);
-          if (h.handler)
-            h.handler(Delivery{from, to, std::move(payload), wire_bytes,
-                               sent_at});
-        },
-        "net.deliver");
+        admission.departure, [this, p] { arrive(p); }, "net.deliver");
+  }
+
+  /// Downlink exit: the packet reaches the destination's taps and handler.
+  void arrive(std::uint32_t p) {
+    Packet& packet = packets_[p];
+    Host* dst = live_host_or_count_drop(packet.dst_slot, packet.dst_epoch);
+    if (dst == nullptr) {
+      packets_.release(p);
+      return;
+    }
+    ++stats_.packets_delivered;
+    const Endpoint* sender = global_tap_ ? sender_endpoint(packet) : nullptr;
+    const Delivery d{packet.from, packet.to, std::move(packet.payload),
+                     packet.wire_bytes, packet.sent_at};
+    packets_.release(p);
+    // The sender may have churned out; the global tap skips it then.
+    if (sender != nullptr)
+      global_tap_(*sender, dst->endpoint, d.payload, d.wire_bytes);
+    if (dst->tap)
+      dst->tap(Direction::kIncoming, d.to, d.from, d.payload, d.wire_bytes);
+    if (dst->handler) dst->handler(d);
+  }
+
+  /// The endpoint the global tap reports for a packet's sender: whichever
+  /// host holds the sender's IP now, of any incarnation. That is the
+  /// sending host itself while its epoch still matches, so only a sender
+  /// that detached pays an index lookup.
+  const Endpoint* sender_endpoint(const Packet& packet) const {
+    std::uint32_t slot = packet.src_slot;
+    if (hosts_[slot].epoch != packet.src_epoch) {
+      slot = index_.find(packet.from);
+      if (slot == IpIndex::kNone) return nullptr;
+    }
+    return &hosts_[slot].endpoint;
   }
 
   sim::Simulator& simulator_;
   LatencyModel latency_;
   sim::Rng rng_;
   sim::Time max_backlog_;
-  std::unordered_map<IpAddress, Host> hosts_;
+  sim::Slab<Host> hosts_;
+  IpIndex index_;
+  sim::Slab<Packet> packets_;
   std::uint64_t epoch_counter_ = 0;
   Stats stats_;
   GlobalTap global_tap_;

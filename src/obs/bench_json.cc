@@ -27,6 +27,10 @@ void write_bench_json(std::ostream& os, std::vector<BenchEntry> entries) {
       os << ",\"wall_s\":";
       write_json_double(os, e.wall_s);
     }
+    if (e.allocs_per_op > 0) {
+      os << ",\"allocs_per_op\":";
+      write_json_double(os, e.allocs_per_op);
+    }
     os << "}\n";
   }
 }
@@ -53,6 +57,7 @@ std::vector<BenchEntry> read_bench_json(std::istream& is,
     // Optional macro-bench fields.
     read_json_u64(line, "rss_peak_bytes", &e.rss_peak_bytes);
     read_json_double(line, "wall_s", &e.wall_s);
+    read_json_double(line, "allocs_per_op", &e.allocs_per_op);
     out.push_back(std::move(e));
   }
   return out;

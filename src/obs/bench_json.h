@@ -21,6 +21,9 @@ struct BenchEntry {
   /// BENCH file — keep their exact byte layout.
   std::uint64_t rss_peak_bytes = 0;
   double wall_s = 0;  // whole-run wall clock, not per-op
+  /// Heap allocations (operator new calls) per op, from bench_scale's
+  /// counting allocator. Written only when nonzero, like rss_peak_bytes.
+  double allocs_per_op = 0;
 };
 
 /// NDJSON: a header line {"bench_schema":"ppsim-bench-v1","benchmarks":N}

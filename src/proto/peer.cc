@@ -569,26 +569,36 @@ void Peer::request_tick() {
 
   int issued = 0;
   const int kMaxPerTick = 10;
+  // A tick changes no neighbor's service time, so each neighbor's
+  // preference is computed at most once per tick, when first needed. It is
+  // the same double the expression gives at every use, and the division by
+  // 1 + in_flight stays at the use, so every weight and every draw is
+  // bit-identical to computing both per chunk.
+  preference_.assign(neighbors_.size(), -1.0);
   for (ChunkSeq seq = from; seq <= to && issued < kMaxPerTick; ++seq) {
     if (store_.has(seq) || pending_data_.contains(seq)) continue;
 
     // Neighbors that advertise the chunk and still have pipeline room.
-    std::vector<net::IpAddress> holders;
-    std::vector<double> weights;
+    holders_.clear();
+    weights_.clear();
+    std::size_t i = 0;
     for (auto& [ip, nb] : neighbors_) {
+      double& preference = preference_[i++];
       if (nb.in_flight >= kPipelinePerNeighbor) continue;
       if (!nb.map.has(seq)) continue;
-      holders.push_back(ip);
+      holders_.push_back(ip);
       // Latency-based preference: the fastest neighbors get most requests.
       // Dividing by outstanding requests keeps the pipeline balanced so a
       // single fast neighbor cannot absorb the whole stream.
-      const double lat = std::max(nb.service_s, 1e-3);
-      weights.push_back(std::pow(1.0 / lat, config_.latency_selectivity) /
-                        (1.0 + nb.in_flight));
+      if (preference < 0) {
+        const double lat = std::max(nb.service_s, 1e-3);
+        preference = std::pow(1.0 / lat, config_.latency_selectivity);
+      }
+      weights_.push_back(preference / (1.0 + nb.in_flight));
     }
-    if (holders.empty()) continue;
-    const std::size_t pick = rng_.weighted_index(weights);
-    const net::IpAddress target = holders[pick];
+    if (holders_.empty()) continue;
+    const std::size_t pick = rng_.weighted_index(weights_);
+    const net::IpAddress target = holders_[pick];
 
     Neighbor& nb = neighbors_.at(target);
     ++nb.in_flight;

@@ -240,6 +240,13 @@ class Peer {
   // Scratch for excluded_targets(), reused so a connect decision does not
   // allocate.
   std::vector<net::IpAddress> excluded_;
+  // Scratch for request_tick(), reused so a tick does not allocate: one
+  // chunk's eligible holders and their weights, and each neighbor's latency
+  // preference pow(1/lat, selectivity) in neighbors_ order (negative until
+  // the tick first needs it).
+  std::vector<net::IpAddress> holders_;
+  std::vector<double> weights_;
+  std::vector<double> preference_;
 
   // Sorted flat maps, not hash maps: every traversal below feeds either
   // message emission order or candidate/victim selection, and the

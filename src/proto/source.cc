@@ -8,13 +8,12 @@ namespace ppsim::proto {
 
 StreamSource::StreamSource(sim::Simulator& simulator, PeerTransport& network,
                            const HostIdentity& identity, ChannelSpec channel,
-                           std::vector<net::IpAddress> trackers, sim::Rng rng)
+                           std::vector<net::IpAddress> trackers)
     : simulator_(simulator),
       network_(network),
       identity_(identity),
       channel_(std::move(channel)),
       trackers_(std::move(trackers)),
-      rng_(rng),
       store_(kChunkRetention) {
   network_.attach(identity_.ip, identity_.isp, identity_.category,
                   identity_.profile,

@@ -10,7 +10,6 @@
 #include "proto/message.h"
 #include "proto/tracker.h"
 #include "sim/flat_map.h"
-#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace ppsim::proto {
@@ -39,7 +38,7 @@ class StreamSource {
 
   StreamSource(sim::Simulator& simulator, PeerTransport& network,
                const HostIdentity& identity, ChannelSpec channel,
-               std::vector<net::IpAddress> trackers, sim::Rng rng);
+               std::vector<net::IpAddress> trackers);
   ~StreamSource();
 
   StreamSource(const StreamSource&) = delete;
@@ -69,7 +68,6 @@ class StreamSource {
   HostIdentity identity_;
   ChannelSpec channel_;
   std::vector<net::IpAddress> trackers_;
-  sim::Rng rng_;
 
   bool running_ = false;
   ChunkStore store_;

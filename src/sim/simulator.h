@@ -2,9 +2,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
+#include "sim/slab.h"
 #include "sim/time.h"
 
 namespace ppsim::sim {
@@ -21,10 +21,22 @@ class TraceSink;
 /// a periodic task stops by returning false, and a one-shot timer whose
 /// owner may have stopped checks the owner's own flag when it fires.
 ///
-/// Pending events live in a slot arena: each callback and its category sit
-/// in a slot reused through a free list, and a binary heap orders small
-/// {when, seq, slot} keys. A slot is freed when its event fires. No
-/// per-event hashing.
+/// Pending events live in a slot arena, a Slab: each callback and its
+/// category sit in a 40-byte slot reused through the slab's free list, in
+/// chunks that never move, so growing the arena copies no callback and
+/// leaves no doubling slack. A 4-ary implicit heap orders 16-byte keys
+/// {when, seq << 24 | slot}; seq is unique, so the key order is exactly
+/// (when, seq). A pop walks the hole to a leaf along the smallest of each
+/// four children (Floyd's bottom-up descent, two levels of a binary heap
+/// per step) and sifts the last key up from there. A slot is freed when its
+/// event fires. The packing bounds a run to 2^24 pending events and 2^40
+/// scheduled events; schedule_at throws past either.
+///
+/// Periodic chains (schedule_periodic) keep their tick in a table with
+/// stable addresses, so a firing schedules a 16-byte {this, index} closure.
+/// No per-event hashing, and an event whose closure fits std::function's
+/// inline buffer (16 trivially copyable bytes in libstdc++) allocates
+/// nothing.
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -46,7 +58,15 @@ class Simulator {
   }
 
   /// Schedules `cb` at an absolute time (clamped to `now()` if in the past).
+  /// Throws std::length_error past kMaxPending pending events and
+  /// std::overflow_error past kMaxScheduled events in the simulator's life.
   void schedule_at(Time when, Callback cb, const char* category = nullptr);
+
+  /// Bounds of the 64-bit {seq, slot} key packing.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kMaxPending = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kMaxScheduled =
+      (std::uint64_t{1} << (64 - kSlotBits)) - 1;
 
   /// Runs events until the queue is empty or `until` is reached; events
   /// scheduled exactly at `until` do fire. Returns the number of events run.
@@ -59,7 +79,7 @@ class Simulator {
   void request_stop() { stop_requested_ = true; }
 
   std::uint64_t events_executed() const { return events_executed_; }
-  std::size_t pending_events() const { return queue_.size(); }
+  std::size_t pending_events() const { return heap_.size(); }
 
   /// Peak of pending_events() over the simulator's lifetime. The arena only
   /// grows when no freed slot is available, so its size is this high-water
@@ -73,12 +93,14 @@ class Simulator {
   /// accounting costs nothing measurable per event.
   Time latest_scheduled() const { return latest_scheduled_; }
 
-  /// Approximate heap footprint of the scheduler: queued heap keys plus
-  /// arena slots, counted by size(), not capacity(). std::function captures
-  /// are not visible from here. For the resource-probe gauges, not for exact
-  /// accounting.
+  /// Approximate heap footprint of the scheduler: queued 16-byte heap keys
+  /// plus 40-byte arena slots, counted by element, not by chunk. Captures
+  /// too large for std::function's inline buffer are not visible from here,
+  /// and neither is the periodic-chain table: it holds one entry per running
+  /// chain, not per pending event. For the resource-probe gauges, not for
+  /// exact accounting.
   std::size_t approx_queue_bytes() const {
-    return queue_.size() * sizeof(Key) + slots_.size() * sizeof(Slot);
+    return heap_.size() * sizeof(Key) + slots_.size() * sizeof(Slot);
   }
 
   /// Sets the run's protocol trace: every entity driven by this simulator
@@ -111,16 +133,28 @@ class Simulator {
   void remove_observer(SimObserver* observer);
 
  private:
-  /// Heap entry: the ordering fields plus where the callback lives.
+  friend void schedule_periodic(Simulator& simulator, Time period,
+                                std::function<bool()> tick,
+                                const char* category);
+
+  /// Heap entry: the firing time, then the sequence number above the
+  /// callback's slot index in one word. `when` is never negative (schedule_at
+  /// clamps to now(), which starts at zero), so (when, order) compares as one
+  /// unsigned 128-bit number.
   struct Key {
     Time when;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    bool operator>(const Key& o) const {
-      if (when != o.when) return when > o.when;
-      return seq > o.seq;
-    }
+    std::uint64_t order;  // seq << kSlotBits | slot
   };
+  static bool before(const Key& a, const Key& b) {
+    const auto wide = [](const Key& k) {
+      return static_cast<__uint128_t>(
+                 static_cast<std::uint64_t>(k.when.as_micros()))
+                 << 64 |
+             k.order;
+    };
+    return wide(a) < wide(b);
+  }
+  static constexpr std::uint64_t kSlotMask = kMaxPending - 1;
 
   /// One pending event's payload; a free slot holds an empty callback.
   struct Slot {
@@ -128,23 +162,38 @@ class Simulator {
     const char* category = nullptr;  // observer label; nullptr = untagged
   };
 
+  /// One schedule_periodic chain; a free entry holds an empty tick.
+  struct Chain {
+    std::function<bool()> tick;
+    Time period;
+    const char* category = nullptr;
+  };
+
+  void push(Key key);
+  void pop();
+  /// Runs chain `index`'s tick and, if it returns true, re-arms the chain
+  /// under a sequence number taken after the tick; otherwise frees it.
+  void fire_chain(std::uint32_t index);
+
   Time now_;
   Time latest_scheduled_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t last_span_id_ = 0;
   std::uint64_t events_executed_ = 0;
   bool stop_requested_ = false;
-  std::priority_queue<Key, std::vector<Key>, std::greater<>> queue_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<Key> heap_;  // 4-ary: children of i are 4i+1 .. 4i+4
+  Slab<Slot> slots_;
+  Slab<Chain> chains_;
   std::vector<SimObserver*> observers_;
   TraceSink* trace_sink_ = nullptr;
   bool causal_tracing_ = false;
 };
 
-/// Convenience: runs `tick` every `period` until it returns false, the only
-/// way to stop the chain. `category` labels every firing of the chain for
-/// observers.
+/// Runs `tick` every `period` until it returns false, the only way to stop
+/// the chain. Each re-arm takes its sequence number after the tick returns.
+/// `category` labels every firing of the chain for observers. A tick may
+/// start other chains; a chain still pending when the simulator is
+/// destroyed is destroyed with it.
 void schedule_periodic(Simulator& simulator, Time period,
                        std::function<bool()> tick,
                        const char* category = nullptr);

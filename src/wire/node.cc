@@ -145,8 +145,7 @@ NodeReport run_node(const NodeConfig& config,
     case NodeRole::kSource: {
       source = std::make_unique<proto::StreamSource>(
           simulator, transport, loopback_identity(registry, db, config.ip),
-          config.channel, std::vector<net::IpAddress>{config.tracker},
-          rng.fork(2));
+          config.channel, std::vector<net::IpAddress>{config.tracker});
       source->start();
       break;
     }

@@ -87,6 +87,7 @@ std::vector<Target> targets() {
   bench[1].name = "scale/peers:01000";
   bench[1].rss_peak_bytes = 1 << 20;
   bench[1].wall_s = 1.5;
+  bench[1].allocs_per_op = 0.25;
 
   return {
       {"samples",

@@ -85,6 +85,37 @@ TEST(BenchJson, MacroFieldsWrittenOnlyWhenNonzeroAndRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed[1].wall_s, 25.5);
 }
 
+TEST(BenchJson, AllocsPerOpWrittenOnlyWhenNonzeroAndRoundTrip) {
+  BenchEntry plain;
+  plain.name = "scale/peers:01000";
+  plain.iterations = 100;
+  plain.ns_per_op = 1500.0;
+  plain.rss_peak_bytes = 61489152;
+  plain.wall_s = 25.5;
+  BenchEntry counted = plain;
+  counted.name = "scale/peers:05000";
+  counted.allocs_per_op = 0.3125;
+
+  std::ostringstream out;
+  write_bench_json(out, {plain, counted});
+  const std::string text = out.str();
+  // Without a count the row keeps the macro layout byte for byte.
+  EXPECT_NE(text.find("{\"name\":\"scale/peers:01000\",\"iterations\":100,"
+                      "\"ns_per_op\":1500,\"peak_queue_depth\":0,"
+                      "\"rss_peak_bytes\":61489152,\"wall_s\":25.5}\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\"wall_s\":25.5,\"allocs_per_op\":0.3125}\n"),
+            std::string::npos)
+      << text;
+
+  std::istringstream in(text);
+  const auto parsed = read_bench_json(in);
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_DOUBLE_EQ(parsed[0].allocs_per_op, 0.0);
+  EXPECT_DOUBLE_EQ(parsed[1].allocs_per_op, 0.3125);
+}
+
 TEST(BenchJson, EmptyEntriesStillWriteHeader) {
   std::ostringstream out;
   write_bench_json(out, {});

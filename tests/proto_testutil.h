@@ -48,9 +48,10 @@ class MiniWorld {
                                                tracker_identity, rng_.fork(1));
     auto source_identity = identity(net::IspCategory::kTele);
     source_identity.profile = net::AccessProfile{1e9, 1e9};
+    rng_.next_u64();  // keeps the peers' forks below where they were
     source_ = std::make_unique<StreamSource>(
         simulator_, network_, source_identity, channel_,
-        std::vector<net::IpAddress>{tracker_->ip()}, rng_.fork(2));
+        std::vector<net::IpAddress>{tracker_->ip()});
 
     BootstrapServer::ChannelEntry entry;
     entry.channel = channel_.id;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -158,6 +159,64 @@ TEST(SimulatorTest, PeriodicStoppedByTickLeavesNoPendingEvents) {
   simulator.run();
   EXPECT_EQ(ticks, 1);
   EXPECT_EQ(simulator.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, PeriodicTickMayStartAnotherChain) {
+  // The second firing of chain A starts chain B; B stops itself after three
+  // ticks while A runs on. Starting a chain from a tick must leave the
+  // running chain intact, and a stopped chain's entry is reused by the next
+  // chain started.
+  Simulator simulator;
+  std::vector<std::pair<char, Time>> fired;
+  int a_ticks = 0;
+  int b_ticks = 0;
+  schedule_periodic(simulator, Time::seconds(10), [&] {
+    fired.emplace_back('A', simulator.now());
+    if (++a_ticks == 2) {
+      schedule_periodic(simulator, Time::seconds(3), [&] {
+        fired.emplace_back('B', simulator.now());
+        return ++b_ticks < 3;
+      });
+    }
+    return a_ticks < 5;
+  });
+  simulator.run_until(Time::seconds(30));
+  // A at 10, 20, 30; B (started at 20) at 23, 26, 29 and then stopped.
+  const std::vector<std::pair<char, Time>> want = {
+      {'A', Time::seconds(10)}, {'A', Time::seconds(20)},
+      {'B', Time::seconds(23)}, {'B', Time::seconds(26)},
+      {'B', Time::seconds(29)}, {'A', Time::seconds(30)}};
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(simulator.pending_events(), 1u);  // only A's next firing
+
+  // A chain started after B stopped runs as its own chain.
+  int c_ticks = 0;
+  schedule_periodic(simulator, Time::seconds(4), [&] { return ++c_ticks < 2; });
+  simulator.run();
+  EXPECT_EQ(a_ticks, 5);
+  EXPECT_EQ(b_ticks, 3);
+  EXPECT_EQ(c_ticks, 2);
+  EXPECT_EQ(simulator.now(), Time::seconds(50));
+}
+
+TEST(SimulatorTest, DestroyingSimulatorDestroysPendingChains) {
+  // A chain still pending when the simulator goes away is destroyed with
+  // it: the tick's captured state is released, and it never runs again.
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator simulator;
+    schedule_periodic(simulator, Time::seconds(1), [token] {
+      ++*token;
+      return true;
+    });
+    schedule_periodic(simulator, Time::seconds(2), [token] { return true; });
+    simulator.run_until(Time::seconds(3));
+    EXPECT_EQ(*token, 3);
+    EXPECT_EQ(token.use_count(), 3);
+    EXPECT_EQ(simulator.pending_events(), 2u);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 3);
 }
 
 TEST(SimulatorTest, RequestStopMidQueueKeepsRemainderPending) {
@@ -322,21 +381,44 @@ TEST(SimulatorTest, MatchesSortedReferenceOnRandomWorkload) {
   // A seeded workload of kCap events: each callback schedules 0-2
   // successors through schedule() or schedule_at(), at zero (same-instant),
   // negative or short positive delays (so many events share an instant),
-  // and the run advances in random slices. The reference is every scheduled
+  // and the run advances in random slices. Periodic chains run alongside,
+  // started at the outset and by one event in sixteen; each firing may
+  // spawn a successor before its re-arm. The reference is every scheduled
   // event sorted by (when, insertion order); its counts are kept here,
-  // outside the simulator's arena.
+  // outside the simulator's arena. A re-arm is recorded at the end of its
+  // tick, after the tick's own spawns, because the simulator takes the
+  // re-arm's sequence number after the tick returns.
   constexpr std::size_t kCap = 20000;
   Simulator simulator;
   Rng rng(20081012);
   std::vector<std::pair<Time, std::size_t>> scheduled;  // (when, order)
   std::vector<std::size_t> executed;
   std::size_t peak = 0;  // most events scheduled but not yet started
-
-  std::function<void(Time)> spawn = [&](Time delay) {
-    const Time now = simulator.now();
-    const std::size_t order = scheduled.size();
-    scheduled.emplace_back(std::max(now, now + delay), order);
+  const auto record = [&](Time when) {
+    scheduled.emplace_back(when, scheduled.size());
     peak = std::max(peak, scheduled.size() - executed.size());
+    return scheduled.size() - 1;
+  };
+
+  std::function<void(Time)> spawn;
+  const auto start_chain = [&] {
+    const Time period = Time::micros(rng.uniform_int(1, 40));
+    std::size_t order = record(simulator.now() + period);
+    std::int64_t ticks_left = rng.uniform_int(1, 8);
+    schedule_periodic(simulator, period, [&, order, period,
+                                          ticks_left]() mutable {
+      executed.push_back(order);
+      if (rng.chance(0.5) && scheduled.size() < kCap)
+        spawn(Time::micros(rng.uniform_int(0, 40)));
+      if (--ticks_left == 0 || scheduled.size() >= kCap) return false;
+      order = record(simulator.now() + period);
+      return true;
+    });
+  };
+
+  spawn = [&](Time delay) {
+    const Time now = simulator.now();
+    const std::size_t order = record(std::max(now, now + delay));
     auto fire = [&, order] {
       executed.push_back(order);
       const std::uint64_t roll = rng.next_below(4);  // 0, 1, 2, 2
@@ -349,6 +431,7 @@ TEST(SimulatorTest, MatchesSortedReferenceOnRandomWorkload) {
           default: spawn(Time::micros(rng.uniform_int(1, 40)));
         }
       }
+      if (rng.next_below(16) == 0 && scheduled.size() < kCap) start_chain();
     };
     if (rng.chance(0.5)) {
       simulator.schedule(delay, fire);
@@ -357,6 +440,7 @@ TEST(SimulatorTest, MatchesSortedReferenceOnRandomWorkload) {
     }
   };
   for (int i = 0; i < 64; ++i) spawn(Time::micros(rng.uniform_int(0, 50)));
+  for (int i = 0; i < 16; ++i) start_chain();
 
   while (simulator.pending_events() > 0) {
     simulator.run_until(simulator.now() + Time::micros(rng.uniform_int(0, 60)));

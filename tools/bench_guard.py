@@ -24,6 +24,13 @@ Absolute values stay machine-dependent, so X must be generous (CI uses
 several hundred percent — the guard exists to catch order-of-magnitude
 cliffs, not jitter). Rows missing ns_per_op on either side are skipped.
 
+Always on: a ceiling on allocs_per_op (heap allocations per event, written
+by bench_scale). Every shared row whose baseline carries the field must
+carry it too, at no more than baseline * (1 + ALLOCS_CEILING_PCT/100).
+Unlike wall time, the count does not move with host load, only with the
+run's length and the standard-library build, so the margin can be tight.
+Baselines without the field (BENCH_micro.json) are unaffected.
+
 Exit status: 0 clean, 1 guard violation, 2 usage/file errors.
 """
 
@@ -31,12 +38,26 @@ import argparse
 import json
 import sys
 
+# Margin of the allocs_per_op ceiling. It covers the CI scale smoke's
+# shorter run (2 sim-minutes amortize setup over fewer events: 0.311 vs the
+# 4-minute 1k row's 0.293 with GCC 12) and a different libstdc++ on the
+# runner. One more allocation per packet roughly doubles the count, so 25%
+# still catches any per-packet regression.
+ALLOCS_CEILING_PCT = 25
+
+
+def number(row, key):
+    value = row.get(key)
+    return value if isinstance(value, (int, float)) else None
+
 
 def load(path):
-    """Returns (schema, {name: ns_per_op-or-None}) for one ppsim-bench-v1
-    NDJSON file."""
+    """Returns (schema, {name: ns_per_op-or-None}, {name: allocs_per_op})
+    for one ppsim-bench-v1 NDJSON file; rows without allocs_per_op are
+    absent from the last map."""
     schema = None
     rows = {}
+    allocs = {}
     try:
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
@@ -50,12 +71,12 @@ def load(path):
                 if "bench_schema" in row:
                     schema = row["bench_schema"]
                 elif "name" in row:
-                    ns = row.get("ns_per_op")
-                    rows[row["name"]] = ns if isinstance(ns, (int, float)) \
-                        else None
+                    rows[row["name"]] = number(row, "ns_per_op")
+                    if number(row, "allocs_per_op") is not None:
+                        allocs[row["name"]] = row["allocs_per_op"]
     except OSError as e:
         raise SystemExit(f"error: cannot read {path}: {e}")
-    return schema, rows
+    return schema, rows, allocs
 
 
 def main():
@@ -79,8 +100,8 @@ def main():
                         "worsens by more than X%% vs baseline (0 disables)")
     args = parser.parse_args()
 
-    base_schema, baseline = load(args.baseline)
-    cur_schema, current = load(args.current)
+    base_schema, baseline, base_allocs = load(args.baseline)
+    cur_schema, current, cur_allocs = load(args.current)
     for path, schema in ((args.baseline, base_schema),
                          (args.current, cur_schema)):
         if schema != "ppsim-bench-v1":
@@ -122,6 +143,23 @@ def main():
                 ok = False
         print(f"regression check: {checked} shared rows vs "
               f"+{args.max_regress_pct:g}% limit")
+    shared_allocs = sorted(set(base_allocs) & set(current))
+    for name in shared_allocs:
+        ceiling = base_allocs[name] * (1.0 + ALLOCS_CEILING_PCT / 100.0)
+        cur = cur_allocs.get(name)
+        if cur is None:
+            print(f"FAIL: {name}: no allocs_per_op (baseline "
+                  f"{base_allocs[name]:g})")
+            ok = False
+        elif cur > ceiling:
+            print(f"FAIL: {name}: allocs_per_op {base_allocs[name]:g} -> "
+                  f"{cur:g} (ceiling {ceiling:g}, +{ALLOCS_CEILING_PCT}%)")
+            ok = False
+        else:
+            print(f"{name}: allocs_per_op {cur:g} <= ceiling {ceiling:g}")
+    if shared_allocs:
+        print(f"allocation check: {len(shared_allocs)} shared rows vs "
+              f"+{ALLOCS_CEILING_PCT}% ceiling")
     if ok:
         print("coverage ok")
     return 0 if ok else 1
