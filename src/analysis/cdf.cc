@@ -5,20 +5,6 @@
 
 namespace ppsim::analysis {
 
-std::vector<CdfPoint> empirical_cdf(std::span<const double> values) {
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<CdfPoint> out;
-  out.reserve(sorted.size());
-  const double n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    // Collapse ties onto the last occurrence so the CDF is a function.
-    if (i + 1 < sorted.size() && sorted[i + 1] == sorted[i]) continue;
-    out.push_back(CdfPoint{sorted[i], static_cast<double>(i + 1) / n});
-  }
-  return out;
-}
-
 std::vector<double> cumulative_share(std::span<const double> contributions) {
   std::vector<double> sorted(contributions.begin(), contributions.end());
   std::sort(sorted.begin(), sorted.end(), std::greater<>());

@@ -6,15 +6,6 @@
 
 namespace ppsim::analysis {
 
-/// One point of an empirical CDF.
-struct CdfPoint {
-  double value;
-  double fraction;  // P(X <= value)
-};
-
-/// Empirical CDF over the values (sorted ascending internally).
-std::vector<CdfPoint> empirical_cdf(std::span<const double> values);
-
 /// Cumulative contribution curve over *ranked* contributors: element k of
 /// the result is the fraction of the total contributed by the top (k+1)
 /// contributors. This is the curve behind Figures 11(c)-14(c).

@@ -64,12 +64,6 @@ ZipfFit fit_zipf(std::span<const double> ranked) {
   return ZipfFit{-lin.slope, lin.r2};
 }
 
-double StretchedExpFit::predict(double rank) const {
-  const double yc = b - a * std::log(rank);
-  if (yc <= 0 || c <= 0) return 0;
-  return std::pow(yc, 1.0 / c);
-}
-
 StretchedExpFit fit_stretched_exponential(std::span<const double> ranked) {
   StretchedExpFit best;
   best.r2 = -1e300;

@@ -41,10 +41,6 @@ struct StretchedExpFit {
   double a = 0;   // slope magnitude (paper's `a`)
   double b = 0;   // intercept (paper's `b`)
   double r2 = 0;  // in SE-transformed space
-
-  /// Model prediction for rank i (1-based): (b - a log i)^(1/c), clamped
-  /// at zero below.
-  double predict(double rank) const;
 };
 
 /// `ranked` must be sorted descending with positive values.

@@ -1,105 +1,29 @@
 #include "analysis/goodness.h"
 
-#include <algorithm>
-#include <cmath>
+#include <vector>
 
-#include "analysis/fit.h"
 #include "analysis/stats.h"
 
 namespace ppsim::analysis {
 
-double Weibull::cdf(double x) const {
-  if (x <= 0) return 0;
-  return 1.0 - std::exp(-std::pow(x / lambda, k));
-}
-
-double Weibull::ccdf(double x) const { return 1.0 - cdf(x); }
-
-double Weibull::quantile(double p) const {
-  p = std::clamp(p, 0.0, 1.0 - 1e-15);
-  return lambda * std::pow(-std::log(1.0 - p), 1.0 / k);
-}
-
-WeibullFit fit_weibull(std::span<const double> samples) {
-  WeibullFit out;
-  std::vector<double> sorted;
-  sorted.reserve(samples.size());
-  for (double x : samples)
-    if (x > 0) sorted.push_back(x);
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t n = sorted.size();
-  if (n < 3) return out;
-
-  // Median-rank plotting positions avoid the log(0) endpoints.
-  std::vector<double> xs, ys;
-  xs.reserve(n);
-  ys.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double f = (static_cast<double>(i) + 0.7) /
-                     (static_cast<double>(n) + 0.4);
-    if (f <= 0 || f >= 1) continue;
-    xs.push_back(std::log(sorted[i]));
-    ys.push_back(std::log(-std::log(1.0 - f)));
-  }
-  LinearFit lin = least_squares(xs, ys);
-  if (lin.slope <= 0) return out;
-  out.dist.k = lin.slope;
-  out.dist.lambda = std::exp(-lin.intercept / lin.slope);
-  out.r2 = lin.r2;
-  return out;
-}
-
-double ks_statistic(std::span<const double> samples, const Weibull& ref) {
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t n = sorted.size();
-  if (n == 0) return 0;
-  double d = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double f = ref.cdf(sorted[i]);
-    const double lo = static_cast<double>(i) / static_cast<double>(n);
-    const double hi = static_cast<double>(i + 1) / static_cast<double>(n);
-    d = std::max(d, std::max(std::abs(f - lo), std::abs(hi - f)));
-  }
-  return d;
-}
-
-namespace {
-
-BootstrapInterval bootstrap_impl(std::span<const double> samples,
-                                 sim::Rng& rng,
-                                 double (*statistic)(std::span<const double>),
-                                 int resamples, double confidence) {
+BootstrapInterval bootstrap_mean(std::span<const double> samples,
+                                 sim::Rng& rng, int resamples,
+                                 double confidence) {
   BootstrapInterval out;
   if (samples.empty()) return out;
-  out.estimate = statistic(samples);
+  out.estimate = mean(samples);
   std::vector<double> stats;
   stats.reserve(static_cast<std::size_t>(resamples));
   std::vector<double> resample(samples.size());
   for (int r = 0; r < resamples; ++r) {
     for (auto& x : resample)
       x = samples[static_cast<std::size_t>(rng.next_below(samples.size()))];
-    stats.push_back(statistic(resample));
+    stats.push_back(mean(resample));
   }
   const double alpha = (1.0 - confidence) / 2.0;
   out.lo = percentile(stats, alpha * 100.0);
   out.hi = percentile(stats, (1.0 - alpha) * 100.0);
   return out;
-}
-
-}  // namespace
-
-BootstrapInterval bootstrap_mean(std::span<const double> samples,
-                                 sim::Rng& rng, int resamples,
-                                 double confidence) {
-  return bootstrap_impl(samples, rng, &mean, resamples, confidence);
-}
-
-BootstrapInterval bootstrap_statistic(
-    std::span<const double> samples, sim::Rng& rng,
-    double (*statistic)(std::span<const double>), int resamples,
-    double confidence) {
-  return bootstrap_impl(samples, rng, statistic, resamples, confidence);
 }
 
 }  // namespace ppsim::analysis

@@ -1,42 +1,10 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "sim/rng.h"
 
 namespace ppsim::analysis {
-
-/// Goodness-of-fit and uncertainty tooling layered on the fitters: the
-/// paper reports R² only, but for a reusable toolkit we also provide a
-/// Kolmogorov-Smirnov statistic against a fitted Weibull (the CCDF of a
-/// stretched-exponential rank distribution) and bootstrap confidence
-/// intervals for scalar statistics such as locality shares.
-
-/// Two-parameter Weibull distribution, CCDF(x) = exp(-(x/lambda)^k).
-struct Weibull {
-  double lambda = 1.0;  // scale
-  double k = 1.0;       // shape
-
-  double cdf(double x) const;
-  double ccdf(double x) const;
-  /// Inverse CDF (quantile function), p in [0, 1).
-  double quantile(double p) const;
-};
-
-/// Fits a Weibull to positive samples by linear regression in the
-/// log(-log(CCDF)) vs log(x) domain (the standard Weibull plot). Returns
-/// the fit and its R² in that domain.
-struct WeibullFit {
-  Weibull dist;
-  double r2 = 0;
-};
-WeibullFit fit_weibull(std::span<const double> samples);
-
-/// Kolmogorov-Smirnov statistic of the samples against a reference
-/// distribution: sup |F_empirical - F_ref|. Smaller is better; ~1.36/sqrt(n)
-/// is the 5% critical value for large n.
-double ks_statistic(std::span<const double> samples, const Weibull& ref);
 
 /// Result of a bootstrap: point estimate plus a percentile confidence
 /// interval.
@@ -47,15 +15,10 @@ struct BootstrapInterval {
 };
 
 /// Percentile bootstrap of the mean of `samples` (resamples with
-/// replacement). `confidence` in (0, 1), e.g. 0.95.
+/// replacement), the uncertainty of a scalar such as a locality share over
+/// seeds. `confidence` in (0, 1), e.g. 0.95.
 BootstrapInterval bootstrap_mean(std::span<const double> samples,
                                  sim::Rng& rng, int resamples = 1000,
                                  double confidence = 0.95);
-
-/// Percentile bootstrap of an arbitrary statistic over resampled data.
-BootstrapInterval bootstrap_statistic(
-    std::span<const double> samples, sim::Rng& rng,
-    double (*statistic)(std::span<const double>), int resamples = 1000,
-    double confidence = 0.95);
 
 }  // namespace ppsim::analysis

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace ppsim::analysis {
 
@@ -59,13 +60,6 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
   }
   if (sxx <= 0 || syy <= 0) return 0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-std::vector<double> log_transform(std::span<const double> xs, double floor) {
-  std::vector<double> out;
-  out.reserve(xs.size());
-  for (double x : xs) out.push_back(std::log(std::max(x, floor)));
-  return out;
 }
 
 }  // namespace ppsim::analysis

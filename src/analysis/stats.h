@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace ppsim::analysis {
 
@@ -23,10 +21,5 @@ double pearson(std::span<const double> xs, std::span<const double> ys);
 
 /// Sums of a span (convenience for share computations).
 double sum(std::span<const double> xs);
-
-/// Element-wise natural log; values <= 0 are clamped to `floor` first so
-/// log-space fits tolerate zero entries the way the paper's plots do.
-std::vector<double> log_transform(std::span<const double> xs,
-                                  double floor = 1e-12);
 
 }  // namespace ppsim::analysis

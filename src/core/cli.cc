@@ -358,11 +358,12 @@ int run_cli(const CliOptions& options, std::ostream& out) {
   // Every streamed output is opened before the run, so a path that cannot
   // be written fails at once instead of after the whole simulation.
   std::ofstream trace_file, samples_file, metrics_file, spans_file,
-      bench_file;
+      bench_file, sessions_file;
   const std::pair<const std::string&, std::ofstream&> outputs[] = {
       {options.trace_out, trace_file},     {options.samples_out, samples_file},
       {options.metrics_out, metrics_file}, {options.spans_out, spans_file},
-      {options.bench_json, bench_file}};
+      {options.bench_json, bench_file},
+      {options.dump_sessions, sessions_file}};
   for (const auto& [path, file] : outputs) {
     if (path.empty()) continue;
     file.open(path);
@@ -433,7 +434,6 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     ob.resource = &resource_probe;
     obs::ProgressMeter::Options meter_options;
     meter_options.out = &std::cerr;
-    meter_options.profiler = &profiler;
     meter_options.total = built.config.scenario.duration;
     progress_meter.emplace(meter_options);
     ob.progress = &*progress_meter;
@@ -515,14 +515,14 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     out << "\n";
   }
   if (!options.dump_sessions.empty()) {
-    if (write_sessions_csv_file(options.dump_sessions, result.sessions)) {
-      out << "sessions written: " << options.dump_sessions << " ("
-          << result.sessions.size() << " rows)\n";
-    } else {
+    write_sessions_csv(sessions_file, result.sessions);
+    if (!sessions_file.flush()) {
       std::cerr << "error: could not write " << options.dump_sessions
                 << "\n";
       return 1;
     }
+    out << "sessions written: " << options.dump_sessions << " ("
+        << result.sessions.size() << " rows)\n";
   }
   if (!options.metrics_out.empty()) {
     metrics.write_ndjson(metrics_file);

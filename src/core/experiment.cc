@@ -46,23 +46,23 @@ double TrafficMatrix::locality() const {
 
 namespace {
 
-/// Owns the whole simulated world for one run: shared bootstrap and
-/// trackers, one stream source and audience per channel. Peers are kept
-/// alive (even after leaving) until the run ends, because pending timer
-/// callbacks hold raw pointers to them.
+/// Owns the whole simulated world for one run: the bootstrap server, the
+/// trackers, the channel's stream source, its audience and the probes.
+/// Peers are kept alive (even after leaving) until the run ends, because
+/// pending timer callbacks hold raw pointers to them.
 ///
 /// Doubles as the fault driver's FaultHost: it owns every seam a fault
 /// window touches (tracker/bootstrap dark bits, the audience roster for
 /// churn bursts and brownouts).
 class Runner : public faults::FaultHost {
  public:
-  explicit Runner(const MultiChannelConfig& config)
+  explicit Runner(const ExperimentConfig& config)
       : config_(config),
-        master_rng_(config.seed),
+        master_rng_(config.scenario.seed),
         registry_(net::IspRegistry::standard_topology()),
         asn_db_(net::AsnDatabase::from_registry(registry_)),
         allocator_(registry_),
-        network_(simulator_, make_latency_model(config.seed),
+        network_(simulator_, make_latency_model(config.scenario.seed),
                  master_rng_.fork(0x6E6574)) {}
 
   ExperimentResult run();
@@ -96,7 +96,7 @@ class Runner : public faults::FaultHost {
       sessions_[i].completed = true;
       // A crashed viewer restarts the application like any other departure,
       // so the audience stays stationary through a burst.
-      on_departure(session_channels_[i]);
+      on_departure();
       return;
     }
   }
@@ -122,17 +122,16 @@ class Runner : public faults::FaultHost {
   }
 
   void build_infrastructure();
-  void spawn_viewer(std::size_t channel_idx, net::IspCategory category,
-                    sim::Time session);
-  void on_departure(std::size_t channel_idx);
+  void spawn_viewer(net::IspCategory category, sim::Time session);
+  void on_departure();
   void schedule_audience();
   void schedule_probes();
-  sim::Time sample_session(std::size_t channel_idx, sim::Rng& rng);
+  sim::Time sample_session(sim::Rng& rng);
   void collect_sample();
   void aggregate_counters(ExperimentResult& result);
   void export_metrics(const ExperimentResult& result);
 
-  const MultiChannelConfig& config_;
+  const ExperimentConfig& config_;
   sim::Rng master_rng_;
   net::IspRegistry registry_;
   net::AsnDatabase asn_db_;
@@ -148,17 +147,15 @@ class Runner : public faults::FaultHost {
   std::unique_ptr<proto::BootstrapServer> bootstrap_;
   std::vector<std::unique_ptr<proto::TrackerServer>> trackers_;
   std::unordered_set<net::IpAddress> tracker_ips_;
-  std::vector<std::unique_ptr<proto::StreamSource>> sources_;
+  std::unique_ptr<proto::StreamSource> source_;
 
   std::vector<std::unique_ptr<proto::Peer>> peers_;
-  // sessions_[i] belongs to the audience peer in session_peers_[i], watching
-  // channel session_channels_[i]; probes are excluded.
+  // sessions_[i] belongs to the audience peer in session_peers_[i]; probes
+  // are excluded.
   std::vector<SessionRecord> sessions_;
   std::vector<proto::Peer*> session_peers_;
-  std::vector<std::size_t> session_channels_;
   struct Probe {
     std::string label;
-    proto::ChannelId channel = 0;
     proto::Peer* peer = nullptr;
     std::shared_ptr<capture::PacketTrace> trace;
   };
@@ -189,8 +186,7 @@ void Runner::build_infrastructure() {
                     infra_rng));
 
   // Five tracker groups at different locations in China (paper Section 2);
-  // none abroad. One server per group at simulation scale; all channels
-  // share them, as in the real deployment.
+  // none abroad. One server per group at simulation scale.
   const net::IspCategory tracker_sites[5] = {
       net::IspCategory::kTele, net::IspCategory::kTele,
       net::IspCategory::kCnc, net::IspCategory::kCnc,
@@ -207,31 +203,29 @@ void Runner::build_infrastructure() {
     tracker_groups.push_back({tracker->ip()});
     trackers_.push_back(std::move(tracker));
   }
+  // The source registers with the trackers in this set's hash order, which
+  // every pinned output depends on.
   std::vector<net::IpAddress> tracker_list(tracker_ips_.begin(),
                                            tracker_ips_.end());
 
-  // One stream source per channel, each in a TELE datacenter with bounded
-  // upload so swarms stay peer-served.
-  for (std::size_t c = 0; c < config_.channels.size(); ++c) {
-    auto source_identity = make_identity(net::IspCategory::kTele,
-                                         net::AccessClass::kDatacenter,
-                                         infra_rng);
-    source_identity.profile.up_bps = 8e6;  // seeds ~20 streams
-    // A source draws nothing, but this draw keeps every later
-    // infrastructure draw (and so every pinned output) where it is.
-    infra_rng.next_u64();
-    auto source = std::make_unique<proto::StreamSource>(
-        simulator_, network_, source_identity,
-        config_.channels[c].scenario.channel, tracker_list);
+  // The stream source, in a TELE datacenter with bounded upload so the
+  // swarm stays peer-served.
+  auto source_identity = make_identity(
+      net::IspCategory::kTele, net::AccessClass::kDatacenter, infra_rng);
+  source_identity.profile.up_bps = 8e6;  // seeds ~20 streams
+  // A source draws nothing, but this draw keeps every later
+  // infrastructure draw (and so every pinned output) where it is.
+  infra_rng.next_u64();
+  source_ = std::make_unique<proto::StreamSource>(
+      simulator_, network_, source_identity, config_.scenario.channel,
+      tracker_list);
 
-    proto::BootstrapServer::ChannelEntry entry;
-    entry.channel = config_.channels[c].scenario.channel.id;
-    entry.tracker_groups = tracker_groups;
-    entry.source = source->ip();
-    bootstrap_->register_channel(std::move(entry));
-    source->start();
-    sources_.push_back(std::move(source));
-  }
+  proto::BootstrapServer::ChannelEntry entry;
+  entry.channel = config_.scenario.channel.id;
+  entry.tracker_groups = tracker_groups;
+  entry.source = source_->ip();
+  bootstrap_->register_channel(std::move(entry));
+  source_->start();
 
   // Pre-resolve the 5x5 bytes_uploaded{src_isp,dst_isp} counters so the
   // global tap never does a registry lookup on the hot path, and so the
@@ -377,10 +371,9 @@ void Runner::export_metrics(const ExperimentResult& result) {
   }
 }
 
-sim::Time Runner::sample_session(std::size_t channel_idx, sim::Rng& rng) {
+sim::Time Runner::sample_session(sim::Rng& rng) {
   // Heavy-tailed session lengths: Weibull with shape < 1.
-  const double mean_s =
-      config_.channels[channel_idx].scenario.mean_session.as_seconds();
+  const double mean_s = config_.scenario.mean_session.as_seconds();
   // For Weibull(lambda, k): mean = lambda * Gamma(1 + 1/k).
   // With k = 0.6, Gamma(1 + 1/0.6) = Gamma(2.667) ~= 1.503.
   const double lambda = mean_s / 1.503;
@@ -388,43 +381,29 @@ sim::Time Runner::sample_session(std::size_t channel_idx, sim::Rng& rng) {
   return sim::Time::from_seconds(std::clamp(s, 10.0, 4 * 3600.0));
 }
 
-void Runner::on_departure(std::size_t channel_idx) {
+void Runner::on_departure() {
   ++departures_;
+  const workload::ScenarioSpec& scenario = config_.scenario;
   // A broadcast-event audience drains; nobody replaces a viewer who left.
-  if (config_.channels[channel_idx].scenario.curve ==
-      workload::AudienceCurve::kBroadcastEvent)
-    return;
+  if (scenario.curve == workload::AudienceCurve::kBroadcastEvent) return;
   sim::Rng churn_rng = master_rng_.fork(0x636875726E + departures_);
-  const sim::Time gap = sim::Time::from_seconds(churn_rng.exponential(
-      config_.channels[channel_idx].scenario.mean_rejoin_gap.as_seconds()));
-
-  // Channel surfing: the viewer may resurface on another channel. The surf
-  // draw only happens in multi-channel worlds, so single-channel runs
-  // consume exactly the same random stream as before this feature existed.
-  std::size_t next_channel = channel_idx;
-  if (config_.channels.size() > 1 && config_.surf_probability > 0 &&
-      churn_rng.chance(config_.surf_probability)) {
-    const std::size_t other = static_cast<std::size_t>(
-        churn_rng.next_below(config_.channels.size() - 1));
-    next_channel = other >= channel_idx ? other + 1 : other;
-  }
-  const net::IspCategory cat =
-      config_.channels[next_channel].scenario.mix.sample(churn_rng);
-  simulator_.schedule(gap, [this, next_channel, cat] {
+  const sim::Time gap = sim::Time::from_seconds(
+      churn_rng.exponential(scenario.mean_rejoin_gap.as_seconds()));
+  const net::IspCategory cat = scenario.mix.sample(churn_rng);
+  simulator_.schedule(gap, [this, cat] {
     sim::Rng r = master_rng_.fork(0x73657373 + peers_.size());
-    spawn_viewer(next_channel, cat, sample_session(next_channel, r));
+    spawn_viewer(cat, sample_session(r));
   });
 }
 
-void Runner::spawn_viewer(std::size_t channel_idx, net::IspCategory category,
-                          sim::Time session) {
+void Runner::spawn_viewer(net::IspCategory category, sim::Time session) {
   sim::Rng rng = master_rng_.fork(0x7065657200 + peers_.size());
   const net::AccessClass access = workload::access_class_for(category, rng);
   auto identity = make_identity(category, access, rng);
   auto policy = baseline::make_policy(config_.strategy, &asn_db_, category);
   proto::PeerConfig peer_config = config_.peer_config;
   peer_config.behind_nat = rng.chance(workload::nat_probability(access));
-  const auto& scenario = config_.channels[channel_idx].scenario;
+  const auto& scenario = config_.scenario;
   auto peer = std::make_unique<proto::Peer>(
       simulator_, network_, identity, scenario.channel, bootstrap_->ip(),
       rng.fork(1), peer_config, std::move(policy));
@@ -438,76 +417,66 @@ void Runner::spawn_viewer(std::size_t channel_idx, net::IspCategory category,
   const std::size_t session_idx = sessions_.size();
   sessions_.push_back(record);
   session_peers_.push_back(raw);
-  session_channels_.push_back(channel_idx);
   raw->join();
 
-  // Departure + stationary replacement (possibly on another channel).
-  simulator_.schedule(session, [this, raw, session_idx, channel_idx] {
+  // Departure + stationary replacement.
+  simulator_.schedule(session, [this, raw, session_idx] {
     if (!raw->alive()) return;
     raw->leave();
     sessions_[session_idx].left = simulator_.now();
     sessions_[session_idx].completed = true;
-    on_departure(channel_idx);
+    on_departure();
   });
 }
 
 void Runner::schedule_audience() {
-  for (std::size_t c = 0; c < config_.channels.size(); ++c) {
-    sim::Rng rng = master_rng_.fork(
-        c == 0 ? 0x617564 : sim::hash_combine(0x617564, c));
-    const auto& sc = config_.channels[c].scenario;
-    const double total_s = config_.duration.as_seconds();
-    for (int i = 0; i < sc.viewers; ++i) {
-      const net::IspCategory cat = sc.mix.sample(rng);
-      sim::Time when;
-      sim::Rng srng = rng.fork(static_cast<std::uint64_t>(i));
-      sim::Time session;
-      if (sc.curve == workload::AudienceCurve::kBroadcastEvent) {
-        // Flood in around the program start, trickle through the first
-        // half; most viewers stay until near the end.
-        const double arrive =
-            rng.chance(0.7) ? rng.uniform(0.0, 0.15 * total_s)
-                            : rng.uniform(0.15 * total_s, 0.6 * total_s);
-        when = sim::Time::from_seconds(arrive);
-        if (srng.chance(0.75)) {
-          // Watches to (roughly) the end of the broadcast.
-          session = sim::Time::from_seconds(
-              std::max(30.0, (total_s - arrive) * srng.uniform(0.85, 1.1)));
-        } else {
-          session = sample_session(c, srng);  // zapper
-        }
+  sim::Rng rng = master_rng_.fork(0x617564);
+  const auto& sc = config_.scenario;
+  const double total_s = sc.duration.as_seconds();
+  for (int i = 0; i < sc.viewers; ++i) {
+    const net::IspCategory cat = sc.mix.sample(rng);
+    sim::Time when;
+    sim::Rng srng = rng.fork(static_cast<std::uint64_t>(i));
+    sim::Time session;
+    if (sc.curve == workload::AudienceCurve::kBroadcastEvent) {
+      // Flood in around the program start, trickle through the first
+      // half; most viewers stay until near the end.
+      const double arrive =
+          rng.chance(0.7) ? rng.uniform(0.0, 0.15 * total_s)
+                          : rng.uniform(0.15 * total_s, 0.6 * total_s);
+      when = sim::Time::from_seconds(arrive);
+      if (srng.chance(0.75)) {
+        // Watches to (roughly) the end of the broadcast.
+        session = sim::Time::from_seconds(
+            std::max(30.0, (total_s - arrive) * srng.uniform(0.85, 1.1)));
       } else {
-        when = sim::Time::from_seconds(
-            rng.uniform(0.0, sc.arrival_ramp.as_seconds()));
-        session = sample_session(c, srng);
+        session = sample_session(srng);  // zapper
       }
-      simulator_.schedule(when, [this, c, cat, session] {
-        spawn_viewer(c, cat, session);
-      });
+    } else {
+      when = sim::Time::from_seconds(
+          rng.uniform(0.0, sc.arrival_ramp.as_seconds()));
+      session = sample_session(srng);
     }
+    simulator_.schedule(when,
+                        [this, cat, session] { spawn_viewer(cat, session); });
   }
 }
 
 void Runner::schedule_probes() {
   sim::Rng rng = master_rng_.fork(0x70726F6265);
-  for (std::size_t c = 0; c < config_.channels.size(); ++c) {
-    for (const auto& spec : config_.channels[c].probes) {
-      sim::Rng prng = rng.fork(probes_.size());
-      auto identity = make_identity(spec.isp, spec.access, prng);
-      auto policy =
-          baseline::make_policy(config_.strategy, &asn_db_, spec.isp);
-      auto peer = std::make_unique<proto::Peer>(
-          simulator_, network_, identity,
-          config_.channels[c].scenario.channel, bootstrap_->ip(),
-          prng.fork(1), config_.peer_config, std::move(policy));
-      proto::Peer* raw = peer.get();
-      auto trace = capture::attach_sniffer(network_, identity.ip);
-      peers_.push_back(std::move(peer));
-      probes_.push_back(Probe{spec.label,
-                              config_.channels[c].scenario.channel.id, raw,
-                              std::move(trace)});
-      simulator_.schedule(config_.probe_join_at, [raw] { raw->join(); });
-    }
+  for (const auto& spec : config_.probes) {
+    sim::Rng prng = rng.fork(probes_.size());
+    auto identity = make_identity(spec.isp, spec.access, prng);
+    auto policy = baseline::make_policy(config_.strategy, &asn_db_, spec.isp);
+    auto peer = std::make_unique<proto::Peer>(
+        simulator_, network_, identity, config_.scenario.channel,
+        bootstrap_->ip(), prng.fork(1), config_.peer_config,
+        std::move(policy));
+    proto::Peer* raw = peer.get();
+    auto trace = capture::attach_sniffer(network_, identity.ip);
+    peers_.push_back(std::move(peer));
+    probes_.push_back(Probe{spec.label, raw, std::move(trace)});
+    simulator_.schedule(config_.probe_join_at, [raw] { raw->join(); });
   }
 }
 
@@ -572,7 +541,7 @@ ExperimentResult Runner::run() {
     fault_options.seed =
         config_.faults.fault_seed != 0
             ? config_.faults.fault_seed
-            : sim::hash_combine(config_.seed, 0x6661756C7473ULL);
+            : sim::hash_combine(config_.scenario.seed, 0x6661756C7473ULL);
     fault_options.metrics = ob.metrics;
     fault_driver_ = std::make_unique<faults::FaultDriver>(
         simulator_, impairments_, *this, config_.faults.plan, fault_options);
@@ -616,6 +585,8 @@ ExperimentResult Runner::run() {
         [this, meter] {
           obs::ProgressMeter::State state;
           state.now = simulator_.now();
+          if (const obs::RunProfiler* prof = config_.observability.profiler)
+            state.wall_seconds = prof->wall_seconds_elapsed();
           state.events_executed = simulator_.events_executed();
           for (const auto& peer : peers_)
             if (peer->alive()) ++state.peers_alive;
@@ -627,7 +598,7 @@ ExperimentResult Runner::run() {
         "obs.progress");
   }
 
-  simulator_.run_until(config_.duration);
+  simulator_.run_until(config_.scenario.duration);
 
   for (sim::SimObserver* observer : observers)
     if (observer != nullptr) simulator_.remove_observer(observer);
@@ -641,7 +612,6 @@ ExperimentResult Runner::run() {
     ProbeResult pr;
     pr.label = probe.label;
     pr.ip = probe.peer->ip();
-    pr.channel = probe.channel;
     pr.category = probe.peer->identity().category;
     pr.counters = probe.peer->counters();
     pr.analysis = capture::analyze_trace(*probe.trace, asn_db_,
@@ -705,25 +675,7 @@ ExperimentResult Runner::run() {
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  MultiChannelConfig multi;
-  multi.channels.push_back(ChannelPlan{config.scenario, config.probes});
-  multi.strategy = config.strategy;
-  multi.peer_config = config.peer_config;
-  multi.locality_aware_trackers = config.locality_aware_trackers;
-  multi.keep_traces = config.keep_traces;
-  multi.probe_join_at = config.probe_join_at;
-  multi.duration = config.scenario.duration;
-  multi.seed = config.scenario.seed;
-  multi.interconnects = config.interconnects;
-  multi.observability = config.observability;
-  multi.faults = config.faults;
-  Runner runner(multi);
-  return runner.run();
-}
-
-ExperimentResult run_multi_channel(const MultiChannelConfig& config) {
-  Runner runner(config);
-  return runner.run();
+  return Runner(config).run();
 }
 
 }  // namespace ppsim::core

@@ -85,7 +85,8 @@ struct ObservabilityConfig {
   /// Host-resource / scheduler telemetry, sampled on the sampling tick.
   /// Wall-clock inputs are read from `profiler` when one is attached.
   obs::ResourceProbe* resource = nullptr;
-  /// Live stderr heartbeat, emitted every progress_period of sim time.
+  /// Live stderr heartbeat, emitted every progress_period of sim time. Its
+  /// wall, rate and ETA columns need `profiler`.
   obs::ProgressMeter* progress = nullptr;
   sim::Time progress_period = sim::Time::seconds(30);
 };
@@ -115,38 +116,6 @@ ProbeSpec tele_probe();
 ProbeSpec cnc_probe();
 ProbeSpec cer_probe();
 ProbeSpec mason_probe();  // US campus host ("Mason" in the paper)
-
-/// One channel of a multi-channel deployment: its audience scenario and
-/// the probes watching it.
-struct ChannelPlan {
-  workload::ScenarioSpec scenario;
-  std::vector<ProbeSpec> probes;
-};
-
-/// Configuration of a multi-channel world: shared bootstrap/trackers, one
-/// stream source per channel, independent audiences, optional
-/// channel-surfing on departure. PPLive served 150+ channels from shared
-/// infrastructure; this is the same shape at simulation scale.
-struct MultiChannelConfig {
-  std::vector<ChannelPlan> channels;
-  baseline::Strategy strategy = baseline::Strategy::kPplive;
-  proto::PeerConfig peer_config;
-  bool locality_aware_trackers = false;
-  bool keep_traces = false;
-  sim::Time probe_join_at = sim::Time::seconds(100);
-  /// Total simulated time (channels' scenario durations are ignored).
-  sim::Time duration = sim::Time::minutes(10);
-  std::uint64_t seed = 1;
-  /// Probability that a departing viewer immediately re-joins a *different*
-  /// channel (channel surfing) instead of being replaced on its own.
-  double surf_probability = 0.0;
-  /// Optional shared inter-ISP bottlenecks (see ExperimentConfig).
-  std::optional<net::InterconnectConfig> interconnects;
-  /// Opt-in metrics/trace/sampling/profiling sinks; off by default.
-  ObservabilityConfig observability;
-  /// Scheduled impairments; empty (no faults) by default.
-  FaultPlanConfig faults;
-};
 
 struct ExperimentConfig {
   workload::ScenarioSpec scenario;
@@ -191,7 +160,6 @@ struct TrafficMatrix {
 struct ProbeResult {
   std::string label;
   net::IpAddress ip;
-  proto::ChannelId channel = 0;  // which channel this probe watched
   net::IspCategory category = net::IspCategory::kTele;
   capture::TraceAnalysis analysis;
   proto::PeerCounters counters;
@@ -263,11 +231,5 @@ struct ExperimentResult {
 /// for scenario.duration; returns per-probe trace analyses plus swarm
 /// ground truth. Deterministic in scenario.seed.
 ExperimentResult run_experiment(const ExperimentConfig& config);
-
-/// Multi-channel variant: shared bootstrap/trackers, one source and one
-/// audience per channel, optional channel surfing. A single-channel
-/// MultiChannelConfig is bit-identical to run_experiment with the same
-/// seed. Deterministic in config.seed.
-ExperimentResult run_multi_channel(const MultiChannelConfig& config);
 
 }  // namespace ppsim::core

@@ -1,6 +1,5 @@
 #include "core/session_export.h"
 
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -23,14 +22,6 @@ std::size_t write_sessions_csv(std::ostream& os,
        << s.bytes_uploaded << ',' << s.continuity << '\n';
   }
   return sessions.size();
-}
-
-bool write_sessions_csv_file(const std::string& path,
-                             const std::vector<SessionRecord>& sessions) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_sessions_csv(out, sessions);
-  return static_cast<bool>(out);
 }
 
 std::vector<SessionRecord> read_sessions_csv(std::istream& is,

@@ -18,9 +18,6 @@ namespace ppsim::core {
 std::size_t write_sessions_csv(std::ostream& os,
                                const std::vector<SessionRecord>& sessions);
 
-bool write_sessions_csv_file(const std::string& path,
-                             const std::vector<SessionRecord>& sessions);
-
 /// Parses rows written by write_sessions_csv (header tolerated/skipped).
 std::vector<SessionRecord> read_sessions_csv(std::istream& is,
                                              std::size_t* dropped = nullptr);

@@ -16,13 +16,15 @@ void RunProfiler::on_event_begin(sim::Time /*now*/, std::uint64_t /*seq*/,
                                  const char* /*category*/,
                                  std::size_t queue_depth) {
   max_queue_depth_ = std::max(max_queue_depth_, queue_depth);
-  if (timed_) event_begin_ = Clock::now();
+  if (!timed_) return;
+  event_begin_ = Clock::now();
+  if (events_total_ == 0) first_begin_ = event_begin_;
 }
 
 void RunProfiler::on_event_end(sim::Time /*now*/, const char* category) {
+  if (timed_) last_end_ = Clock::now();
   const double elapsed =
-      timed_ ? std::chrono::duration<double>(Clock::now() - event_begin_)
-                   .count()
+      timed_ ? std::chrono::duration<double>(last_end_ - event_begin_).count()
              : 0.0;
   auto it = stats_.find(std::string_view(category));
   if (it == stats_.end()) it = stats_.emplace(category, CategoryStats{}).first;

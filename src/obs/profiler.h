@@ -50,7 +50,17 @@ class RunProfiler final : public sim::SimObserver {
     return stats_;
   }
   std::uint64_t events_total() const { return events_total_; }
+  /// Sum of the events' dispatch times.
   double wall_seconds_total() const { return wall_seconds_total_; }
+  /// Wall time from the first event's start to the latest event's end:
+  /// the dispatch time plus the scheduler loop around it. 0 before the
+  /// first event ends, and always 0 when untimed.
+  double wall_seconds_elapsed() const {
+    return events_total_ == 0
+               ? 0.0
+               : std::chrono::duration<double>(last_end_ - first_begin_)
+                     .count();
+  }
   double events_per_second() const {
     return wall_seconds_total_ <= 0
                ? 0.0
@@ -72,6 +82,8 @@ class RunProfiler final : public sim::SimObserver {
   bool timed_;
   std::map<std::string, CategoryStats, std::less<>> stats_;
   Clock::time_point event_begin_{};
+  Clock::time_point first_begin_{};
+  Clock::time_point last_end_{};
   std::uint64_t events_total_ = 0;
   double wall_seconds_total_ = 0;
   std::size_t max_queue_depth_ = 0;

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <ostream>
 
-#include "obs/profiler.h"
-
 namespace ppsim::obs {
 
 namespace {
@@ -47,9 +45,8 @@ std::string ProgressMeter::format_line(const State& state) const {
     line += buf;
   }
 
-  const RunProfiler* prof = options_.profiler;
-  const double wall = prof == nullptr ? 0.0 : prof->wall_seconds_total();
-  if (prof != nullptr) {
+  const double wall = state.wall_seconds;
+  if (wall > 0) {
     std::snprintf(buf, sizeof(buf), " wall=%.1fs", wall);
     line += buf;
   } else {
@@ -58,7 +55,7 @@ std::string ProgressMeter::format_line(const State& state) const {
 
   std::snprintf(buf, sizeof(buf), " events=%" PRIu64, state.events_executed);
   line += buf;
-  if (prof != nullptr && wall > 0) {
+  if (wall > 0) {
     line += " (" +
             human_rate(static_cast<double>(state.events_executed) / wall) +
             "/s)";
@@ -72,10 +69,12 @@ std::string ProgressMeter::format_line(const State& state) const {
   line += " rss=" + (state.rss_bytes > 0 ? human_bytes(state.rss_bytes)
                                          : std::string("-"));
 
-  // ETA: wall seconds per sim second so far, extrapolated over what's left.
-  if (prof != nullptr && wall > 0 && options_.total > state.now &&
-      state.now > sim::Time::zero()) {
-    const double per_sim = wall / state.now.as_seconds();
+  // ETA: wall seconds per sim second since the last heartbeat (the run so
+  // far on the first), extrapolated over the sim time left.
+  if (wall > last_wall_ && options_.total > state.now &&
+      state.now > last_now_) {
+    const double per_sim =
+        (wall - last_wall_) / (state.now - last_now_).as_seconds();
     std::snprintf(buf, sizeof(buf), " eta=%.1fs",
                   per_sim * (options_.total - state.now).as_seconds());
     line += buf;
@@ -90,6 +89,8 @@ void ProgressMeter::tick(const State& state) {
   *options_.out << format_line(state) << '\n';
   options_.out->flush();
   ++lines_;
+  last_now_ = state.now;
+  last_wall_ = state.wall_seconds;
 }
 
 }  // namespace ppsim::obs

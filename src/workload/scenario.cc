@@ -38,25 +38,6 @@ ScenarioSpec unpopular_channel() {
   return s;
 }
 
-ScenarioSpec broadcast_event() {
-  ScenarioSpec s = popular_channel();
-  s.name = "broadcast-event";
-  s.channel.id = 3;
-  s.channel.name = "broadcast-event-live";
-  s.curve = AudienceCurve::kBroadcastEvent;
-  return s;
-}
-
-ScenarioSpec overnight_channel() {
-  ScenarioSpec s = unpopular_channel();
-  s.name = "overnight";
-  s.channel.id = 4;
-  s.channel.name = "overnight-live";
-  s.viewers = 36;
-  s.mean_session = sim::Time::minutes(7);
-  return s;
-}
-
 net::AccessClass access_class_for(net::IspCategory c, sim::Rng& rng) {
   switch (c) {
     case net::IspCategory::kCer:

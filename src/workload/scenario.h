@@ -79,15 +79,6 @@ ScenarioSpec popular_channel();
 /// (the paper's explanation for the Mason probe's poor locality, Fig 5).
 ScenarioSpec unpopular_channel();
 
-/// A prime-time broadcast event: a popular-channel audience that floods in
-/// at the program start and drains at its end (AudienceCurve::
-/// kBroadcastEvent) — the workload behind Figure 7(a)'s along-time arc.
-ScenarioSpec broadcast_event();
-
-/// An overnight/long-tail audience: tiny, churn-heavy, CNC-leaning. Useful
-/// as a stress case for same-ISP supply scarcity.
-ScenarioSpec overnight_channel();
-
 /// Maps a viewer's ISP to a plausible access technology (ADSL for Chinese
 /// residential ISPs, campus Ethernet for CERNET, cable/campus abroad).
 net::AccessClass access_class_for(net::IspCategory c, sim::Rng& rng);

@@ -7,33 +7,6 @@
 namespace ppsim::analysis {
 namespace {
 
-TEST(CdfTest, EmpiricalCdfMonotone) {
-  std::vector<double> xs = {5, 1, 3, 2, 4};
-  auto cdf = empirical_cdf(xs);
-  ASSERT_EQ(cdf.size(), 5u);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GT(cdf[i].value, cdf[i - 1].value);
-    EXPECT_GT(cdf[i].fraction, cdf[i - 1].fraction);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().fraction, 1.0);
-  EXPECT_DOUBLE_EQ(cdf.front().fraction, 0.2);
-}
-
-TEST(CdfTest, TiesCollapse) {
-  std::vector<double> xs = {1, 1, 1, 2};
-  auto cdf = empirical_cdf(xs);
-  ASSERT_EQ(cdf.size(), 2u);
-  EXPECT_DOUBLE_EQ(cdf[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(cdf[0].fraction, 0.75);
-  EXPECT_DOUBLE_EQ(cdf[1].fraction, 1.0);
-}
-
-TEST(CdfTest, EmptyInput) {
-  EXPECT_TRUE(empirical_cdf({}).empty());
-  EXPECT_TRUE(cumulative_share({}).empty());
-  EXPECT_DOUBLE_EQ(top_share({}, 0.1), 0.0);
-}
-
 TEST(CumulativeShareTest, SortsDescendingAndNormalizes) {
   std::vector<double> xs = {1, 7, 2};
   auto curve = cumulative_share(xs);
@@ -47,6 +20,8 @@ TEST(CumulativeShareTest, AllZeroContributions) {
   std::vector<double> xs = {0, 0, 0};
   auto curve = cumulative_share(xs);
   for (double v : curve) EXPECT_DOUBLE_EQ(v, 0.0);
+  EXPECT_TRUE(cumulative_share({}).empty());
+  EXPECT_DOUBLE_EQ(top_share({}, 0.1), 0.0);
 }
 
 TEST(TopShareTest, TopTenPercent) {

@@ -88,17 +88,6 @@ TEST(StretchedExpFitTest, PerfectDataPerfectFit) {
   EXPECT_GT(fit.r2, 0.999);
 }
 
-TEST(StretchedExpFitTest, PredictInvertsModel) {
-  StretchedExpFit fit;
-  fit.c = 0.4;
-  fit.a = 10.0;
-  fit.b = 58.0;
-  // At rank 1: y = b^(1/c).
-  EXPECT_NEAR(fit.predict(1), std::pow(58.0, 2.5), 1e-6);
-  // Beyond the support (b - a log i < 0) the model clamps to 0.
-  EXPECT_DOUBLE_EQ(fit.predict(1e9), 0.0);
-}
-
 TEST(StretchedExpFitTest, SeDataBeatsZipfModel) {
   // The paper's core fitting claim: request counts look SE, not Zipf. On
   // synthetic SE data, the SE fit's R2 must beat the log-log line's R2.

@@ -2,84 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
-#include "analysis/stats.h"
 #include "sim/rng.h"
 
 namespace ppsim::analysis {
 namespace {
-
-TEST(WeibullTest, CdfBasics) {
-  Weibull w{2.0, 1.0};  // exponential with mean 2
-  EXPECT_DOUBLE_EQ(w.cdf(0), 0.0);
-  EXPECT_DOUBLE_EQ(w.cdf(-1), 0.0);
-  EXPECT_NEAR(w.cdf(2.0), 1.0 - std::exp(-1.0), 1e-12);
-  EXPECT_NEAR(w.ccdf(2.0), std::exp(-1.0), 1e-12);
-}
-
-TEST(WeibullTest, QuantileInvertsCdf) {
-  Weibull w{3.5, 0.6};
-  for (double p : {0.01, 0.25, 0.5, 0.9, 0.99}) {
-    EXPECT_NEAR(w.cdf(w.quantile(p)), p, 1e-10);
-  }
-}
-
-TEST(WeibullTest, QuantileMonotone) {
-  Weibull w{1.0, 2.0};
-  double last = 0;
-  for (double p = 0.05; p < 1.0; p += 0.05) {
-    const double q = w.quantile(p);
-    EXPECT_GT(q, last);
-    last = q;
-  }
-}
-
-class WeibullFitRecovery
-    : public ::testing::TestWithParam<std::pair<double, double>> {};
-
-TEST_P(WeibullFitRecovery, RecoversParameters) {
-  const auto [lambda, k] = GetParam();
-  sim::Rng rng(31);
-  std::vector<double> samples;
-  samples.reserve(20000);
-  for (int i = 0; i < 20000; ++i) samples.push_back(rng.weibull(lambda, k));
-  auto fit = fit_weibull(samples);
-  EXPECT_NEAR(fit.dist.k, k, k * 0.05);
-  EXPECT_NEAR(fit.dist.lambda, lambda, lambda * 0.05);
-  EXPECT_GT(fit.r2, 0.98);
-  // And the fitted distribution passes a KS check against the data.
-  EXPECT_LT(ks_statistic(samples, fit.dist), 0.02);
-}
-
-INSTANTIATE_TEST_SUITE_P(Params, WeibullFitRecovery,
-                         ::testing::Values(std::make_pair(1.0, 0.6),
-                                           std::make_pair(5.0, 1.0),
-                                           std::make_pair(2.0, 2.0),
-                                           std::make_pair(10.0, 0.35)));
-
-TEST(WeibullFitTest, DegenerateInputs) {
-  EXPECT_DOUBLE_EQ(fit_weibull({}).r2, 0.0);
-  std::vector<double> two = {1.0, 2.0};
-  EXPECT_DOUBLE_EQ(fit_weibull(two).r2, 0.0);
-  std::vector<double> negatives = {-1.0, -2.0, -3.0, -4.0};
-  EXPECT_DOUBLE_EQ(fit_weibull(negatives).r2, 0.0);
-}
-
-TEST(KsTest, DetectsWrongDistribution) {
-  sim::Rng rng(7);
-  std::vector<double> samples;
-  for (int i = 0; i < 5000; ++i) samples.push_back(rng.weibull(1.0, 0.5));
-  Weibull right{1.0, 0.5};
-  Weibull wrong{1.0, 2.0};
-  EXPECT_LT(ks_statistic(samples, right), 0.03);
-  EXPECT_GT(ks_statistic(samples, wrong), 0.2);
-}
-
-TEST(KsTest, EmptySamples) {
-  EXPECT_DOUBLE_EQ(ks_statistic({}, Weibull{1, 1}), 0.0);
-}
 
 TEST(BootstrapTest, MeanIntervalCoversTruth) {
   sim::Rng rng(11);
@@ -101,16 +29,6 @@ TEST(BootstrapTest, EmptySamples) {
   EXPECT_DOUBLE_EQ(interval.estimate, 0.0);
   EXPECT_DOUBLE_EQ(interval.lo, 0.0);
   EXPECT_DOUBLE_EQ(interval.hi, 0.0);
-}
-
-TEST(BootstrapTest, CustomStatistic) {
-  sim::Rng rng(3);
-  std::vector<double> samples;
-  for (int i = 0; i < 400; ++i) samples.push_back(rng.uniform(0.0, 1.0));
-  auto interval = bootstrap_statistic(samples, rng, &median);
-  EXPECT_NEAR(interval.estimate, 0.5, 0.1);
-  EXPECT_LE(interval.lo, interval.estimate);
-  EXPECT_GE(interval.hi, interval.estimate);
 }
 
 TEST(BootstrapTest, DeterministicGivenRng) {

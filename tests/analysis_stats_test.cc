@@ -68,13 +68,5 @@ TEST(StatsTest, PearsonDegenerate) {
                    0.0);
 }
 
-TEST(StatsTest, LogTransformClampsNonPositive) {
-  auto out = log_transform(std::vector<double>{std::exp(1.0), 0.0, -5.0}, 1.0);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_NEAR(out[0], 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(out[1], 0.0);  // clamped to log(1)
-  EXPECT_DOUBLE_EQ(out[2], 0.0);
-}
-
 }  // namespace
 }  // namespace ppsim::analysis

@@ -1,6 +1,5 @@
 // Coverage for experiment-config paths not exercised elsewhere: the CER
-// probe site, ISP-aware trackers end-to-end, and interconnects combined
-// with the multi-channel runner.
+// probe site, ISP-aware trackers end-to-end, and shared interconnects.
 
 #include <gtest/gtest.h>
 
@@ -49,17 +48,17 @@ TEST(ConfigPathsTest, SmartTrackersImproveEarlyLists) {
   EXPECT_GT(tracker_cnc / tracker_total, 0.28);
 }
 
-TEST(ConfigPathsTest, MultiChannelWithInterconnects) {
-  MultiChannelConfig config;
-  auto popular = workload::popular_channel();
-  popular.viewers = 60;
-  config.channels.push_back(ChannelPlan{popular, {tele_probe()}});
-  config.duration = sim::Time::minutes(4);
-  config.seed = 21;
+TEST(ConfigPathsTest, InterconnectsRaiseLocality) {
+  ExperimentConfig config;
+  config.scenario = workload::popular_channel();
+  config.scenario.viewers = 60;
+  config.scenario.duration = sim::Time::minutes(4);
+  config.scenario.seed = 21;
+  config.probes = {tele_probe()};
   net::InterconnectConfig ic;
   ic.default_bps = 30e6;
   config.interconnects = ic;
-  auto result = run_multi_channel(config);
+  auto result = run_experiment(config);
   EXPECT_GT(result.probes[0].analysis.data_bytes.total(), 0u);
   // With a pipe this size at this scale, locality should be well above
   // the unthrottled swarm's ~0.5.

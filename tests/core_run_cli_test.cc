@@ -88,7 +88,7 @@ TEST(RunCliTest, UnwritableOutputFailsBeforeTheRun) {
   for (std::string CliOptions::*output :
        {&CliOptions::trace_out, &CliOptions::samples_out,
         &CliOptions::metrics_out, &CliOptions::spans_out,
-        &CliOptions::bench_json}) {
+        &CliOptions::bench_json, &CliOptions::dump_sessions}) {
     auto options = tiny_options();
     options.*output = bad;
     std::ostringstream out;

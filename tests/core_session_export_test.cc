@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 
 namespace ppsim::core {
@@ -75,15 +74,6 @@ TEST(SessionExportTest, MalformedRowsDropped) {
   auto rows = read_sessions_csv(buffer, &dropped);
   EXPECT_EQ(rows.size(), 1u);
   EXPECT_EQ(dropped, 2u);
-}
-
-TEST(SessionExportTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/ppsim_sessions.csv";
-  EXPECT_TRUE(write_sessions_csv_file(path, sample_sessions()));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  auto rows = read_sessions_csv(in);
-  EXPECT_EQ(rows.size(), 2u);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "analysis/goodness.h"
 #include "analysis/stats.h"
 
 #include <algorithm>
@@ -27,6 +26,8 @@ TEST(SessionLogTest, OneRecordPerViewer) {
   EXPECT_EQ(result.sessions.size(), result.swarm.peers_spawned -
                                         /*probe count*/ 1);
   EXPECT_GT(result.sessions.size(), 60u);
+  for (const auto& s : result.sessions)
+    EXPECT_EQ(s.channel, workload::popular_channel().channel.id);
 }
 
 TEST(SessionLogTest, CompletedSessionsHaveSaneDurations) {

@@ -73,6 +73,15 @@ TEST(AccessClassTest, CategoryMapping) {
   EXPECT_TRUE(saw_campus);
 }
 
+TEST(NatProbabilityTest, ResidentialHigherThanInfrastructure) {
+  EXPECT_GT(nat_probability(net::AccessClass::kAdsl), 0.5);
+  EXPECT_GT(nat_probability(net::AccessClass::kCable), 0.5);
+  EXPECT_LT(nat_probability(net::AccessClass::kCampus), 0.3);
+  EXPECT_LT(nat_probability(net::AccessClass::kFiber),
+            nat_probability(net::AccessClass::kAdsl));
+  EXPECT_DOUBLE_EQ(nat_probability(net::AccessClass::kDatacenter), 0.0);
+}
+
 TEST(CampaignTest, Deterministic) {
   CampaignConfig cfg;
   auto a = day_scenario(popular_channel(), cfg, 5);
