@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -63,7 +64,8 @@ std::string cli_usage() {
       "                                sources, data, response, contrib,\n"
       "                                rtt, swarm, all (default data)\n"
       "  --dump-trace PREFIX           write each probe's capture to\n"
-      "                                PREFIX-<label>.trace\n"
+      "                                PREFIX-<label>.trace (a repeated\n"
+      "                                label's Nth probe: <label>-N)\n"
       "  --dump-sessions FILE          write viewer sessions as CSV\n"
       "  --metrics-out FILE            write the metrics registry as NDJSON\n"
       "  --trace-out FILE              write the protocol event trace as\n"
@@ -359,11 +361,25 @@ int run_cli(const CliOptions& options, std::ostream& out) {
   // be written fails at once instead of after the whole simulation.
   std::ofstream trace_file, samples_file, metrics_file, spans_file,
       bench_file, sessions_file;
-  const std::pair<const std::string&, std::ofstream&> outputs[] = {
+  std::vector<std::pair<const std::string&, std::ofstream&>> outputs = {
       {options.trace_out, trace_file},     {options.samples_out, samples_file},
       {options.metrics_out, metrics_file}, {options.spans_out, spans_file},
       {options.bench_json, bench_file},
       {options.dump_sessions, sessions_file}};
+  // One capture file per probe; the second probe with a label gets
+  // PREFIX-<label>-2.trace, so no probe overwrites another's file.
+  std::vector<std::string> capture_paths;
+  std::map<std::string, int> label_uses;
+  for (const ProbeSpec& probe : built.config.probes) {
+    if (options.dump_trace.empty()) break;
+    const int n = ++label_uses[probe.label];
+    capture_paths.push_back(options.dump_trace + "-" + probe.label +
+                            (n == 1 ? "" : "-" + std::to_string(n)) +
+                            ".trace");
+  }
+  std::vector<std::ofstream> capture_files(capture_paths.size());
+  for (std::size_t i = 0; i < capture_paths.size(); ++i)
+    outputs.emplace_back(capture_paths[i], capture_files[i]);
   for (const auto& [path, file] : outputs) {
     if (path.empty()) continue;
     file.open(path);
@@ -430,7 +446,6 @@ int run_cli(const CliOptions& options, std::ostream& out) {
   obs::ResourceProbe resource_probe;
   std::optional<obs::ProgressMeter> progress_meter;
   if (options.progress) {
-    resource_probe.bind_metrics(ob.metrics);
     ob.resource = &resource_probe;
     obs::ProgressMeter::Options meter_options;
     meter_options.out = &std::cerr;
@@ -449,7 +464,8 @@ int run_cli(const CliOptions& options, std::ostream& out) {
                        });
   };
 
-  for (const auto& probe : result.probes) {
+  for (std::size_t i = 0; i < result.probes.size(); ++i) {
+    const ProbeResult& probe = result.probes[i];
     out << "== probe " << probe.label << " ("
               << net::to_string(probe.category) << ", "
               << probe.ip.to_string() << ") ==\n";
@@ -470,16 +486,14 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     if (wants("contrib")) print_contributions(out, probe.analysis);
     if (wants("rtt")) print_rtt_rank(out, probe.analysis);
 
-    if (!options.dump_trace.empty() && probe.trace) {
-      const std::string path =
-          options.dump_trace + "-" + probe.label + ".trace";
-      if (capture::write_trace_file(path, *probe.trace)) {
-        out << "trace written: " << path << " (" << probe.trace->size()
-                  << " records)\n";
-      } else {
-        std::cerr << "error: could not write " << path << "\n";
+    if (!capture_files.empty()) {
+      capture::write_trace(capture_files[i], *probe.trace);
+      if (!capture_files[i].flush()) {
+        std::cerr << "error: could not write " << capture_paths[i] << "\n";
         return 1;
       }
+      out << "trace written: " << capture_paths[i] << " ("
+          << probe.trace->size() << " records)\n";
     }
     out << "\n";
   }
@@ -502,16 +516,20 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     print_health_summary(out, result.health);
     out << "\n";
   }
+  std::vector<obs::CriticalPath> critical_paths;
   if (span_tracker.has_value()) {
-    print_referral_lineage(out, result.lineage, result.referral_share);
-    print_critical_paths(out, result.critical_paths);
+    critical_paths = span_tracker->critical_paths();
+    print_referral_lineage(out, span_tracker->lineage(),
+                           span_tracker->referral_share_series());
+    print_critical_paths(out, critical_paths);
     out << "\n";
   }
   if (recorder.has_value()) {
-    out << "post-mortems written: " << result.postmortem_dumps;
+    out << "post-mortems written: " << recorder->dumps_written();
     if (recorder->dump_failures() > 0)
       out << " (" << recorder->dump_failures() << " failed)";
-    if (result.postmortem_dumps > 0) out << " in " << options.postmortem_dir;
+    if (recorder->dumps_written() > 0)
+      out << " in " << options.postmortem_dir;
     out << "\n";
   }
   if (!options.dump_sessions.empty()) {
@@ -542,7 +560,7 @@ int run_cli(const CliOptions& options, std::ostream& out) {
     out << "spans written: " << options.spans_out << " ("
         << span_tracker->span_count() << " spans, "
         << span_tracker->referrals().size() << " referrals, "
-        << result.critical_paths.size() << " critical paths)\n";
+        << critical_paths.size() << " critical paths)\n";
   }
   if (options.profile) profiler.print(out);
   if (!options.bench_json.empty()) {

@@ -128,6 +128,7 @@ class Runner : public faults::FaultHost {
   void schedule_probes();
   sim::Time sample_session(sim::Rng& rng);
   void collect_sample();
+  void publish_metrics(obs::MetricsRegistry& m) const;
   void aggregate_counters(ExperimentResult& result);
   void export_metrics(const ExperimentResult& result);
 
@@ -170,9 +171,6 @@ class Runner : public faults::FaultHost {
 
   // Observability (all inert unless config_.observability enables them).
   obs::TrafficSampler sampler_;
-  std::array<std::array<obs::Counter*, net::kNumIspCategories>,
-             net::kNumIspCategories>
-      matrix_counters_{};
   std::unique_ptr<obs::HealthMonitor> health_;
 };
 
@@ -227,32 +225,13 @@ void Runner::build_infrastructure() {
   bootstrap_->register_channel(std::move(entry));
   source_->start();
 
-  // Pre-resolve the 5x5 bytes_uploaded{src_isp,dst_isp} counters so the
-  // global tap never does a registry lookup on the hot path, and so the
-  // metric values are *by construction* the same accumulation as the
-  // ground-truth TrafficMatrix.
-  if (obs::MetricsRegistry* metrics = config_.observability.metrics) {
-    for (const auto src : net::kAllIspCategories) {
-      for (const auto dst : net::kAllIspCategories) {
-        matrix_counters_[static_cast<std::size_t>(src)]
-                        [static_cast<std::size_t>(dst)] = &metrics->counter(
-            "bytes_uploaded",
-            {{"src_isp", std::string(net::to_string(src))},
-             {"dst_isp", std::string(net::to_string(dst))}});
-      }
-    }
-  }
-
   network_.set_global_tap([this](const net::Endpoint& from,
                                  const net::Endpoint& to,
                                  const proto::Message& m, std::uint64_t) {
-    if (const auto* dr = std::get_if<proto::DataReply>(&m)) {
-      const auto src = static_cast<std::size_t>(from.category);
-      const auto dst = static_cast<std::size_t>(to.category);
-      traffic_.bytes[src][dst] += dr->payload_bytes;
-      if (matrix_counters_[src][dst] != nullptr)
-        matrix_counters_[src][dst]->inc(dr->payload_bytes);
-    }
+    if (const auto* dr = std::get_if<proto::DataReply>(&m))
+      traffic_.bytes[static_cast<std::size_t>(from.category)]
+                    [static_cast<std::size_t>(to.category)] +=
+          dr->payload_bytes;
   });
 }
 
@@ -327,9 +306,30 @@ void Runner::collect_sample() {
     in.live_peers = alive;
     in.live_peer_bytes = live_bytes;
     if (const obs::RunProfiler* prof = config_.observability.profiler)
-      in.wall_seconds = prof->wall_seconds_total();
+      in.wall_seconds = prof->wall_seconds_elapsed();
     probe->sample(in);
   }
+}
+
+/// Converges `m` on the run's own accounts: the traffic matrix and the
+/// counts that the fault driver, the health monitor, the flight recorder
+/// and the resource probe keep. Runs where the registry is read: right
+/// before a post-mortem bundle snapshots it, and once at run end.
+void Runner::publish_metrics(obs::MetricsRegistry& m) const {
+  for (const auto src : net::kAllIspCategories) {
+    for (const auto dst : net::kAllIspCategories) {
+      m.counter("bytes_uploaded",
+                {{"src_isp", std::string(net::to_string(src))},
+                 {"dst_isp", std::string(net::to_string(dst))}})
+          .raise_to(traffic_.bytes[static_cast<std::size_t>(src)]
+                                  [static_cast<std::size_t>(dst)]);
+    }
+  }
+  if (fault_driver_ != nullptr) fault_driver_->export_metrics(m);
+  if (health_ != nullptr) health_->export_metrics(m);
+  const ObservabilityConfig& ob = config_.observability;
+  if (ob.recorder != nullptr) ob.recorder->export_metrics(m);
+  if (ob.resource != nullptr) ob.resource->export_metrics(m);
 }
 
 void Runner::aggregate_counters(ExperimentResult& result) {
@@ -537,14 +537,12 @@ ExperimentResult Runner::run() {
   // overlay is installed and the transport path is untouched.
   if (!config_.faults.plan.empty()) {
     network_.set_impairments(&impairments_);
-    faults::FaultDriver::Options fault_options;
-    fault_options.seed =
+    const std::uint64_t fault_seed =
         config_.faults.fault_seed != 0
             ? config_.faults.fault_seed
             : sim::hash_combine(config_.scenario.seed, 0x6661756C7473ULL);
-    fault_options.metrics = ob.metrics;
     fault_driver_ = std::make_unique<faults::FaultDriver>(
-        simulator_, impairments_, *this, config_.faults.plan, fault_options);
+        simulator_, impairments_, *this, config_.faults.plan, fault_seed);
     fault_driver_->arm();
   }
 
@@ -552,11 +550,8 @@ ExperimentResult Runner::run() {
     if (observer != nullptr) simulator_.add_observer(observer);
 
   if (wants_health) {
-    obs::HealthMonitor::Options health_options;
-    health_options.trace = simulator_.trace_sink();
-    health_options.metrics = ob.metrics;
     health_ = std::make_unique<obs::HealthMonitor>(*ob.health_rules,
-                                                   health_options);
+                                                   simulator_.trace_sink());
     if (obs::FlightRecorder* recorder = ob.recorder) {
       health_->set_critical_hook(
           [recorder](sim::Time t, const obs::HealthRule& rule, double) {
@@ -564,6 +559,10 @@ ExperimentResult Runner::run() {
           });
     }
   }
+  // A bundle's metrics section is a read: bring the registry up to date.
+  if (ob.recorder != nullptr)
+    ob.recorder->set_pre_dump_hook(
+        [this](obs::MetricsRegistry& m) { publish_metrics(m); });
   // Watchdogs, the flight recorder, the resource probe and the samples
   // stream all ride this tick.
   if (sample_period > sim::Time::zero()) {
@@ -600,8 +599,10 @@ ExperimentResult Runner::run() {
 
   simulator_.run_until(config_.scenario.duration);
 
+  if (ob.recorder != nullptr) ob.recorder->set_pre_dump_hook(nullptr);
   for (sim::SimObserver* observer : observers)
     if (observer != nullptr) simulator_.remove_observer(observer);
+  if (ob.metrics != nullptr) publish_metrics(*ob.metrics);
   if (dispatch_counts != nullptr) dispatch_counts->export_metrics(*ob.metrics);
 
   ExperimentResult result;
@@ -648,14 +649,6 @@ ExperimentResult Runner::run() {
   }
 
   if (health_ != nullptr) result.health = health_->summary();
-  if (ob.recorder != nullptr)
-    result.postmortem_dumps = ob.recorder->dumps_written();
-
-  if (const obs::SpanTracker* spans = ob.spans) {
-    result.lineage = spans->lineage();
-    result.referral_share = spans->referral_share_series();
-    result.critical_paths = spans->critical_paths();
-  }
 
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
     SessionRecord rec = sessions_[i];

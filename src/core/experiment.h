@@ -44,11 +44,14 @@ namespace ppsim::core {
 ///  * Dispatch counts: with `health_rules` and `metrics` both set, the
 ///    runner attaches its own untimed obs::RunProfiler and exports its
 ///    sim_events_dispatched{category} / sim_peak_queue_depth at run end.
+///  * Metrics are published when read: the runner copies the counts each
+///    component keeps into the recorder's registry right before a
+///    post-mortem bundle snapshots it, and into `metrics` once at run end.
 struct ObservabilityConfig {
-  /// Filled during and at the end of the run: per-ISP-pair
-  /// bytes_uploaded{src_isp,dst_isp} counters (live, from the network's
-  /// global tap), aggregated peer_* counters per ISP, swarm gauges and
-  /// session histograms (at result assembly).
+  /// Filled at run end: bytes_uploaded{src_isp,dst_isp} from the traffic
+  /// matrix, the fault, health, post-mortem and resource-probe series of
+  /// the components the run has, peer_* counters per ISP, swarm gauges
+  /// and session histograms.
   obs::MetricsRegistry* metrics = nullptr;
   /// Protocol event stream (tracker/gossip/connect/data events from every
   /// peer, tracker, and source). Sim-timestamps only: same seed, same
@@ -67,16 +70,17 @@ struct ObservabilityConfig {
   /// ExperimentResult::health.
   const obs::HealthRuleSet* health_rules = nullptr;
   /// Flight recorder for post-mortem bundles. The runner feeds it every
-  /// trace row and every sampling tick's TrafficSample, and wires the
-  /// health monitor's critical hook to FlightRecorder::trigger.
+  /// trace row and every sampling tick's TrafficSample, wires the health
+  /// monitor's critical hook to FlightRecorder::trigger, and sets its
+  /// pre-dump hook so each bundle holds the counts of its moment.
   obs::FlightRecorder* recorder = nullptr;
   /// Online span-tree consumer; attaching one turns on causal tracing
   /// (docs/OBSERVABILITY.md): every protocol entity allocates span ids for
   /// its outgoing discovery/data messages, trace events gain span/parent
   /// (and referral-provenance) fields, and the startup milestone events
   /// (join_reply, chunk_delivered, playback_start, bootstrap_serve) are
-  /// emitted. Its lineage / referral-share / critical-path summaries land
-  /// on ExperimentResult.
+  /// emitted. Read its lineage / referral-share / critical-path summaries
+  /// from the tracker after the run.
   obs::SpanTracker* spans = nullptr;
   /// Receives each sample as an NDJSON row (write_sample_ndjson) the
   /// moment it is recorded, so the stream ends byte-identical to
@@ -217,14 +221,6 @@ struct ExperimentResult {
   /// Watchdog digest; empty (worst=ok, no rules) unless
   /// observability.health_rules was set.
   obs::HealthSummary health;
-  /// Post-mortem bundles written by observability.recorder this run.
-  std::uint64_t postmortem_dumps = 0;
-  /// Causal-tracing summaries; all empty unless observability.spans was
-  /// set. critical_paths decompose each playback-reaching peer's startup
-  /// delay into stages that sum exactly to the measured delay.
-  obs::LineageSummary lineage;
-  std::vector<obs::ReferralShareBucket> referral_share;
-  std::vector<obs::CriticalPath> critical_paths;
 };
 
 /// Builds the topology, servers, audience, and probes; runs the simulation

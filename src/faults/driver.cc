@@ -9,13 +9,12 @@ namespace ppsim::faults {
 
 FaultDriver::FaultDriver(sim::Simulator& simulator,
                          net::ImpairmentOverlay& overlay, FaultHost& host,
-                         FaultPlan plan, Options options)
+                         FaultPlan plan, std::uint64_t seed)
     : simulator_(simulator),
       overlay_(overlay),
       host_(host),
       plan_(std::move(plan)),
-      options_(options),
-      rng_(options.seed),
+      rng_(seed),
       browned_out_(plan_.windows.size()) {}
 
 void FaultDriver::arm() {
@@ -67,6 +66,7 @@ void FaultDriver::apply(std::size_t index) {
       for (const auto& ip : victims) host_.crash_peer(ip);
       affected = victims.size();
       peers_crashed_ += affected;
+      burst_applied_ = true;
       break;
     }
     case FaultKind::kUplinkBrownout: {
@@ -78,10 +78,6 @@ void FaultDriver::apply(std::size_t index) {
     }
   }
   ++windows_applied_;
-  if (options_.metrics != nullptr)
-    options_.metrics->counter("fault_windows_applied").inc();
-  if (w.kind == FaultKind::kChurnBurst && options_.metrics != nullptr)
-    options_.metrics->counter("fault_peers_crashed").inc(affected);
   emit("fault_begin", index, affected);
 }
 
@@ -111,9 +107,16 @@ void FaultDriver::revert(std::size_t index) {
       break;
   }
   ++windows_reverted_;
-  if (options_.metrics != nullptr)
-    options_.metrics->counter("fault_windows_reverted").inc();
   emit("fault_end", index, affected);
+}
+
+void FaultDriver::export_metrics(obs::MetricsRegistry& registry) const {
+  if (windows_applied_ > 0)
+    registry.counter("fault_windows_applied").raise_to(windows_applied_);
+  if (windows_reverted_ > 0)
+    registry.counter("fault_windows_reverted").raise_to(windows_reverted_);
+  if (burst_applied_)
+    registry.counter("fault_peers_crashed").raise_to(peers_crashed_);
 }
 
 void FaultDriver::emit(const char* event, std::size_t index,

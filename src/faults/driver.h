@@ -36,32 +36,23 @@ class FaultHost {
   virtual void crash_peer(net::IpAddress ip) = 0;
 };
 
-/// Optional knobs and sinks for a FaultDriver (namespace-scope so it can be
-/// a brace-initialized default argument; GCC rejects that for nested types
-/// with member initializers).
-struct FaultDriverOptions {
-  /// Seeds the driver's private RNG (peer sampling for churn bursts and
-  /// brownouts). The caller derives it from the run seed when the user
-  /// didn't pin one, so same (seed, plan) => same victims.
-  std::uint64_t seed = 0;
-  obs::MetricsRegistry* metrics = nullptr;  // may be nullptr
-};
-
 /// Arms a FaultPlan on the simulator clock and applies/reverts each window
 /// through the impairment overlay and the FaultHost seams. All scheduling
 /// happens up front in arm(), so a driven run stays a pure function of
 /// (run seed, fault seed, plan).
 ///
 /// Every window boundary emits a "fault_begin"/"fault_end" event to the
-/// simulator's trace sink and bumps the fault metrics (when a registry is
-/// given), so recovery analysis can line the obs time-series up against
-/// the schedule.
+/// simulator's trace sink, so recovery analysis can line the obs
+/// time-series up against the schedule. The driver counts windows and
+/// crashed peers itself; export_metrics copies those counts into a
+/// registry when something reads it.
 class FaultDriver {
  public:
-  using Options = FaultDriverOptions;
-
+  /// `seed` seeds the driver's private RNG (peer sampling for churn bursts
+  /// and brownouts). The caller derives it from the run seed when the user
+  /// didn't pin one, so same (seed, plan) => same victims.
   FaultDriver(sim::Simulator& simulator, net::ImpairmentOverlay& overlay,
-              FaultHost& host, FaultPlan plan, Options options = {});
+              FaultHost& host, FaultPlan plan, std::uint64_t seed = 0);
 
   FaultDriver(const FaultDriver&) = delete;
   FaultDriver& operator=(const FaultDriver&) = delete;
@@ -71,10 +62,15 @@ class FaultDriver {
   /// next run step (schedule clamps to now).
   void arm();
 
-  const FaultPlan& plan() const { return plan_; }
   std::uint64_t windows_applied() const { return windows_applied_; }
   std::uint64_t windows_reverted() const { return windows_reverted_; }
   std::uint64_t peers_crashed() const { return peers_crashed_; }
+
+  /// Converges fault_windows_applied, fault_windows_reverted and
+  /// fault_peers_crashed on the driver's counts. A series appears once it
+  /// has something to count: the first applied window, the first revert,
+  /// the first churn burst (even one that crashed nobody).
+  void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:
   void apply(std::size_t index);
@@ -87,12 +83,12 @@ class FaultDriver {
   net::ImpairmentOverlay& overlay_;
   FaultHost& host_;
   FaultPlan plan_;
-  Options options_;
   sim::Rng rng_;
   bool armed_ = false;
   std::uint64_t windows_applied_ = 0;
   std::uint64_t windows_reverted_ = 0;
   std::uint64_t peers_crashed_ = 0;
+  bool burst_applied_ = false;
   /// Per-window brownout victims, remembered so revert clears exactly the
   /// uplinks this window impaired.
   std::vector<std::vector<net::IpAddress>> browned_out_;

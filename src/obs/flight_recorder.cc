@@ -106,7 +106,10 @@ void FlightRecorder::dump(sim::Time now, std::string_view reason) {
       os, std::vector<TrafficSample>(samples_.begin(), samples_.end()));
 
   std::size_t metric_count = 0;
-  if (options_.metrics != nullptr) metric_count = options_.metrics->size();
+  if (options_.metrics != nullptr) {
+    if (pre_dump_hook_) pre_dump_hook_(*options_.metrics);
+    metric_count = options_.metrics->size();
+  }
   os << "{\"section\":\"metrics\",\"count\":" << metric_count << "}\n";
   if (options_.metrics != nullptr) options_.metrics->write_ndjson(os);
 
@@ -116,8 +119,11 @@ void FlightRecorder::dump(sim::Time now, std::string_view reason) {
   }
   ++dumps_written_;
   dump_paths_.push_back(path);
-  if (options_.metrics != nullptr)
-    options_.metrics->counter("postmortem_dumps").inc();
+}
+
+void FlightRecorder::export_metrics(MetricsRegistry& registry) const {
+  if (dumps_written_ > 0)
+    registry.counter("postmortem_dumps").raise_to(dumps_written_);
 }
 
 }  // namespace ppsim::obs

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -20,9 +21,9 @@ namespace ppsim::obs {
 /// watchdog trip via HealthMonitor's hook, a `peer_crash`, or a
 /// `fault_begin`, all auto-detected from the event stream — it dumps a
 /// post-mortem NDJSON bundle to `dir`: buffered events in arrival order,
-/// the trailing sampler window, and a metrics snapshot. Everything in the
-/// bundle is stamped with sim time only, so same-seed dumps are
-/// byte-identical.
+/// the trailing sampler window, and a snapshot of its metrics registry.
+/// Everything in the bundle is stamped with sim time only, so same-seed
+/// dumps are byte-identical.
 class FlightRecorder final : public TraceSink {
  public:
   static constexpr std::size_t kRingCapacity = 64;  // events per event name
@@ -32,10 +33,17 @@ class FlightRecorder final : public TraceSink {
 
   struct Options {
     std::string dir;                     // bundle directory; empty = dumps off
-    MetricsRegistry* metrics = nullptr;  // postmortem_dumps counter; borrowed
+    MetricsRegistry* metrics = nullptr;  // snapshotted per bundle; borrowed
   };
+  /// Called with the registry right before a bundle writes its metrics
+  /// section, so counts kept elsewhere can be copied in first.
+  using PreDumpHook = std::function<void(MetricsRegistry&)>;
 
   explicit FlightRecorder(Options options);
+
+  /// The experiment runner sets the hook for the run and clears it before
+  /// it returns. At most one hook.
+  void set_pre_dump_hook(PreDumpHook hook) { pre_dump_hook_ = std::move(hook); }
 
   /// TraceSink: buffer the event; auto-trigger on peer_crash/fault_begin.
   void write(const TraceEvent& event) override;
@@ -55,6 +63,10 @@ class FlightRecorder final : public TraceSink {
   /// Events currently buffered across all rings.
   std::size_t events_buffered() const { return events_buffered_; }
 
+  /// Converges the postmortem_dumps counter on dumps_written(); the series
+  /// appears with the first bundle written.
+  void export_metrics(MetricsRegistry& registry) const;
+
  private:
   struct Buffered {
     std::uint64_t order;  // global arrival index, merges rings back in order
@@ -64,6 +76,7 @@ class FlightRecorder final : public TraceSink {
   void dump(sim::Time now, std::string_view reason);
 
   Options options_;
+  PreDumpHook pre_dump_hook_;
   std::map<std::string, std::deque<Buffered>> rings_;
   std::deque<TrafficSample> samples_;
   std::uint64_t arrival_ = 0;

@@ -1,10 +1,12 @@
 #include "obs/health.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <istream>
+#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -231,8 +233,8 @@ HealthRuleSet default_health_rules() {
   return rules;
 }
 
-HealthMonitor::HealthMonitor(HealthRuleSet rules, Options options)
-    : rules_(std::move(rules)), options_(options) {
+HealthMonitor::HealthMonitor(HealthRuleSet rules, TraceSink* trace)
+    : rules_(std::move(rules)), trace_(trace) {
   states_.resize(rules_.rules.size());
 }
 
@@ -283,7 +285,6 @@ bool HealthMonitor::signal(std::size_t i, const HealthInput& input,
 }
 
 void HealthMonitor::evaluate(const HealthInput& input) {
-  ++evaluations_;
   for (std::size_t i = 0; i < rules_.rules.size(); ++i) {
     const HealthRule& rule = rules_.rules[i];
     RuleState& state = states_[i];
@@ -319,11 +320,9 @@ void HealthMonitor::transition(std::size_t i, sim::Time t, HealthState to,
   state.status.state = to;
   state.status.worst = std::max(state.status.worst, to);
   const char* event = nullptr;
-  const char* counter = nullptr;
   if (to == HealthState::kOk) {
     ++state.status.clears;
     event = "health.clear";
-    counter = "health_clears";
   } else {
     if (from == HealthState::kOk) {
       if (state.status.trips == 0) {
@@ -331,22 +330,15 @@ void HealthMonitor::transition(std::size_t i, sim::Time t, HealthState to,
         state.status.worst_value = value;
       }
       ++state.status.trips;
-      if (options_.metrics != nullptr)
-        options_.metrics
-            ->counter("health_trips", {{"rule", rule.display_name()}})
-            .inc();
     }
     if (to == HealthState::kCritical) {
       ++state.status.criticals;
       event = "health.critical";
-      counter = "health_criticals";
     } else {
+      ++state.status.warns;
       event = "health.warn";
-      counter = "health_warns";
     }
   }
-  if (options_.metrics != nullptr)
-    options_.metrics->counter(counter, {{"rule", rule.display_name()}}).inc();
   emit(i, t, event, from, to, value);
   if (to == HealthState::kCritical && critical_hook_)
     critical_hook_(t, rule, value);
@@ -354,7 +346,7 @@ void HealthMonitor::transition(std::size_t i, sim::Time t, HealthState to,
 
 void HealthMonitor::emit(std::size_t i, sim::Time t, const char* event,
                          HealthState from, HealthState to, double value) {
-  if (options_.trace == nullptr) return;
+  if (trace_ == nullptr) return;
   const HealthRule& rule = rules_.rules[i];
   TraceEvent e(t, event);
   e.field("rule", static_cast<std::uint64_t>(i))
@@ -365,7 +357,23 @@ void HealthMonitor::emit(std::size_t i, sim::Time t, const char* event,
       .field("value", value)
       .field("warn", rule.warn)
       .field("critical", rule.critical);
-  options_.trace->write(e);
+  trace_->write(e);
+}
+
+void HealthMonitor::export_metrics(MetricsRegistry& registry) const {
+  static constexpr const char* kNames[] = {"health_trips", "health_warns",
+                                           "health_criticals", "health_clears"};
+  std::map<std::string, std::array<std::uint64_t, 4>> by_label;
+  for (std::size_t i = 0; i < rules_.rules.size(); ++i) {
+    const HealthRuleStatus& s = states_[i].status;
+    const std::uint64_t counts[] = {s.trips, s.warns, s.criticals, s.clears};
+    auto& sum = by_label[rules_.rules[i].display_name()];
+    for (std::size_t k = 0; k < sum.size(); ++k) sum[k] += counts[k];
+  }
+  for (const auto& [label, sum] : by_label)
+    for (std::size_t k = 0; k < sum.size(); ++k)
+      if (sum[k] > 0)
+        registry.counter(kNames[k], {{"rule", label}}).raise_to(sum[k]);
 }
 
 HealthSummary HealthMonitor::summary() const {

@@ -117,6 +117,7 @@ struct HealthRuleStatus {
   HealthState state = HealthState::kOk;   // state after the last evaluation
   HealthState worst = HealthState::kOk;   // worst state ever reached
   std::uint64_t trips = 0;                // ok -> warn|critical transitions
+  std::uint64_t warns = 0;                // entries into warn
   std::uint64_t criticals = 0;            // entries into critical
   std::uint64_t clears = 0;               // warn|critical -> ok transitions
   sim::Time first_trip;                   // meaningful when trips > 0
@@ -139,33 +140,31 @@ struct HealthSummary {
 };
 
 /// Declarative watchdog engine: evaluate() runs every rule's ok -> warn ->
-/// critical -> clear state machine against one HealthInput, emitting
-/// "health.warn" / "health.critical" / "health.clear" trace events and
-/// health_* counters on transitions. Purely observational — it reads no
-/// RNG and mutates nothing outside itself, so an attached monitor cannot
-/// change the simulated trajectory.
+/// critical -> clear state machine against one HealthInput, counting each
+/// transition in the rule's HealthRuleStatus and emitting a "health.warn" /
+/// "health.critical" / "health.clear" event to `trace` (borrowed; may be
+/// null). Purely observational — it reads no RNG and mutates nothing
+/// outside itself, so an attached monitor cannot change the simulated
+/// trajectory.
 class HealthMonitor {
  public:
-  struct Options {
-    TraceSink* trace = nullptr;        // transition events; borrowed
-    MetricsRegistry* metrics = nullptr;  // trip counters; borrowed
-  };
   using CriticalHook =
       std::function<void(sim::Time, const HealthRule&, double value)>;
 
-  explicit HealthMonitor(HealthRuleSet rules)
-      : HealthMonitor(std::move(rules), Options{}) {}
-  HealthMonitor(HealthRuleSet rules, Options options);
+  explicit HealthMonitor(HealthRuleSet rules, TraceSink* trace = nullptr);
 
   void evaluate(const HealthInput& input);
+
+  /// Converges health_trips / health_warns / health_criticals /
+  /// health_clears{rule} on the rules' statuses. Rules that share a label
+  /// share a row, and a row appears with its first count.
+  void export_metrics(MetricsRegistry& registry) const;
 
   /// Invoked on every entry into critical (the flight recorder's dump
   /// trigger). At most one hook.
   void set_critical_hook(CriticalHook hook) { critical_hook_ = std::move(hook); }
 
-  const HealthRuleSet& rules() const { return rules_; }
   HealthSummary summary() const;
-  std::uint64_t evaluations() const { return evaluations_; }
 
  private:
   struct RuleState {
@@ -181,10 +180,9 @@ class HealthMonitor {
             HealthState to, double value);
 
   HealthRuleSet rules_;
-  Options options_;
+  TraceSink* trace_;
   CriticalHook critical_hook_;
   std::vector<RuleState> states_;
-  std::uint64_t evaluations_ = 0;
 };
 
 /// One health.* transition parsed back out of a trace NDJSON (the

@@ -22,6 +22,11 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 class Counter {
  public:
   void inc(std::uint64_t delta = 1) { value_ += delta; }
+  /// Converges the counter on a cumulative count kept elsewhere. A lower
+  /// `total` leaves it as it is: a counter never rewinds.
+  void raise_to(std::uint64_t total) {
+    if (total > value_) value_ = total;
+  }
   std::uint64_t value() const { return value_; }
 
  private:

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 namespace ppsim::obs {
 
@@ -59,29 +60,27 @@ const ResourceProbe::Sample& ResourceProbe::sample(const Inputs& in) {
       wall_delta > 0 ? static_cast<double>(events_delta) / wall_delta : 0.0;
   prev_events_ = in.events_executed;
   prev_wall_seconds_ = in.wall_seconds;
-  if (s.peak_rss_bytes > peak_rss_seen_) peak_rss_seen_ = s.peak_rss_bytes;
-
-  if (metrics_ != nullptr) {
-    // Same order as kResourceGaugeNames / the docs table.
-    metrics_->gauge("resource_rss_bytes")
-        .set(static_cast<double>(s.rss_bytes));
-    metrics_->gauge("resource_peak_rss_bytes")
-        .set(static_cast<double>(s.peak_rss_bytes));
-    metrics_->gauge("sched_queue_depth")
-        .set(static_cast<double>(s.queue_depth));
-    metrics_->gauge("sched_event_horizon_s").set(s.event_horizon_s);
-    metrics_->gauge("sched_queue_bytes")
-        .set(static_cast<double>(s.queue_bytes));
-    metrics_->gauge("sched_events_per_wall_s").set(s.events_per_wall_s);
-    metrics_->gauge("live_peers").set(static_cast<double>(s.live_peers));
-    metrics_->gauge("live_peer_bytes")
-        .set(static_cast<double>(s.live_peer_bytes));
-  }
 
   samples_.push_back(s);
   while (samples_.size() > retain_) samples_.pop_front();
-  ++samples_taken_;
   return samples_.back();
+}
+
+void ResourceProbe::export_metrics(MetricsRegistry& registry) const {
+  if (samples_.empty()) return;
+  const Sample& s = samples_.back();
+  // In kResourceGaugeNames order.
+  const double values[] = {static_cast<double>(s.rss_bytes),
+                           static_cast<double>(s.peak_rss_bytes),
+                           static_cast<double>(s.queue_depth),
+                           s.event_horizon_s,
+                           static_cast<double>(s.queue_bytes),
+                           s.events_per_wall_s,
+                           static_cast<double>(s.live_peers),
+                           static_cast<double>(s.live_peer_bytes)};
+  static_assert(std::size(values) == kResourceGaugeNames.size());
+  for (std::size_t i = 0; i < std::size(values); ++i)
+    registry.gauge(kResourceGaugeNames[i]).set(values[i]);
 }
 
 }  // namespace ppsim::obs

@@ -16,7 +16,7 @@ namespace ppsim::obs {
 /// live-object/byte counters, and events-per-wall-second throughput.
 ///
 /// The probe never reads a clock. Wall-clock inputs come from the caller —
-/// in practice `RunProfiler::wall_seconds_total()`, the one sanctioned
+/// in practice `RunProfiler::wall_seconds_elapsed()`, the one sanctioned
 /// steady_clock island — so the determinism linter's wall-clock wall around
 /// src/obs stays intact. RSS comes from /proc/self/status (VmRSS / VmHWM),
 /// which is a file read, not a clock; on non-Linux hosts both report 0.
@@ -58,17 +58,15 @@ class ResourceProbe {
   /// everything else in the scale observatory.
   explicit ResourceProbe(std::size_t retain = 64) : retain_(retain) {}
 
-  /// Mirror every sample into gauges on this registry (borrowed; may be
-  /// null). Gauge names are `kResourceGaugeNames`, inventoried in
-  /// docs/OBSERVABILITY.md and cross-checked by the ppsim-audit
-  /// completeness pass.
-  void bind_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
-
   const Sample& sample(const Inputs& in);
 
+  /// Sets one gauge per `kResourceGaugeNames` entry to the latest sample;
+  /// no-op before the first. The names are inventoried in
+  /// docs/OBSERVABILITY.md and cross-checked by the ppsim-audit
+  /// completeness pass.
+  void export_metrics(MetricsRegistry& registry) const;
+
   const std::deque<Sample>& samples() const { return samples_; }
-  std::uint64_t samples_taken() const { return samples_taken_; }
-  std::uint64_t peak_rss_bytes_seen() const { return peak_rss_seen_; }
 
   /// Current / peak resident set of this process in bytes (0 when the
   /// platform offers no /proc/self/status).
@@ -77,10 +75,7 @@ class ResourceProbe {
 
  private:
   std::size_t retain_;
-  MetricsRegistry* metrics_ = nullptr;
   std::deque<Sample> samples_;
-  std::uint64_t samples_taken_ = 0;
-  std::uint64_t peak_rss_seen_ = 0;
   std::uint64_t prev_events_ = 0;
   double prev_wall_seconds_ = 0;
 };

@@ -91,11 +91,9 @@ bool parse_metric_ndjson(const std::string& line, ParsedMetric* out) {
 
 bool apply_metric(const ParsedMetric& m, MetricsRegistry* registry) {
   switch (m.kind) {
-    case ParsedMetric::Kind::kCounter: {
-      Counter& c = registry->counter(m.name, m.labels);
-      if (m.counter_value > c.value()) c.inc(m.counter_value - c.value());
+    case ParsedMetric::Kind::kCounter:
+      registry->counter(m.name, m.labels).raise_to(m.counter_value);
       return true;
-    }
     case ParsedMetric::Kind::kGauge:
       registry->gauge(m.name, m.labels).set(m.gauge_value);
       return true;

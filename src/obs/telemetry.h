@@ -56,7 +56,7 @@ struct ParsedMetric {
 bool parse_metric_ndjson(const std::string& line, ParsedMetric* out);
 
 /// Applies one parsed row to `registry`: counters converge on the row's
-/// cumulative value (monotonic clamp, so replayed or reordered snapshots
+/// cumulative value (Counter::raise_to, so replayed or reordered snapshots
 /// can only raise a counter, never rewind it), gauges last-write-wins.
 /// Returns false for kSkipped rows. The value round-trips byte-stably:
 /// re-serializing an applied row reproduces the input bytes ("%.9g" is

@@ -602,7 +602,6 @@ void Peer::request_tick() {
 
     Neighbor& nb = neighbors_.at(target);
     ++nb.in_flight;
-    ++nb.requests_to;
     pending_data_[seq] = PendingData{target, simulator_.now()};
     ++counters_.data_requests_sent;
     ++issued;
@@ -693,20 +692,6 @@ std::vector<net::IpAddress> Peer::neighbor_ips() const {
   std::vector<net::IpAddress> out;
   out.reserve(neighbors_.size());
   for (const auto& [ip, nb] : neighbors_) out.push_back(ip);
-  return out;
-}
-
-std::vector<Peer::NeighborSnapshot> Peer::neighbor_snapshots() const {
-  std::vector<NeighborSnapshot> out;
-  out.reserve(neighbors_.size());
-  for (const auto& [ip, nb] : neighbors_) {
-    out.push_back(NeighborSnapshot{ip, nb.rtt_s, nb.service_s, nb.bytes_from,
-                                   nb.requests_to, nb.connected_at});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const NeighborSnapshot& a, const NeighborSnapshot& b) {
-              return a.bytes_from > b.bytes_from;
-            });
   return out;
 }
 
@@ -953,7 +938,6 @@ void Peer::handle(const PeerTransport::Delivery& delivery) {
                                .as_seconds();
         n.service_s = (1 - kEwmaAlpha) * n.service_s + kEwmaAlpha * lat;
         n.last_seen = simulator_.now();
-        n.bytes_from += dr->payload_bytes;
       }
       pending_data_.erase(pending);
     }

@@ -113,17 +113,6 @@ class Peer {
   /// every sampling tick.
   std::size_t approx_live_bytes() const;
 
-  /// Introspection snapshot of one neighbor's client-side state.
-  struct NeighborSnapshot {
-    net::IpAddress ip;
-    double rtt_s = 0;      // control-RTT estimate (drives membership)
-    double service_s = 0;  // data service latency (drives scheduling)
-    std::uint64_t bytes_from = 0;
-    std::uint64_t requests_to = 0;
-    sim::Time connected_at;
-  };
-  std::vector<NeighborSnapshot> neighbor_snapshots() const;
-
  private:
   struct Neighbor {
     sim::Time connected_at;
@@ -138,8 +127,6 @@ class Peer {
     double service_s = 0.6;
     int in_flight = 0;
     BufferMap map;
-    std::uint64_t bytes_from = 0;
-    std::uint64_t requests_to = 0;
     /// Causal tracing only (zero/empty otherwise): the handshake span that
     /// established this neighbor, and who referred it. Data requests to the
     /// neighbor are parented on intro_span, tying the data plane back to

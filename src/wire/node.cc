@@ -96,13 +96,13 @@ NodeReport run_node(const NodeConfig& config,
     trace_os.open(config.trace_out);
     trace_sink = std::make_unique<obs::NdjsonTraceSink>(trace_os);
   }
-  // The registry is *live*: update_metrics() below converges it onto the
-  // transport/protocol state whenever a telemetry snapshot or the final
-  // sink write needs it, so the rows a snapshot ships are the rows the
-  // sink file ends up holding — the byte-identity the collector relies on.
+  // The registry is filled when read: update_metrics() below converges it
+  // onto the transport/protocol state whenever a telemetry snapshot or the
+  // final sink write needs it, so the rows a snapshot ships are the rows
+  // the sink file ends up holding — the byte-identity the collector relies
+  // on.
   obs::MetricsRegistry metrics;
   obs::ResourceProbe probe;
-  probe.bind_metrics(&metrics);
   obs::TrafficSampler sampler;
   obs::IspMatrix traffic{};
   const auto delivered_locality = [&] {
@@ -158,37 +158,31 @@ NodeReport run_node(const NodeConfig& config,
     }
   }
 
-  // --- live metrics: converge the registry onto the current state ---
-  const auto bump = [](obs::Counter& c, std::uint64_t v) {
-    if (v > c.value()) c.inc(v - c.value());
-  };
-  const auto update_metrics = [&] {
+  // --- metrics: converge the registry onto the current state ---
+  const auto update_metrics = [&](sim::Time wall) {
     const auto& ts = transport.stats();
-    bump(metrics.counter("wire_packets_sent"), ts.packets_sent);
-    bump(metrics.counter("wire_packets_delivered"), ts.packets_delivered);
-    bump(metrics.counter("wire_bytes_sent"), ts.bytes_sent);
-    bump(metrics.counter("wire_uplink_drops"), ts.uplink_drops);
-    bump(metrics.counter("wire_downlink_drops"), ts.downlink_drops);
-    bump(metrics.counter("wire_dead_destination_drops"),
-         ts.dead_destination_drops);
+    metrics.counter("wire_packets_sent").raise_to(ts.packets_sent);
+    metrics.counter("wire_packets_delivered").raise_to(ts.packets_delivered);
+    metrics.counter("wire_bytes_sent").raise_to(ts.bytes_sent);
+    metrics.counter("wire_uplink_drops").raise_to(ts.uplink_drops);
+    metrics.counter("wire_downlink_drops").raise_to(ts.downlink_drops);
+    metrics.counter("wire_dead_destination_drops")
+        .raise_to(ts.dead_destination_drops);
     const auto& rx = transport.rx_errors();
-    bump(metrics.counter("wire_rx_errors"), rx.total());
+    metrics.counter("wire_rx_errors").raise_to(rx.total());
     for_each_rx_error(rx, [&](std::string_view bucket, std::uint64_t v) {
-      bump(metrics.counter("wire_rx_errors",
-                           {{"bucket", std::string(bucket)}}),
-           v);
+      metrics.counter("wire_rx_errors", {{"bucket", std::string(bucket)}})
+          .raise_to(v);
     });
     if (peer != nullptr) {
       const proto::PeerCounters counters = peer->counters();
       proto::for_each_field(
           counters, [&](const char* name, const std::uint64_t& v) {
-            bump(metrics.counter(std::string("peer_") + name), v);
+            metrics.counter(std::string("peer_") + name).raise_to(v);
           });
       metrics.gauge("continuity").set(counters.continuity());
     }
     metrics.gauge("delivered_locality").set(delivered_locality());
-  };
-  const auto sample_resources = [&](sim::Time wall) {
     obs::ResourceProbe::Inputs in;
     in.now = simulator.now();
     in.queue_depth = simulator.pending_events();
@@ -201,6 +195,7 @@ NodeReport run_node(const NodeConfig& config,
     }
     in.wall_seconds = wall.as_seconds();
     probe.sample(in);
+    probe.export_metrics(metrics);
   };
 
   // --- the telemetry plane (optional; docs/OBSERVABILITY.md) ---
@@ -216,8 +211,7 @@ NodeReport run_node(const NodeConfig& config,
   std::size_t samples_shipped = 0;
   const auto ship_telemetry = [&](sim::Time wall, bool closing) {
     if (telemetry == nullptr) return;
-    update_metrics();
-    sample_resources(wall);
+    update_metrics(wall);
     const std::vector<std::string> metric_rows =
         closing ? delta_tracker.collect_full(metrics)
                 : delta_tracker.collect(metrics);
@@ -344,8 +338,7 @@ NodeReport run_node(const NodeConfig& config,
     if (telemetry == nullptr) {
       // No closing snapshot converged the registry; do it here so the sink
       // carries the end-of-run state.
-      update_metrics();
-      sample_resources(clock.now());
+      update_metrics(clock.now());
     }
     std::ofstream os(config.metrics_out);
     metrics.write_ndjson(os);

@@ -1,6 +1,6 @@
 // End-to-end causal tracing: CLI flag plumbing, referral lineage and
-// startup critical paths riding ExperimentResult, behavior invariance
-// (causal tracing is passive), and spans-file determinism.
+// startup critical paths read from the run's span tracker, behavior
+// invariance (causal tracing is passive), and spans-file determinism.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -48,28 +48,29 @@ ExperimentConfig small_config(std::uint64_t seed = 7) {
   return config;
 }
 
-TEST(CausalExperiment, LineageAndCriticalPathsRideTheResult) {
+TEST(CausalExperiment, LineageAndCriticalPathsComeFromTheTracker) {
   ExperimentConfig config = small_config();
   obs::SpanTracker spans;
   config.observability.spans = &spans;
-  const ExperimentResult result = run_experiment(config);
+  run_experiment(config);
 
   EXPECT_GT(spans.span_count(), 0u);
-  ASSERT_GT(result.lineage.total.referrals, 0u);
+  const obs::LineageSummary lineage = spans.lineage();
+  ASSERT_GT(lineage.total.referrals, 0u);
   // Referrals decompose exactly across introduction channels.
   std::uint64_t by_via = 0;
-  for (const auto& [via, bucket] : result.lineage.by_via)
-    by_via += bucket.referrals;
-  EXPECT_GE(result.lineage.by_via.count("tracker"), 1u);
-  EXPECT_EQ(by_via, result.lineage.total.referrals);
+  for (const auto& [via, bucket] : lineage.by_via) by_via += bucket.referrals;
+  EXPECT_GE(lineage.by_via.count("tracker"), 1u);
+  EXPECT_EQ(by_via, lineage.total.referrals);
   std::uint64_t bucketed = 0;
-  for (const auto& b : result.referral_share) bucketed += b.referrals;
-  EXPECT_EQ(bucketed, result.lineage.total.referrals);
+  for (const auto& b : spans.referral_share_series()) bucketed += b.referrals;
+  EXPECT_EQ(bucketed, lineage.total.referrals);
 
   // The headline acceptance: every playback-reaching peer's stage vector
   // sums exactly (in integer microseconds) to its measured startup delay.
-  ASSERT_GT(result.critical_paths.size(), 0u);
-  for (const auto& p : result.critical_paths) {
+  const std::vector<obs::CriticalPath> paths = spans.critical_paths();
+  ASSERT_GT(paths.size(), 0u);
+  for (const auto& p : paths) {
     sim::Time sum = sim::Time::zero();
     for (const sim::Time s : p.stages) {
       EXPECT_FALSE(s.is_negative()) << p.peer;

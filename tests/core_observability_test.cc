@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "core/experiment.h"
@@ -12,6 +13,7 @@
 #include "obs/progress.h"
 #include "obs/resource_probe.h"
 #include "obs/sampler.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "obs_testutil.h"
 #include "workload/scenario.h"
@@ -38,7 +40,7 @@ TEST(Observability, MetricsMatrixReconcilesWithTrafficGroundTruth) {
   ASSERT_GT(result.traffic.total(), 0u);
 
   // Every per-ISP-pair counter must equal the ground-truth matrix cell
-  // exactly: both are incremented by the same global-tap delivery.
+  // exactly: the runner publishes the counters from the matrix.
   for (const auto src : net::kAllIspCategories) {
     for (const auto dst : net::kAllIspCategories) {
       const obs::Counter* c = metrics.find_counter(
@@ -187,7 +189,6 @@ TEST(Observability, ScaleObservatoryDoesNotPerturbTheSimulation) {
   obs::MetricsRegistry metrics;
   obs::RunProfiler profiler;
   obs::ResourceProbe probe;
-  probe.bind_metrics(&metrics);
   std::ostringstream heartbeat, stream;
   obs::ProgressMeter meter(
       {.out = &heartbeat, .total = observed_cfg.scenario.duration});
@@ -207,7 +208,7 @@ TEST(Observability, ScaleObservatoryDoesNotPerturbTheSimulation) {
   ASSERT_EQ(base.sessions.size(), observed.sessions.size());
 
   // The probe ticked on the sampler cadence and published every gauge.
-  EXPECT_GT(probe.samples_taken(), 0u);
+  EXPECT_FALSE(probe.samples().empty());
   for (const std::string_view name : obs::kResourceGaugeNames)
     EXPECT_NE(metrics.find_gauge(std::string(name)), nullptr) << name;
   // Deterministic scheduler gauges carry real readings.
@@ -366,8 +367,7 @@ TEST(Observability, CriticalTripDumpsByteIdenticalPostmortems) {
     config.observability.health_rules = &rules;
     config.observability.recorder = &recorder;
     const ExperimentResult result = run_experiment(config);
-    EXPECT_GE(result.postmortem_dumps, 1u);
-    EXPECT_EQ(result.postmortem_dumps, recorder.dumps_written());
+    EXPECT_GE(recorder.dumps_written(), 1u);
     EXPECT_EQ(result.health.worst, obs::HealthState::kCritical);
     return recorder.dump_paths();
   };
@@ -388,6 +388,174 @@ TEST(Observability, CriticalTripDumpsByteIdenticalPostmortems) {
     EXPECT_EQ(a, slurp(second[i]));
   }
   fs::remove_all(base);
+}
+
+/// A tracker outage from 45 s to 90 s, then a churn burst at 120 s.
+faults::FaultPlan outage_then_burst() {
+  faults::FaultPlan plan;
+  faults::FaultWindow outage;
+  outage.kind = faults::FaultKind::kTrackerOutage;
+  outage.tracker_group = -1;
+  outage.start = sim::Time::seconds(45);
+  outage.end = sim::Time::seconds(90);
+  plan.windows.push_back(outage);
+  faults::FaultWindow burst;
+  burst.kind = faults::FaultKind::kChurnBurst;
+  burst.fraction = 0.2;
+  burst.start = burst.end = sim::Time::seconds(120);
+  plan.windows.push_back(burst);
+  return plan;
+}
+
+/// The samples and metrics sections of a post-mortem bundle, read back.
+struct Bundle {
+  std::vector<obs::TrafficSample> samples;
+  obs::MetricsRegistry metrics;
+};
+
+void read_bundle(const std::string& path, Bundle* out) {
+  std::ifstream in(path);
+  std::stringstream samples, metrics;
+  std::stringstream* section = nullptr;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("{\"section\":\"samples\"", 0) == 0) {
+      section = &samples;
+    } else if (line.rfind("{\"section\":\"metrics\"", 0) == 0) {
+      section = &metrics;
+    } else if (line.rfind("{\"section\":", 0) == 0) {
+      section = nullptr;
+    } else if (section != nullptr) {
+      *section << line << "\n";
+    }
+  }
+  out->samples = obs::read_samples_ndjson(samples);
+  obs::read_metrics_ndjson(metrics, &out->metrics);
+}
+
+TEST(Observability, FaultBundleHoldsTheCountsOfItsMoment) {
+  // The registry is filled when read. The bundle dumped at the first
+  // fault_begin must still show every traffic row and the window that
+  // triggered it.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "ppsim_core_predump_test";
+  fs::remove_all(dir);
+  ExperimentConfig config = small_config();
+  config.faults.plan = outage_then_burst();
+  obs::MetricsRegistry metrics;
+  obs::FlightRecorder recorder({dir.string(), &metrics});
+  config.observability.metrics = &metrics;
+  config.observability.recorder = &recorder;
+  const ExperimentResult result = run_experiment(config);
+
+  ASSERT_GE(recorder.dump_paths().size(), 1u);
+  const std::string& first = recorder.dump_paths()[0];
+  ASSERT_NE(first.find("fault_begin-t45000000"), std::string::npos) << first;
+  Bundle bundle;
+  read_bundle(first, &bundle);
+
+  std::uint64_t uploaded = 0;
+  for (const auto src : net::kAllIspCategories) {
+    for (const auto dst : net::kAllIspCategories) {
+      const obs::Counter* c = bundle.metrics.find_counter(
+          "bytes_uploaded", {{"src_isp", std::string(net::to_string(src))},
+                             {"dst_isp", std::string(net::to_string(dst))}});
+      ASSERT_NE(c, nullptr)
+          << net::to_string(src) << " -> " << net::to_string(dst);
+      uploaded += c->value();
+    }
+  }
+  const obs::Counter* applied =
+      bundle.metrics.find_counter("fault_windows_applied");
+  ASSERT_NE(applied, nullptr);
+  EXPECT_EQ(applied->value(), 1u);
+  EXPECT_EQ(bundle.metrics.find_counter("fault_windows_reverted"), nullptr);
+  EXPECT_EQ(bundle.metrics.find_counter("postmortem_dumps"), nullptr);
+  // The traffic rows are of the dump's moment: no less than the last
+  // sample before it, no more than the whole run.
+  ASSERT_FALSE(bundle.samples.empty());
+  EXPECT_GE(uploaded, obs::matrix_total(bundle.samples.back().bytes));
+  EXPECT_LE(uploaded, result.traffic.total());
+  EXPECT_GT(uploaded, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(Observability, RunEndMetricsMatchEachComponentsCounts) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "ppsim_core_run_end_test";
+  fs::remove_all(dir);
+  ExperimentConfig config = small_config();
+  config.faults.plan = outage_then_burst();
+  // Two rules share a label: one warns at once, one goes critical at once.
+  obs::HealthRuleSet rules = obs::default_health_rules();
+  obs::HealthRule warn_only;
+  warn_only.kind = obs::HealthRuleKind::kQueueDepthCeiling;
+  warn_only.warn = 1;
+  warn_only.critical = 1e12;
+  warn_only.label = "backlog";
+  rules.rules.push_back(warn_only);
+  obs::HealthRule critical = warn_only;
+  critical.critical = 1;
+  rules.rules.push_back(critical);
+  obs::MetricsRegistry metrics;
+  obs::FlightRecorder recorder({dir.string(), &metrics});
+  obs::ResourceProbe probe;
+  config.observability.metrics = &metrics;
+  config.observability.health_rules = &rules;
+  config.observability.recorder = &recorder;
+  config.observability.resource = &probe;
+  const ExperimentResult result = run_experiment(config);
+
+  ASSERT_EQ(result.fault_windows_applied, 2u);
+  EXPECT_EQ(metrics.find_counter("fault_windows_applied")->value(), 2u);
+  EXPECT_EQ(metrics.find_counter("fault_windows_reverted")->value(),
+            result.fault_windows_reverted);
+  EXPECT_EQ(metrics.find_counter("fault_peers_crashed")->value(),
+            result.fault_peers_crashed);
+
+  // One health row per label and count, summed over the label's rules, and
+  // present only once there is something to count.
+  std::map<std::string, obs::HealthRuleStatus> by_label;
+  for (const auto& [rule, status] : result.health.rules) {
+    obs::HealthRuleStatus& sum = by_label[rule.display_name()];
+    sum.trips += status.trips;
+    sum.warns += status.warns;
+    sum.criticals += status.criticals;
+    sum.clears += status.clears;
+  }
+  ASSERT_GE(by_label["backlog"].trips, 2u);
+  for (const auto& [label, sum] : by_label) {
+    const std::pair<const char*, std::uint64_t> counts[] = {
+        {"health_trips", sum.trips},
+        {"health_warns", sum.warns},
+        {"health_criticals", sum.criticals},
+        {"health_clears", sum.clears}};
+    for (const auto& [name, count] : counts) {
+      const obs::Counter* c = metrics.find_counter(name, {{"rule", label}});
+      if (count == 0) {
+        EXPECT_EQ(c, nullptr) << name << "{" << label << "}";
+      } else {
+        ASSERT_NE(c, nullptr) << name << "{" << label << "}";
+        EXPECT_EQ(c->value(), count) << name << "{" << label << "}";
+      }
+    }
+  }
+
+  ASSERT_GE(recorder.dumps_written(), 1u);
+  EXPECT_EQ(metrics.find_counter("postmortem_dumps")->value(),
+            recorder.dumps_written());
+
+  // The probe's gauges hold its last sample.
+  ASSERT_FALSE(probe.samples().empty());
+  const obs::ResourceProbe::Sample& last = probe.samples().back();
+  EXPECT_EQ(metrics.find_gauge("sched_queue_depth")->value(),
+            static_cast<double>(last.queue_depth));
+  EXPECT_EQ(metrics.find_gauge("sched_queue_bytes")->value(),
+            static_cast<double>(last.queue_bytes));
+  EXPECT_EQ(metrics.find_gauge("live_peers")->value(),
+            static_cast<double>(last.live_peers));
+  EXPECT_EQ(metrics.find_gauge("live_peer_bytes")->value(),
+            static_cast<double>(last.live_peer_bytes));
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "capture/trace_io.h"
 #include "core/cli.h"
 #include "faults/plan.h"
 #include "faults/resilience.h"
@@ -88,7 +89,8 @@ TEST(RunCliTest, UnwritableOutputFailsBeforeTheRun) {
   for (std::string CliOptions::*output :
        {&CliOptions::trace_out, &CliOptions::samples_out,
         &CliOptions::metrics_out, &CliOptions::spans_out,
-        &CliOptions::bench_json, &CliOptions::dump_sessions}) {
+        &CliOptions::bench_json, &CliOptions::dump_sessions,
+        &CliOptions::dump_trace}) {
     auto options = tiny_options();
     options.*output = bad;
     std::ostringstream out;
@@ -139,6 +141,37 @@ TEST(RunCliTest, FaultTimelineMatchesTheSamplesFile) {
                                faults::analyze_resilience(plan.plan, samples));
   EXPECT_NE(out.str().find(timeline.str()), std::string::npos)
       << out.str() << "\nexpected:\n" << timeline.str();
+}
+
+TEST(RunCliTest, DumpTraceGivesRepeatedLabelsTheirOwnFiles) {
+  // Two TELE probes, as in the paper's deployment: the second writes
+  // PREFIX-TELE-2.trace instead of overwriting the first one's file.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "ppsim_cli_twin_probes";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  auto options = tiny_options();
+  options.probes = {"tele", "cnc", "tele"};
+  options.dump_trace = (dir / "run").string();
+  std::ostringstream out;
+  ASSERT_EQ(run_cli(options, out), 0);
+
+  const std::string first = options.dump_trace + "-TELE.trace";
+  const std::string second = options.dump_trace + "-TELE-2.trace";
+  for (const std::string& path :
+       {first, second, options.dump_trace + "-CNC.trace"})
+    EXPECT_NE(out.str().find("trace written: " + path + " ("),
+              std::string::npos)
+        << path << "\n" << out.str();
+  const auto first_trace = capture::read_trace_file(first);
+  const auto second_trace = capture::read_trace_file(second);
+  ASSERT_TRUE(first_trace.has_value());
+  ASSERT_TRUE(second_trace.has_value());
+  ASSERT_FALSE(first_trace->empty());
+  ASSERT_FALSE(second_trace->empty());
+  // Each file is its own probe's capture.
+  EXPECT_NE(first_trace->front().local, second_trace->front().local);
+  fs::remove_all(dir);
 }
 
 TEST(RunCliTest, EveryTraceRowReachesEverySink) {

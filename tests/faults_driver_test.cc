@@ -1,6 +1,7 @@
 // FaultDriver unit tests against a mock FaultHost: windows apply and
 // revert on the simulator clock, victim sampling is deterministic in the
-// driver seed, and boundaries are observable through metrics and traces.
+// driver seed, and boundaries are observable through traces and the
+// driver's metrics export.
 
 #include "faults/driver.h"
 
@@ -134,9 +135,7 @@ TEST(FaultDriverTest, ChurnBurstCrashesSampledFraction) {
   auto w = window(FaultKind::kChurnBurst, 10, 10);
   w.fraction = 0.25;
   plan.windows.push_back(w);
-  FaultDriver::Options options;
-  options.seed = 7;
-  FaultDriver driver(simulator, overlay, host, plan, options);
+  FaultDriver driver(simulator, overlay, host, plan, /*seed=*/7);
   driver.arm();
   simulator.run();
 
@@ -160,9 +159,7 @@ TEST(FaultDriverTest, VictimSamplingDeterministicInSeed) {
     auto w = window(FaultKind::kChurnBurst, 1, 1);
     w.fraction = 0.2;
     plan.windows.push_back(w);
-    FaultDriver::Options options;
-    options.seed = seed;
-    FaultDriver driver(simulator, overlay, host, plan, options);
+    FaultDriver driver(simulator, overlay, host, plan, seed);
     driver.arm();
     simulator.run();
     return host.crashed;
@@ -240,11 +237,13 @@ TEST(FaultDriverTest, EmitsTraceEventsAndMetrics) {
   obs::NdjsonTraceSink sink(trace_text);
   obs::MetricsRegistry metrics;
   simulator.set_tracing(&sink, /*causal=*/false);
-  FaultDriver::Options options;
-  options.metrics = &metrics;
-  FaultDriver driver(simulator, overlay, host, plan, options);
+  FaultDriver driver(simulator, overlay, host, plan);
   driver.arm();
+  // Nothing to count yet, so no series.
+  driver.export_metrics(metrics);
+  EXPECT_EQ(metrics.size(), 0u);
   simulator.run();
+  driver.export_metrics(metrics);
 
   const std::string text = trace_text.str();
   EXPECT_NE(text.find("fault_begin"), std::string::npos);
@@ -262,6 +261,30 @@ TEST(FaultDriverTest, EmitsTraceEventsAndMetrics) {
   const auto* crashed = metrics.find_counter("fault_peers_crashed");
   ASSERT_NE(crashed, nullptr);
   EXPECT_EQ(crashed->value(), 1u);
+  // A second export of the same counts changes nothing.
+  driver.export_metrics(metrics);
+  EXPECT_EQ(applied->value(), 2u);
+}
+
+TEST(FaultDriverTest, BurstThatCrashedNobodyStillExportsItsCounter) {
+  sim::Simulator simulator;
+  net::ImpairmentOverlay overlay;
+  MockHost host;  // no alive audience
+  FaultPlan plan;
+  auto burst = window(FaultKind::kChurnBurst, 5, 5);
+  burst.fraction = 0.5;
+  plan.windows.push_back(burst);
+  FaultDriver driver(simulator, overlay, host, plan);
+  driver.arm();
+  simulator.run();
+
+  obs::MetricsRegistry metrics;
+  driver.export_metrics(metrics);
+  const auto* crashed = metrics.find_counter("fault_peers_crashed");
+  ASSERT_NE(crashed, nullptr);
+  EXPECT_EQ(crashed->value(), 0u);
+  EXPECT_EQ(metrics.find_counter("fault_windows_applied")->value(), 1u);
+  EXPECT_EQ(metrics.find_counter("fault_windows_reverted"), nullptr);
 }
 
 TEST(FaultDriverTest, ArmIsIdempotent) {

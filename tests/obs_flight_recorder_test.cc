@@ -90,9 +90,51 @@ TEST_F(FlightRecorderTest, TriggerDumpsBundleWithSections) {
   EXPECT_NE(bundle.find("\"section\":\"metrics\""), std::string::npos);
   EXPECT_NE(bundle.find("chunk_delivered"), std::string::npos);
   EXPECT_NE(bundle.find("\"alive\":42"), std::string::npos);
-  // The postmortem_dumps self-counter is incremented after the snapshot, so
-  // the bundle reflects the pre-dump metric state.
+  // The recorder counts its dumps itself and writes them only into the
+  // registry it is asked to export to.
+  EXPECT_EQ(metrics.find_counter("postmortem_dumps"), nullptr);
+  recorder.export_metrics(metrics);
   EXPECT_EQ(metrics.find_counter("postmortem_dumps")->value(), 1u);
+}
+
+TEST_F(FlightRecorderTest, PreDumpHookFillsTheMetricsSection) {
+  MetricsRegistry metrics;
+  FlightRecorder::Options options;
+  options.dir = dir();
+  options.metrics = &metrics;
+  FlightRecorder recorder(options);
+  int calls = 0;
+  recorder.set_pre_dump_hook([&](MetricsRegistry& m) {
+    ++calls;
+    recorder.export_metrics(m);
+    m.counter("hooked").raise_to(7);
+  });
+
+  const sim::Time gap = FlightRecorder::kMinDumpGap;
+  ASSERT_TRUE(recorder.trigger(gap, "first"));
+  ASSERT_TRUE(recorder.trigger(gap * 2, "second"));
+  EXPECT_EQ(calls, 2);
+  // The hook runs before the section header counts the series, and sees
+  // the dumps written before this one.
+  const std::string first = slurp(recorder.dump_paths()[0]);
+  EXPECT_NE(first.find("{\"section\":\"metrics\",\"count\":1}"),
+            std::string::npos)
+      << first;
+  EXPECT_NE(first.find("\"metric\":\"hooked\""), std::string::npos);
+  EXPECT_EQ(first.find("postmortem_dumps"), std::string::npos);
+  const std::string second = slurp(recorder.dump_paths()[1]);
+  EXPECT_NE(second.find("{\"section\":\"metrics\",\"count\":2}"),
+            std::string::npos)
+      << second;
+  EXPECT_NE(second.find("{\"metric\":\"postmortem_dumps\",\"type\":"
+                        "\"counter\",\"labels\":{},\"value\":1}"),
+            std::string::npos)
+      << second;
+
+  // A cleared hook is not called.
+  recorder.set_pre_dump_hook(nullptr);
+  ASSERT_TRUE(recorder.trigger(gap * 3, "third"));
+  EXPECT_EQ(calls, 2);
 }
 
 TEST_F(FlightRecorderTest, DumpFilenameUsesSimTimeAndSanitizedReason) {

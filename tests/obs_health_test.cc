@@ -112,15 +112,15 @@ TEST(HealthMonitor, StaysOkOnHealthyInput) {
   const auto summary = monitor.summary();
   EXPECT_EQ(summary.worst, HealthState::kOk);
   EXPECT_FALSE(summary.ever_tripped());
-  EXPECT_EQ(monitor.evaluations(), 20u);
+  // The queue-depth rule has no warm-up, so it judged every input.
+  EXPECT_EQ(summary.rules[4].second.evaluations, 20u);
 }
 
 TEST(HealthMonitor, ContinuityFloorTripsAndClears) {
   std::ostringstream trace_out;
   NdjsonTraceSink trace(trace_out);
   MetricsRegistry metrics;
-  HealthMonitor monitor(one_rule(continuity_rule()),
-                        {.trace = &trace, .metrics = &metrics});
+  HealthMonitor monitor(one_rule(continuity_rule()), &trace);
 
   auto dip = healthy_at(10);
   monitor.evaluate(dip);  // ok
@@ -141,6 +141,7 @@ TEST(HealthMonitor, ContinuityFloorTripsAndClears) {
   EXPECT_EQ(status.state, HealthState::kOk);
   EXPECT_EQ(status.worst, HealthState::kCritical);
   EXPECT_EQ(status.trips, 1u);
+  EXPECT_EQ(status.warns, 1u);
   EXPECT_EQ(status.criticals, 1u);
   EXPECT_EQ(status.clears, 1u);
   EXPECT_EQ(status.first_trip, sim::Time::seconds(20));
@@ -156,13 +157,54 @@ TEST(HealthMonitor, ContinuityFloorTripsAndClears) {
   EXPECT_EQ(transitions[2].to, HealthState::kOk);
   EXPECT_EQ(transitions[1].label, "cont");
 
+  monitor.export_metrics(metrics);
   EXPECT_EQ(metrics.find_counter("health_trips", {{"rule", "cont"}})->value(),
+            1u);
+  EXPECT_EQ(metrics.find_counter("health_warns", {{"rule", "cont"}})->value(),
             1u);
   EXPECT_EQ(
       metrics.find_counter("health_criticals", {{"rule", "cont"}})->value(),
       1u);
   EXPECT_EQ(metrics.find_counter("health_clears", {{"rule", "cont"}})->value(),
             1u);
+}
+
+TEST(HealthMonitor, ExportSumsSharedLabelsAndSkipsZeroCounts) {
+  // Two rules share a label; a third never leaves ok.
+  HealthRuleSet rules;
+  rules.rules.push_back(continuity_rule());
+  HealthRule queue;
+  queue.kind = HealthRuleKind::kQueueDepthCeiling;
+  queue.warn = 100;
+  queue.critical = 200;
+  queue.label = "cont";
+  rules.rules.push_back(queue);
+  HealthRule isolation;
+  isolation.kind = HealthRuleKind::kPeerIsolation;
+  isolation.warn = 3;
+  isolation.critical = 8;
+  rules.rules.push_back(isolation);
+  HealthMonitor monitor(std::move(rules));
+
+  MetricsRegistry metrics;
+  monitor.export_metrics(metrics);
+  EXPECT_EQ(metrics.size(), 0u);
+
+  auto input = healthy_at(10);
+  input.avg_continuity = 0.85;  // continuity warn
+  input.queue_depth = 150;      // queue warn
+  monitor.evaluate(input);
+  monitor.export_metrics(metrics);
+  EXPECT_EQ(metrics.find_counter("health_trips", {{"rule", "cont"}})->value(),
+            2u);
+  EXPECT_EQ(metrics.find_counter("health_warns", {{"rule", "cont"}})->value(),
+            2u);
+  // No critical or clear yet, and the isolation rule never tripped.
+  EXPECT_EQ(metrics.find_counter("health_criticals", {{"rule", "cont"}}),
+            nullptr);
+  EXPECT_EQ(metrics.find_counter("health_clears", {{"rule", "cont"}}),
+            nullptr);
+  EXPECT_EQ(metrics.size(), 2u);
 }
 
 TEST(HealthMonitor, AfterSuppressesWarmup) {
@@ -254,7 +296,7 @@ TEST(HealthTimeline, DigestsTransitionStream) {
   queue.warn = 100;
   queue.critical = 200;
   rules.rules.push_back(queue);
-  HealthMonitor monitor(std::move(rules), {.trace = &trace});
+  HealthMonitor monitor(std::move(rules), &trace);
 
   auto input = healthy_at(10);
   input.queue_depth = 150;  // queue warn
@@ -292,7 +334,7 @@ TEST(HealthTimeline, LabelWithQuoteAndBackslashReadsBackInFull) {
   NdjsonTraceSink trace(trace_out);
   HealthRule rule = continuity_rule();
   rule.label = "cont\"x\\y";
-  HealthMonitor monitor(one_rule(rule), {.trace = &trace});
+  HealthMonitor monitor(one_rule(rule), &trace);
   auto input = healthy_at(10);
   input.avg_continuity = 0.5;
   monitor.evaluate(input);

@@ -32,7 +32,7 @@ TEST(ResourceProbe, RecordsSchedulerInputsVerbatim) {
   EXPECT_EQ(s.queue_bytes, 4096u);
   EXPECT_EQ(s.live_peers, 7u);
   EXPECT_EQ(s.live_peer_bytes, 70000u);
-  EXPECT_EQ(probe.samples_taken(), 1u);
+  EXPECT_EQ(probe.samples().size(), 1u);
 }
 
 TEST(ResourceProbe, ThroughputIsDeltaEventsOverDeltaWall) {
@@ -57,34 +57,41 @@ TEST(ResourceProbe, RingIsBoundedByRetain) {
   for (int i = 0; i < 10; ++i)
     probe.sample(inputs_at(i, 100 * i, 0));
   EXPECT_EQ(probe.samples().size(), 3u);
-  EXPECT_EQ(probe.samples_taken(), 10u);
+  // The three newest of the ten samples.
+  EXPECT_EQ(probe.samples().front().events_executed, 700u);
   EXPECT_EQ(probe.samples().back().events_executed, 900u);
 }
 
 TEST(ResourceProbe, PublishesEveryInventoriedGauge) {
   MetricsRegistry metrics;
   ResourceProbe probe;
-  probe.bind_metrics(&metrics);
+  probe.export_metrics(metrics);  // nothing sampled yet
+  EXPECT_EQ(metrics.size(), 0u);
   probe.sample(inputs_at(10, 1000, 1.0));
+  probe.export_metrics(metrics);
   for (const std::string_view name : kResourceGaugeNames)
     EXPECT_NE(metrics.find_gauge(std::string(name)), nullptr)
         << "gauge not published: " << name;
   EXPECT_EQ(metrics.size(), kResourceGaugeNames.size());
   EXPECT_DOUBLE_EQ(metrics.find_gauge("sched_queue_depth")->value(), 100.0);
+  EXPECT_DOUBLE_EQ(metrics.find_gauge("sched_event_horizon_s")->value(), 5.0);
+  EXPECT_DOUBLE_EQ(metrics.find_gauge("sched_queue_bytes")->value(), 4096.0);
+  EXPECT_DOUBLE_EQ(metrics.find_gauge("sched_events_per_wall_s")->value(),
+                   1000.0);
   EXPECT_DOUBLE_EQ(metrics.find_gauge("live_peers")->value(), 7.0);
+  EXPECT_DOUBLE_EQ(metrics.find_gauge("live_peer_bytes")->value(), 70000.0);
 }
 
 TEST(ResourceProbe, RssReadbackWorksOnLinux) {
 #ifdef __linux__
   // A live process must have a nonzero resident set, peak >= current, and
-  // the probe tracks the largest peak it has seen.
+  // a sample carries the process's peak so far.
   const std::uint64_t rss = ResourceProbe::current_rss_bytes();
   const std::uint64_t peak = ResourceProbe::peak_rss_bytes();
   EXPECT_GT(rss, 0u);
   EXPECT_GE(peak, rss);
   ResourceProbe probe;
-  probe.sample(inputs_at(1, 1, 0));
-  EXPECT_GE(probe.peak_rss_bytes_seen(), rss);
+  EXPECT_GE(probe.sample(inputs_at(1, 1, 0)).peak_rss_bytes, rss);
 #else
   EXPECT_EQ(ResourceProbe::current_rss_bytes(), 0u);
 #endif
