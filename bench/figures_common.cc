@@ -14,16 +14,13 @@ namespace ppsim::bench {
 std::string parse_flags(int argc, const char* const* argv, Scale* scale) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag != "--viewers" && flag != "--minutes" && flag != "--seed" &&
-        flag != "--bench-json")
+    if (flag != "--viewers" && flag != "--minutes" && flag != "--seed")
       return "unknown option: " + flag;
     if (i + 1 >= argc) return "missing value for " + flag;
     const std::string value = argv[++i];
     const std::string bad = "bad value for " + flag + ": " + value;
     if (flag == "--seed") {
       if (!obs::parse_directive_integer(value, &scale->seed)) return bad;
-    } else if (flag == "--bench-json") {
-      scale->bench_json = value;
     } else {
       int n = 0;
       if (!obs::parse_directive_integer(value, &n) || n <= 0) return bad;
@@ -45,7 +42,7 @@ Scale parse_flags(int argc, char** argv) {
       !error.empty()) {
     std::fprintf(stderr,
                  "error: %s\nusage: %s [--viewers N] [--minutes M] "
-                 "[--seed S] [--bench-json F]\n",
+                 "[--seed S]\n",
                  error.c_str(), argv[0]);
     std::exit(2);
   }

@@ -9,9 +9,6 @@
 //   --minutes M     capture duration in simulated minutes (default 10;
 //                   the paper captured 2-hour sessions — pass 120 to match)
 //   --seed S        reproducible run seed, any uint64
-//   --bench-json F  append-free machine-readable telemetry: write the
-//                   run's BENCH entries to F (schema "ppsim-bench-v1",
-//                   docs/OBSERVABILITY.md)
 //
 // N and M are positive. Any other argument, a missing value or a value
 // that is not a whole number in range is a usage error (exit 2).
@@ -31,7 +28,6 @@ struct Scale {
   int unpopular_viewers = 64;
   int minutes = 10;
   std::uint64_t seed = 20081012;  // a representative capture day (see Fig 6)
-  std::string bench_json;         // telemetry output path; empty = off
 };
 
 /// Reads the flags above into `scale`, each value as a whole token.
@@ -43,10 +39,11 @@ std::string parse_flags(int argc, const char* const* argv, Scale* scale);
 /// line to stderr and exits 2.
 Scale parse_flags(int argc, char** argv);
 
-/// Shared --bench-json emitter: writes `entries` to `path` via
-/// obs::write_bench_json and prints a confirmation line. Returns false (and
-/// reports to stderr) when the file cannot be written. No-op returning true
-/// when `path` is empty, so call sites can pass scale.bench_json verbatim.
+/// The --bench-json emitter of bench_scale and bench_micro: writes
+/// `entries` to `path` via obs::write_bench_json and prints a confirmation
+/// line. Returns false (and reports to stderr) when the file cannot be
+/// written. No-op returning true when `path` is empty, so call sites can
+/// pass their flag's value verbatim.
 bool emit_bench_json(const std::string& path,
                      std::vector<obs::BenchEntry> entries);
 

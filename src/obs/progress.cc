@@ -69,9 +69,10 @@ std::string ProgressMeter::format_line(const State& state) const {
   line += " rss=" + (state.rss_bytes > 0 ? human_bytes(state.rss_bytes)
                                          : std::string("-"));
 
-  // ETA: wall seconds per sim second since the last heartbeat (the run so
-  // far on the first), extrapolated over the sim time left.
-  if (wall > last_wall_ && options_.total > state.now &&
+  // ETA: wall seconds per sim second since the last heartbeat,
+  // extrapolated over the sim time left. The first heartbeat has no
+  // interval yet and prints "-".
+  if (last_wall_ > 0 && wall > last_wall_ && options_.total > state.now &&
       state.now > last_now_) {
     const double per_sim =
         (wall - last_wall_) / (state.now - last_now_).as_seconds();

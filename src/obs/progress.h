@@ -15,10 +15,10 @@ namespace ppsim::obs {
 /// sanctioned steady_clock island — so the meter itself never reads a
 /// clock; without it the wall/throughput/ETA columns render as "-". The
 /// ETA extrapolates the wall-per-sim-second rate between the last two
-/// heartbeats (the run so far on the first), because per-event cost grows
-/// while the swarm fills. The meter only writes to its own stream: it
-/// cannot perturb the run, and a disarmed meter costs nothing (the runner
-/// doesn't even schedule the tick).
+/// heartbeats, because per-event cost grows while the swarm fills; the
+/// first heartbeat has no interval and prints "-". The meter only writes
+/// to its own stream: it cannot perturb the run, and a disarmed meter
+/// costs nothing (the runner doesn't even schedule the tick).
 ///
 /// Line format (kept in sync with docs/OBSERVABILITY.md):
 ///   [progress] t=120.0s/360s (33.3%) wall=4.1s events=804905 (195.2k/s)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <sstream>
 
 namespace ppsim::lint {
 
@@ -16,10 +15,8 @@ void trim(std::string* s) {
 }
 
 bool entry_matches(const AllowEntry& e, const Finding& f) {
-  if (e.pass != f.pass) return false;
-  if (!f.file.ends_with(e.path_suffix)) return false;
-  if (e.check != "*" && e.check != f.check) return false;
-  return e.token == "*" || f.token.find(e.token) != std::string::npos;
+  return e.pass == f.pass && e.path == f.file && e.check == f.check &&
+         e.token == f.token;
 }
 
 }  // namespace
@@ -58,7 +55,7 @@ bool parse_allowlist(std::istream& in, Allowlist* out, std::string* error) {
         c1 == std::string::npos ? std::string::npos : line.find(':', c1 + 1);
     if (c1 == std::string::npos || c2 == std::string::npos) {
       *error = "line " + std::to_string(lineno) +
-               ": malformed entry (want path-suffix:check:token): " + line;
+               ": malformed entry (want path:check:token): " + line;
       return false;
     }
     out->entries.push_back(AllowEntry{section, line.substr(0, c1),
@@ -101,10 +98,9 @@ void apply_allowlist(const Allowlist& allow,
     if (std::find(passes_run.begin(), passes_run.end(), e.pass) ==
         passes_run.end())
       continue;  // that pass didn't run; can't judge staleness
-    std::ostringstream token;
-    token << e.path_suffix << ":" << e.check << ":" << e.token;
     findings->push_back(Finding{
-        e.pass, allowlist_name, e.line, "stale-allowlist", token.str(),
+        e.pass, allowlist_name, e.line, "stale-allowlist",
+        e.path + ":" + e.check + ":" + e.token,
         "allowlist entry matched no finding this run; the hazard it excused "
         "is gone — delete the entry",
         false});

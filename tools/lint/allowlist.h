@@ -6,14 +6,18 @@
 //
 //   # comment
 //   [pass-name]
-//   path-suffix:check:token     # rationale
+//   path:check:token     # rationale
 //
 // `[pass-name]` opens the section for one registered pass; entries apply
-// only to findings of that pass. `check` may be `*`; `token` is matched as
-// a substring, `*` matches anything. Every entry must sit inside a section,
-// and every entry must still match at least one finding each run — a stale
-// entry (the hazard it excused is gone) is itself reported as a
-// `stale-allowlist` finding, so the file can only shrink as code improves.
+// only to findings of that pass. An entry matches a finding only when its
+// section, path (relative to the scanned root), check and token all equal
+// the finding's: there are no wildcards, suffixes or substrings, so a new
+// finding is never excused by an entry written for another. Every entry
+// must sit inside a section, and every entry must still match at least one
+// finding each run — a stale entry (the hazard it excused is gone) is
+// itself reported as a `stale-allowlist` finding, so the file can only
+// shrink as code improves. The allowlist is the audit's one record of
+// accepted findings.
 
 #include <iosfwd>
 #include <string>
@@ -25,10 +29,10 @@ namespace ppsim::lint {
 
 struct AllowEntry {
   std::string pass;  // section the entry appeared under
-  std::string path_suffix;
-  std::string check;  // "*" matches any
-  std::string token;  // "*" matches any; else substring match
-  int line = 0;       // line in the allowlist file, for stale reporting
+  std::string path;  // relative to the scan root, like Finding::file
+  std::string check;
+  std::string token;
+  int line = 0;  // line in the allowlist file, for stale reporting
 };
 
 struct Allowlist {
@@ -41,9 +45,9 @@ bool parse_allowlist(std::istream& in, Allowlist* out, std::string* error);
 bool load_allowlist(const std::string& path, Allowlist* out,
                     std::string* error);
 
-/// Marks findings matched by an entry of their own pass's section as
-/// allowlisted, then appends one `stale-allowlist` finding per entry (in a
-/// section of `passes_run`) that matched nothing. Stale findings carry
+/// Marks findings matched exactly by an entry of their own pass's section
+/// as allowlisted, then appends one `stale-allowlist` finding per entry (in
+/// a section of `passes_run`) that matched nothing. Stale findings carry
 /// pass = the section name, file = `allowlist_name`, line = entry line.
 void apply_allowlist(const Allowlist& allow,
                      const std::vector<std::string>& passes_run,

@@ -5,21 +5,17 @@
 //     --allowlist <file>  sectioned allowlist (see allowlist.h)
 //     --docs <dir>        docs root for cross-checks (completeness pass)
 //     --ndjson <file>     write the ppsim-lint-v1 findings stream
-//     --baseline <file>   compare (pass,file,check,token) against a
-//                         committed ppsim-lint-v1 run; drift fails
 //     --list-passes       print the registry and exit
 //     --verbose           also print allowlisted findings
 //
-// Exit codes: 0 clean; 1 reported findings, stale allowlist entries, or
-// baseline drift; 2 usage / IO error. Each ctest (lint_<pass>) runs one
-// pass so a failure names the contract it broke.
+// Exit codes: 0 clean; 1 reported findings or stale allowlist entries;
+// 2 usage / IO error. Each ctest (lint_<pass>) runs one pass so a failure
+// names the contract it broke.
 
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "lint/allowlist.h"
@@ -33,15 +29,10 @@ using ppsim::lint::Finding;
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <source-root> [--pass <name>]... [--allowlist <file>]\n"
-               "       [--docs <dir>] [--ndjson <file>] [--baseline <file>]\n"
-               "       [--list-passes] [--verbose]\n";
+               "       [--docs <dir>] [--ndjson <file>] [--list-passes]\n"
+               "       [--verbose]\n";
   return 2;
 }
-
-/// Line-insensitive identity of a finding, for baseline comparison.
-using Key = std::tuple<std::string, std::string, std::string, std::string>;
-
-Key key_of(const Finding& f) { return {f.pass, f.file, f.check, f.token}; }
 
 }  // namespace
 
@@ -50,7 +41,6 @@ int main(int argc, char** argv) {
   std::string docs_root;
   std::string allowlist_path;
   std::string ndjson_path;
-  std::string baseline_path;
   std::vector<std::string> pass_names;
   bool verbose = false;
   for (int i = 1; i < argc; ++i) {
@@ -70,8 +60,6 @@ int main(int argc, char** argv) {
       docs_root = value("--docs");
     } else if (arg == "--ndjson") {
       ndjson_path = value("--ndjson");
-    } else if (arg == "--baseline") {
-      baseline_path = value("--baseline");
     } else if (arg == "--list-passes") {
       for (const auto& p : ppsim::lint::passes())
         std::cout << p.name << "  " << p.summary << "\n";
@@ -150,40 +138,6 @@ int main(int argc, char** argv) {
               << "\n    " << f.detail << "\n";
   }
 
-  bool baseline_drift = false;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::cerr << "ppsim_lint: cannot read baseline " << baseline_path
-                << "\n";
-      return 2;
-    }
-    ppsim::lint::LintRun base;
-    if (!ppsim::lint::read_lint_ndjson(in, &base, &error)) {
-      std::cerr << "ppsim_lint: baseline: " << error << "\n";
-      return 2;
-    }
-    std::set<Key> base_keys;
-    std::set<Key> run_keys;
-    for (const Finding& f : base.findings) base_keys.insert(key_of(f));
-    for (const Finding& f : findings) run_keys.insert(key_of(f));
-    for (const Key& k : run_keys) {
-      if (base_keys.contains(k)) continue;
-      baseline_drift = true;
-      std::cout << "baseline drift: NEW finding " << std::get<0>(k) << "/"
-                << std::get<2>(k) << " in " << std::get<1>(k) << " ("
-                << std::get<3>(k) << ")\n";
-    }
-    for (const Key& k : base_keys) {
-      if (run_keys.contains(k)) continue;
-      baseline_drift = true;
-      std::cout << "baseline drift: RESOLVED finding " << std::get<0>(k)
-                << "/" << std::get<2>(k) << " in " << std::get<1>(k) << " ("
-                << std::get<3>(k)
-                << ") — regenerate tools/lint/BASELINE_audit.json\n";
-    }
-  }
-
   std::ostringstream pass_list;
   for (std::size_t i = 0; i < ran.size(); ++i)
     pass_list << (i ? "," : "") << ran[i];
@@ -191,6 +145,5 @@ int main(int argc, char** argv) {
             << pass_list.str() << ": " << run.summary.reported << " reported, "
             << run.summary.allowlisted << " allowlisted, " << run.summary.stale
             << " stale\n";
-  if (run.summary.reported > 0 || baseline_drift) return 1;
-  return 0;
+  return run.summary.reported > 0 ? 1 : 0;
 }

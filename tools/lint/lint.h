@@ -25,7 +25,7 @@ namespace ppsim::lint {
 
 /// One finding: a location, the check that fired, and the offending token.
 /// (pass, file, check, token) identifies a finding across line renumbering;
-/// the committed baseline (BASELINE_audit.json) compares that tuple only.
+/// an allowlist entry (allowlist.h) names exactly that tuple.
 struct Finding {
   std::string pass;
   std::string file;  // path relative to the scan root, generic separators
@@ -34,8 +34,6 @@ struct Finding {
   std::string token;
   std::string detail;
   bool allowlisted = false;
-
-  friend bool operator==(const Finding&, const Finding&) = default;
 };
 
 /// One scanned source file. `stripped` has comments and string/char

@@ -1,11 +1,7 @@
 #include "lint/ndjson.h"
 
-#include <cctype>
 #include <cstdio>
-#include <istream>
-#include <map>
 #include <ostream>
-#include <sstream>
 
 namespace ppsim::lint {
 
@@ -33,123 +29,6 @@ void write_escaped(std::ostream& os, std::string_view s) {
     }
   }
   os << '"';
-}
-
-/// Minimal parser for the flat one-line objects this schema emits: string,
-/// integer, boolean, and array-of-string values only.
-struct LineObject {
-  std::map<std::string, std::string> strings;
-  std::map<std::string, std::int64_t> ints;
-  std::map<std::string, bool> bools;
-  std::map<std::string, std::vector<std::string>> string_arrays;
-};
-
-bool parse_json_string(const std::string& s, std::size_t* i,
-                       std::string* out) {
-  if (*i >= s.size() || s[*i] != '"') return false;
-  ++*i;
-  out->clear();
-  while (*i < s.size() && s[*i] != '"') {
-    char c = s[*i];
-    if (c == '\\') {
-      ++*i;
-      if (*i >= s.size()) return false;
-      switch (s[*i]) {
-        case 'n': *out += '\n'; break;
-        case 't': *out += '\t'; break;
-        case 'r': *out += '\r'; break;
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'u': {
-          if (*i + 4 >= s.size()) return false;
-          unsigned v = 0;
-          for (int k = 1; k <= 4; ++k) {
-            const char h = s[*i + k];
-            v <<= 4;
-            if (h >= '0' && h <= '9') v |= h - '0';
-            else if (h >= 'a' && h <= 'f') v |= h - 'a' + 10;
-            else if (h >= 'A' && h <= 'F') v |= h - 'A' + 10;
-            else return false;
-          }
-          // The writer only emits \u00xx control escapes.
-          *out += static_cast<char>(v & 0xFF);
-          *i += 4;
-          break;
-        }
-        default: return false;
-      }
-    } else {
-      *out += c;
-    }
-    ++*i;
-  }
-  if (*i >= s.size()) return false;
-  ++*i;  // closing quote
-  return true;
-}
-
-bool parse_line_object(const std::string& line, LineObject* obj) {
-  std::size_t i = 0;
-  auto ws = [&] { while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) ++i; };
-  ws();
-  if (i >= line.size() || line[i] != '{') return false;
-  ++i;
-  ws();
-  if (i < line.size() && line[i] == '}') return true;
-  while (true) {
-    ws();
-    std::string key;
-    if (!parse_json_string(line, &i, &key)) return false;
-    ws();
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    ws();
-    if (i >= line.size()) return false;
-    if (line[i] == '"') {
-      std::string v;
-      if (!parse_json_string(line, &i, &v)) return false;
-      obj->strings[key] = std::move(v);
-    } else if (line[i] == '[') {
-      ++i;
-      std::vector<std::string> arr;
-      ws();
-      if (i < line.size() && line[i] == ']') {
-        ++i;
-      } else {
-        while (true) {
-          ws();
-          std::string v;
-          if (!parse_json_string(line, &i, &v)) return false;
-          arr.push_back(std::move(v));
-          ws();
-          if (i < line.size() && line[i] == ',') { ++i; continue; }
-          if (i < line.size() && line[i] == ']') { ++i; break; }
-          return false;
-        }
-      }
-      obj->string_arrays[key] = std::move(arr);
-    } else if (line.compare(i, 4, "true") == 0) {
-      obj->bools[key] = true;
-      i += 4;
-    } else if (line.compare(i, 5, "false") == 0) {
-      obj->bools[key] = false;
-      i += 5;
-    } else {
-      std::size_t j = i;
-      if (j < line.size() && line[j] == '-') ++j;
-      std::size_t digits = j;
-      while (j < line.size() && std::isdigit(static_cast<unsigned char>(line[j]))) ++j;
-      if (j == digits) return false;
-      obj->ints[key] = std::stoll(line.substr(i, j - i));
-      i = j;
-    }
-    ws();
-    if (i < line.size() && line[i] == ',') { ++i; continue; }
-    if (i < line.size() && line[i] == '}') break;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -182,67 +61,6 @@ void write_lint_ndjson(std::ostream& os, const LintRun& run) {
   os << "{\"files_scanned\":" << s.files_scanned << ",\"findings\":"
      << s.findings << ",\"reported\":" << s.reported << ",\"allowlisted\":"
      << s.allowlisted << ",\"stale\":" << s.stale << "}\n";
-}
-
-bool read_lint_ndjson(std::istream& is, LintRun* run, std::string* error) {
-  std::string line;
-  int lineno = 0;
-  bool saw_header = false;
-  bool saw_summary = false;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    LineObject obj;
-    if (!parse_line_object(line, &obj)) {
-      *error = "line " + std::to_string(lineno) + ": malformed JSON object";
-      return false;
-    }
-    if (!saw_header) {
-      const auto it = obj.strings.find("lint_schema");
-      if (it == obj.strings.end() || it->second != kLintSchema) {
-        *error = "line 1: missing or unknown lint_schema (want ppsim-lint-v1)";
-        return false;
-      }
-      run->root = obj.strings["root"];
-      run->passes = obj.string_arrays["passes"];
-      saw_header = true;
-      continue;
-    }
-    if (obj.strings.contains("pass")) {
-      Finding f;
-      f.pass = obj.strings["pass"];
-      f.file = obj.strings["file"];
-      f.line = static_cast<int>(obj.ints["line"]);
-      f.check = obj.strings["check"];
-      f.token = obj.strings["token"];
-      f.detail = obj.strings["detail"];
-      f.allowlisted = obj.bools["allowlisted"];
-      run->findings.push_back(std::move(f));
-      continue;
-    }
-    if (obj.ints.contains("files_scanned")) {
-      run->summary.files_scanned =
-          static_cast<std::uint64_t>(obj.ints["files_scanned"]);
-      run->summary.findings = static_cast<std::uint64_t>(obj.ints["findings"]);
-      run->summary.reported = static_cast<std::uint64_t>(obj.ints["reported"]);
-      run->summary.allowlisted =
-          static_cast<std::uint64_t>(obj.ints["allowlisted"]);
-      run->summary.stale = static_cast<std::uint64_t>(obj.ints["stale"]);
-      saw_summary = true;
-      continue;
-    }
-    *error = "line " + std::to_string(lineno) + ": unrecognized row";
-    return false;
-  }
-  if (!saw_header) {
-    *error = "empty stream (no ppsim-lint-v1 header)";
-    return false;
-  }
-  if (!saw_summary) {
-    *error = "truncated stream (no summary row)";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace ppsim::lint

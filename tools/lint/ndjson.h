@@ -10,10 +10,9 @@
 //   {"files_scanned":92,"findings":3,"reported":0,"allowlisted":3,"stale":0}
 //
 // First line: header. Middle lines: one per finding (allowlisted ones
-// included — the committed BASELINE_audit.json tracks the full audit
-// trajectory, not just the failures). Last line: summary. The reader
-// round-trips everything the writer emits; tests/tools_lint_test.cc pins
-// the round-trip byte-exactly.
+// included, so the stream is the full audit, not just the failures). Last
+// line: summary. CI uploads the stream as the static-audit artifact;
+// tests/tools_lint_test.cc pins the writer's bytes.
 
 #include <cstdint>
 #include <iosfwd>
@@ -32,8 +31,6 @@ struct LintSummary {
   std::uint64_t reported = 0;     // not allowlisted (these fail the build)
   std::uint64_t allowlisted = 0;
   std::uint64_t stale = 0;        // stale-allowlist findings (also reported)
-
-  friend bool operator==(const LintSummary&, const LintSummary&) = default;
 };
 
 struct LintRun {
@@ -41,14 +38,8 @@ struct LintRun {
   std::vector<std::string> passes;  // passes that ran, in order
   std::vector<Finding> findings;
   LintSummary summary;
-
-  friend bool operator==(const LintRun&, const LintRun&) = default;
 };
 
 void write_lint_ndjson(std::ostream& os, const LintRun& run);
-
-/// Parses a ppsim-lint-v1 stream. Returns false and sets *error on a
-/// schema mismatch or malformed line.
-bool read_lint_ndjson(std::istream& is, LintRun* run, std::string* error);
 
 }  // namespace ppsim::lint

@@ -10,11 +10,22 @@ std::string strip_comments_and_strings(const std::string& in) {
   out.reserve(in.size());
   enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
   State st = State::kCode;
+  // Inside a number token (one that began with a digit), where a quote is
+  // a C++14 digit separator (3'600'000'000LL), not a char literal. A token
+  // that began with a letter keeps its quote: u8'a' and L'x' are literals.
+  bool number = false;
   for (std::size_t i = 0; i < in.size(); ++i) {
     const char c = in[i];
     const char next = i + 1 < in.size() ? in[i + 1] : '\0';
     switch (st) {
       case State::kCode:
+        if (c == '\'' && number) {
+          out += c;
+          break;
+        }
+        number = number ? is_ident_char(c) || c == '.'
+                        : std::isdigit(static_cast<unsigned char>(c)) &&
+                              (i == 0 || !is_ident_char(in[i - 1]));
         if (c == '/' && next == '/') {
           st = State::kLineComment;
           out += "  ";
